@@ -15,6 +15,7 @@ Given a recorded mouse path ``[(t_ms, x, y), ...]`` the metrics capture:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
@@ -91,14 +92,20 @@ def per_movement_metrics(
     ]
 
 
+@functools.lru_cache(maxsize=None)
 def _savitzky_golay_center_weights(window: int, degree: int = 2) -> np.ndarray:
     """Weights that evaluate a local least-squares polynomial at the
-    window centre (classic Savitzky-Golay smoothing coefficients)."""
+    window centre (classic Savitzky-Golay smoothing coefficients).
+
+    Memoised per window size; the returned array is read-only.
+    """
     half = window // 2
     t = np.arange(-half, half + 1, dtype=float)
     design = np.vander(t, degree + 1, increasing=True)
     pseudo_inverse = np.linalg.pinv(design)
-    return pseudo_inverse[0]  # evaluation of the constant term at t=0
+    weights = pseudo_inverse[0].copy()  # evaluation of the constant term at t=0
+    weights.setflags(write=False)
+    return weights
 
 
 def _polynomial_residual_rms(t: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
@@ -165,16 +172,13 @@ def trajectory_metrics(path: Sequence[PathSample]) -> TrajectoryMetrics:
     # almost exactly; human tremor and HLISA's added jitter do not.
     jitter_rms = _polynomial_residual_rms(t, x, y)
 
-    # Mean absolute turn angle between consecutive segments.
-    turns: List[float] = []
-    for i in range(len(dx) - 1):
-        a = math.hypot(dx[i], dy[i])
-        b = math.hypot(dx[i + 1], dy[i + 1])
-        if a < 1e-9 or b < 1e-9:
-            continue
-        cross = dx[i] * dy[i + 1] - dy[i] * dx[i + 1]
-        dot = dx[i] * dx[i + 1] + dy[i] * dy[i + 1]
-        turns.append(abs(math.atan2(cross, dot)))
+    # Mean absolute turn angle between consecutive non-degenerate
+    # segments.  ``math.atan2`` (not ``np.arctan2``, whose SIMD builds
+    # may round differently) keeps the angle identical on every host.
+    turning = (seg_len[:-1] >= 1e-9) & (seg_len[1:] >= 1e-9)
+    cross = (dx[:-1] * dy[1:] - dy[:-1] * dx[1:])[turning]
+    dot = (dx[:-1] * dx[1:] + dy[:-1] * dy[1:])[turning]
+    turns = [abs(math.atan2(c, d)) for c, d in zip(cross.tolist(), dot.tolist())]
     mean_turn = float(np.mean(turns)) if turns else 0.0
 
     return TrajectoryMetrics(

@@ -23,6 +23,9 @@ import numpy as np
 from repro.events.recorder import KeyStroke, flight_times
 from repro.humans.typing import needs_shift
 
+#: Keys that modify other keys rather than type a character.
+MODIFIER_KEYS = frozenset({"Shift", "Control", "Alt", "Meta"})
+
 
 @dataclass(frozen=True)
 class TypingMetrics:
@@ -61,7 +64,7 @@ def typing_metrics(strokes: Sequence[KeyStroke]) -> TypingMetrics:
     if not strokes:
         raise ValueError("no keystrokes to analyse")
     character_strokes: List[KeyStroke] = [
-        s for s in strokes if s.key not in ("Shift", "Control", "Alt", "Meta")
+        s for s in strokes if s.key not in MODIFIER_KEYS
     ]
     if not character_strokes:
         raise ValueError("only modifier keystrokes present")

@@ -19,6 +19,7 @@ from repro.armsrace.levels import SimulatorLevel, expected_detection
 from repro.armsrace.simulators import simulator_for_level
 from repro.detection.base import DetectionLevel
 from repro.detection.battery import DetectorBattery
+from repro.detection.features import RecordingFeatures
 from repro.detection.profile_match import EnrolledProfileDetector
 from repro.events.recorder import EventRecorder
 from repro.experiment.agents import HumanAgent
@@ -136,18 +137,19 @@ class Tournament:
         }
 
         # The genuine human control (a fresh session of the subject).
-        human_recorder = self._record(
-            HumanAgent(self.subject.with_seed(self.subject.seed + 5000))
+        # Each recording is analysed once and judged by every battery.
+        human = RecordingFeatures(
+            self._record(HumanAgent(self.subject.with_seed(self.subject.seed + 5000)))
         )
         for det_level, battery in batteries.items():
-            result.human_flags[det_level] = battery.evaluate(human_recorder).is_bot
+            result.human_flags[det_level] = battery.evaluate(human).is_bot
 
         for sim_level in SimulatorLevel:
             agent = simulator_for_level(sim_level, target_profile=self.subject)
-            recorder = self._record(agent)
+            features = RecordingFeatures(self._record(agent))
             result.matrix[sim_level] = {}
             for det_level, battery in batteries.items():
-                report = battery.evaluate(recorder)
+                report = battery.evaluate(features)
                 result.matrix[sim_level][det_level] = report.is_bot
                 result.evidence[(sim_level, det_level)] = report.triggered_names()
         return result

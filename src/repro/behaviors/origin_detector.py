@@ -11,7 +11,7 @@ loads).
 from __future__ import annotations
 
 from repro.detection.base import DetectionLevel, Detector, Verdict
-from repro.events.recorder import EventRecorder
+from repro.detection.features import RecordingFeatures
 
 #: Radius around the origin considered "parked at (0,0)" (px).
 ORIGIN_RADIUS_PX = 3.0
@@ -23,8 +23,8 @@ class OriginStartDetector(Detector):
     name = "origin-start"
     level = DetectionLevel.ARTIFICIAL
 
-    def observe(self, recorder: EventRecorder) -> Verdict:
-        path = recorder.mouse_path()
+    def judge(self, features: RecordingFeatures) -> Verdict:
+        path = features.mouse_path
         if not path:
             return self._human()
         _, x, y = path[0]

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.detection.base import DetectionLevel
 from repro.detection.battery import DetectorBattery
-from repro.events.recorder import EventRecorder
+from repro.detection.features import Recording, RecordingFeatures
 from repro.experiment.agents import Agent
 from repro.experiment.tasks import BrowsingScenario
 
@@ -33,9 +33,9 @@ class BehavioralSite:
     domain: str
     detector_level: DetectionLevel
 
-    def judges(self, recorder: EventRecorder) -> bool:
+    def judges(self, recording: Recording) -> bool:
         """Whether this site's battery flags the recorded visit."""
-        return DetectorBattery(self.detector_level).evaluate(recorder).is_bot
+        return DetectorBattery(self.detector_level).evaluate(recording).is_bot
 
 
 @dataclass
@@ -101,17 +101,16 @@ def run_behavioral_crawl(
 
     Each visit performs the browsing scenario in a fresh session; the
     site's battery judges the recording.  Recordings are generated per
-    (agent, visit) and shared across same-level sites of that visit --
-    a site only ever sees its own visit's events.
+    (agent, visit), analysed once, and shared across the sites of that
+    visit -- a site only ever sees its own visit's events.
     """
     population = population or make_behavioral_population()
     scenario = scenario or BrowsingScenario(clicks=40)
     rng = np.random.default_rng(seed)
     result = BehavioralCrawlResult()
-    levels = sorted({site.detector_level for site in population})
     for style, agent in agents.items():
         for visit in range(visits_per_site):
-            recorder = scenario.run(agent).recorder
+            features = RecordingFeatures(scenario.run(agent).recorder)
             for site in population:
-                result.record(style, site.detector_level, site.judges(recorder))
+                result.record(style, site.detector_level, site.judges(features))
     return result

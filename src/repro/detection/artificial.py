@@ -8,15 +8,10 @@ each bound sits well outside the human envelope.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
-from repro.analysis.clicks import normalised_offsets
-from repro.analysis.trajectory import per_movement_metrics
-from repro.analysis.typing_metrics import typing_metrics
 from repro.detection.base import DetectionLevel, Detector, Verdict
-from repro.events.recorder import EventRecorder
+from repro.detection.features import RecordingFeatures
 
 #: Sustained cursor speed beyond trained-human capability (px/s).
 MAX_HUMAN_MEAN_SPEED = 3000.0
@@ -35,8 +30,8 @@ class SuperhumanSpeedDetector(Detector):
     name = "superhuman-speed"
     level = DetectionLevel.ARTIFICIAL
 
-    def observe(self, recorder: EventRecorder) -> Verdict:
-        for metrics in per_movement_metrics(recorder.mouse_path()):
+    def judge(self, features: RecordingFeatures) -> Verdict:
+        for metrics in features.movement_metrics:
             if metrics.chord_length < 100:
                 continue
             if metrics.mean_speed_px_s > MAX_HUMAN_MEAN_SPEED:
@@ -59,10 +54,10 @@ class StraightLineDetector(Detector):
     name = "straight-line"
     level = DetectionLevel.ARTIFICIAL
 
-    def observe(self, recorder: EventRecorder) -> Verdict:
+    def judge(self, features: RecordingFeatures) -> Verdict:
         flagged = 0
         considered = 0
-        for metrics in per_movement_metrics(recorder.mouse_path()):
+        for metrics in features.movement_metrics:
             if metrics.chord_length < 150 or metrics.n_samples < 6:
                 continue
             considered += 1
@@ -81,21 +76,10 @@ class PerfectCenterClickDetector(Detector):
     name = "perfect-center-clicks"
     level = DetectionLevel.ARTIFICIAL
 
-    def observe(self, recorder: EventRecorder) -> Verdict:
-        clicks = recorder.clicks()
-        positions: List = []
-        boxes: List = []
-        for click in clicks:
-            box = click.target_box
-            if box is None or box.width < 4 or box.height < 4:
-                continue
-            positions.append(click.position)
-            boxes.append(box)
-        if len(positions) < 3:
+    def judge(self, features: RecordingFeatures) -> Verdict:
+        if len(features.placed_clicks) < 3:
             return self._human()
-        offsets = normalised_offsets(positions, boxes)
-        radial = np.hypot([o[0] for o in offsets], [o[1] for o in offsets])
-        center_rate = float(np.mean(radial < 0.025))
+        center_rate = features.click_placement.exact_center_rate
         if center_rate > 0.8:
             return self._bot(
                 1.0, f"{center_rate:.0%} of clicks exactly on element centres"
@@ -109,8 +93,8 @@ class ZeroDwellClickDetector(Detector):
     name = "zero-dwell-clicks"
     level = DetectionLevel.ARTIFICIAL
 
-    def observe(self, recorder: EventRecorder) -> Verdict:
-        clicks = recorder.clicks()
+    def judge(self, features: RecordingFeatures) -> Verdict:
+        clicks = features.clicks
         if len(clicks) < 2:
             return self._human()
         dwells = np.array([c.dwell_ms for c in clicks])
@@ -125,11 +109,10 @@ class InhumanTypingSpeedDetector(Detector):
     name = "inhuman-typing-speed"
     level = DetectionLevel.ARTIFICIAL
 
-    def observe(self, recorder: EventRecorder) -> Verdict:
-        strokes = recorder.key_strokes()
-        if len(strokes) < 10:
+    def judge(self, features: RecordingFeatures) -> Verdict:
+        metrics = features.typing
+        if len(features.key_strokes) < 10 or metrics is None:
             return self._human()
-        metrics = typing_metrics(strokes)
         if metrics.chars_per_minute > MAX_HUMAN_CPM:
             return self._bot(
                 1.0, f"typing speed {metrics.chars_per_minute:.0f} cpm"
@@ -143,11 +126,10 @@ class ZeroKeyDwellDetector(Detector):
     name = "zero-key-dwell"
     level = DetectionLevel.ARTIFICIAL
 
-    def observe(self, recorder: EventRecorder) -> Verdict:
-        strokes = recorder.key_strokes()
-        if len(strokes) < 5:
+    def judge(self, features: RecordingFeatures) -> Verdict:
+        metrics = features.typing
+        if len(features.key_strokes) < 5 or metrics is None:
             return self._human()
-        metrics = typing_metrics(strokes)
         if metrics.has_negligible_dwell:
             return self._bot(1.0, f"mean key dwell {metrics.dwell_mean_ms:.1f} ms")
         return self._human()
@@ -164,11 +146,10 @@ class MissingModifierDetector(Detector):
     name = "missing-modifiers"
     level = DetectionLevel.ARTIFICIAL
 
-    def observe(self, recorder: EventRecorder) -> Verdict:
-        strokes = recorder.key_strokes()
-        if not strokes:
+    def judge(self, features: RecordingFeatures) -> Verdict:
+        metrics = features.typing
+        if metrics is None:
             return self._human()
-        metrics = typing_metrics(strokes)
         if metrics.shifted_without_modifier > 0:
             return self._bot(
                 1.0,
@@ -195,13 +176,13 @@ class TeleportScrollDetector(Detector):
     KEY_EXEMPTION_MS = 200.0
     SCROLL_KEYS = frozenset({" ", "PageDown", "PageUp", "Home", "End"})
 
-    def observe(self, recorder: EventRecorder) -> Verdict:
-        scrolls = recorder.scroll_events()
+    def judge(self, features: RecordingFeatures) -> Verdict:
+        scrolls = features.scroll_events
         if len(scrolls) < 1:
             return self._human()
         key_times = [
             e.timestamp
-            for e in recorder.of_type("keydown")
+            for e in features.of_type("keydown")
             if e.key in self.SCROLL_KEYS
         ]
 
@@ -231,17 +212,15 @@ class NoMovementClickDetector(Detector):
     name = "click-without-movement"
     level = DetectionLevel.ARTIFICIAL
 
-    def observe(self, recorder: EventRecorder) -> Verdict:
-        clicks = recorder.clicks()
+    def judge(self, features: RecordingFeatures) -> Verdict:
+        clicks = features.clicks
         if not clicks:
             return self._human()
-        path = recorder.mouse_path()
+        times = np.array([sample[0] for sample in features.mouse_path], dtype=float)
         for click in clicks:
             t_click = click.down.timestamp
-            approach = [
-                p for p in path if t_click - 2000.0 <= p[0] <= t_click
-            ]
-            if len(approach) < 3:
+            approach = np.count_nonzero((t_click - 2000.0 <= times) & (times <= t_click))
+            if approach < 3:
                 return self._bot(
                     0.85, "click arrived without preceding cursor movement"
                 )
@@ -260,8 +239,8 @@ class UntrustedEventDetector(Detector):
     name = "untrusted-events"
     level = DetectionLevel.ARTIFICIAL
 
-    def observe(self, recorder: EventRecorder) -> Verdict:
-        for event in recorder.events:
+    def judge(self, features: RecordingFeatures) -> Verdict:
+        for event in features.events:
             if not event.is_trusted:
                 return self._bot(
                     1.0, f"untrusted {event.type!r} event (script-dispatched)"
@@ -281,9 +260,9 @@ class MissingPointerTwinDetector(Detector):
     name = "missing-pointer-twins"
     level = DetectionLevel.ARTIFICIAL
 
-    def observe(self, recorder: EventRecorder) -> Verdict:
-        mouse_downs = len(recorder.of_type("mousedown"))
-        pointer_downs = len(recorder.of_type("pointerdown"))
+    def judge(self, features: RecordingFeatures) -> Verdict:
+        mouse_downs = len(features.of_type("mousedown"))
+        pointer_downs = len(features.of_type("pointerdown"))
         if mouse_downs >= 2 and pointer_downs == 0:
             return self._bot(
                 0.95,

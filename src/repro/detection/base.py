@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import List
 
+from repro.detection.features import RecordingFeatures
 from repro.events.recorder import EventRecorder
 
 
@@ -39,10 +40,13 @@ class Verdict:
 
 
 class Detector:
-    """Base class: observe a recording, return a verdict.
+    """Base class: judge a recording, return a verdict.
 
     Detectors see interaction only through the recorded DOM events --
-    the same channel a real website has.
+    the same channel a real website has -- as analysed once per
+    recording by :class:`~repro.detection.features.RecordingFeatures`.
+    Subclasses implement :meth:`judge`; a battery hands every detector
+    the same features, while :meth:`observe` judges a lone recording.
     """
 
     #: Detector name (shown in reports).
@@ -51,6 +55,10 @@ class Detector:
     level: DetectionLevel = DetectionLevel.ARTIFICIAL
 
     def observe(self, recorder: EventRecorder) -> Verdict:
+        """Judge one recording on its own."""
+        return self.judge(RecordingFeatures(recorder))
+
+    def judge(self, features: RecordingFeatures) -> Verdict:
         raise NotImplementedError
 
     def _human(self) -> Verdict:

@@ -3,20 +3,22 @@
 A website "at level k" of the arms race deploys every detector up to and
 including level ``k`` -- escalation adds capabilities, it does not discard
 the cheap checks.  :class:`DetectorBattery` assembles that set and runs a
-recording through it.
+recording through it, analysing the recording once
+(:class:`~repro.detection.features.RecordingFeatures`) for all of its
+detectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.detection.artificial import ARTIFICIAL_DETECTORS
 from repro.detection.base import DetectionLevel, Detector, Verdict
 from repro.detection.consistency import CONSISTENCY_DETECTORS
 from repro.detection.deviation import DEVIATION_DETECTORS
+from repro.detection.features import Recording, RecordingFeatures
 from repro.detection.profile_match import EnrolledProfileDetector
-from repro.events.recorder import EventRecorder
 
 
 @dataclass
@@ -77,18 +79,28 @@ class DetectorBattery:
                 raise ValueError("profile detector must be enrolled first")
             self.detectors.append(profile_detector)
 
-    def evaluate(self, recorder: EventRecorder) -> BatteryReport:
-        """Run every detector over the recording."""
-        report = BatteryReport(level=self.level)
-        for detector in self.detectors:
-            report.verdicts.append(detector.observe(recorder))
-        return report
+    def evaluate(self, recording: Recording) -> BatteryReport:
+        """Run every detector over the recording.
 
-    def evaluate_only_level(self, recorder: EventRecorder) -> BatteryReport:
+        ``recording`` is an :class:`EventRecorder` or, to share one
+        analysis between several batteries, its
+        :class:`RecordingFeatures`.
+        """
+        features = RecordingFeatures.of(recording)
+        return BatteryReport(
+            level=self.level,
+            verdicts=[detector.judge(features) for detector in self.detectors],
+        )
+
+    def evaluate_only_level(self, recording: Recording) -> BatteryReport:
         """Run only this battery's top-level detectors (for the arms-race
         matrix, where each rung is examined in isolation)."""
-        report = BatteryReport(level=self.level)
-        for detector in self.detectors:
-            if detector.level == self.level:
-                report.verdicts.append(detector.observe(recorder))
-        return report
+        features = RecordingFeatures.of(recording)
+        return BatteryReport(
+            level=self.level,
+            verdicts=[
+                detector.judge(features)
+                for detector in self.detectors
+                if detector.level == self.level
+            ],
+        )

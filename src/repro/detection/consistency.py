@@ -21,43 +21,18 @@ couplings human motor control produces are missing:
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import List
 
 import numpy as np
 
-from repro.analysis.trajectory import TrajectoryMetrics, split_movements, trajectory_metrics
 from repro.detection.base import DetectionLevel, Detector, Verdict
-from repro.events.recorder import ClickRecord, EventRecorder
+from repro.detection.features import RecordingFeatures
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     if x.size < 3 or np.std(x) < 1e-12 or np.std(y) < 1e-12:
         return 0.0
     return float(np.corrcoef(x, y)[0, 1])
-
-
-def _approach_movements(
-    recorder: EventRecorder,
-) -> List[Tuple[ClickRecord, TrajectoryMetrics]]:
-    """Pair each click with the cursor movement that led to it."""
-    movements = split_movements(recorder.mouse_path())
-    if not movements:
-        return []
-    pairs: List[Tuple[ClickRecord, TrajectoryMetrics]] = []
-    for click in recorder.clicks():
-        t_click = click.down.timestamp
-        best = None
-        for movement in movements:
-            end_t = movement[-1][0]
-            if end_t <= t_click + 1.0 and (best is None or end_t > best[-1][0]):
-                best = movement
-        if best is None or t_click - best[-1][0] > 1500.0:
-            continue
-        try:
-            pairs.append((click, trajectory_metrics(best)))
-        except ValueError:
-            continue
-    return pairs
 
 
 class DistanceSpeedCouplingDetector(Detector):
@@ -72,14 +47,10 @@ class DistanceSpeedCouplingDetector(Detector):
     level = DetectionLevel.CONSISTENCY
     minimum_movements = 25
 
-    def observe(self, recorder: EventRecorder) -> Verdict:
+    def judge(self, features: RecordingFeatures) -> Verdict:
         movements = [
             m
-            for m in (
-                trajectory_metrics(seg)
-                for seg in split_movements(recorder.mouse_path())
-                if len(seg) >= 4
-            )
+            for m in features.movement_metrics
             if m.chord_length > 60 and m.duration_ms > 0
         ]
         if len(movements) < self.minimum_movements:
@@ -105,11 +76,10 @@ class SpeedAccuracyCouplingDetector(Detector):
     level = DetectionLevel.CONSISTENCY
     minimum_clicks = 30
 
-    def observe(self, recorder: EventRecorder) -> Verdict:
-        pairs = _approach_movements(recorder)
+    def judge(self, features: RecordingFeatures) -> Verdict:
         speeds: List[float] = []
         offsets: List[float] = []
-        for click, metrics in pairs:
+        for click, metrics in features.approaches:
             box = click.target_box
             if box is None or box.width < 4 or metrics.chord_length < 60:
                 continue
@@ -155,11 +125,11 @@ class DoubleClickEnvironmentDetector(Detector):
     name = "double-click-environment"
     level = DetectionLevel.CONSISTENCY
 
-    def observe(self, recorder: EventRecorder) -> Verdict:
-        dblclicks = recorder.of_type("dblclick")
+    def judge(self, features: RecordingFeatures) -> Verdict:
+        dblclicks = features.of_type("dblclick")
         if not dblclicks:
             return self._human()
-        downs = [e.timestamp for e in recorder.of_type("mousedown")]
+        downs = [e.timestamp for e in features.of_type("mousedown")]
         for dbl in dblclicks:
             prior = [t for t in downs if t <= dbl.timestamp]
             if len(prior) < 2:

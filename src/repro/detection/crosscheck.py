@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.detection.base import DetectionLevel, Detector, Verdict
-from repro.events.recorder import EventRecorder
+from repro.detection.features import Recording, RecordingFeatures
 
 
 class TouchClaimDetector(Detector):
@@ -33,12 +33,12 @@ class TouchClaimDetector(Detector):
     def __init__(self, window) -> None:
         self.window = window
 
-    def observe(self, recorder: EventRecorder) -> Verdict:
+    def judge(self, features: RecordingFeatures) -> Verdict:
         claimed = self.window.navigator.get("maxTouchPoints")
         if not isinstance(claimed, int) or claimed <= 0:
             return self._human()
-        touches = recorder.of_type("touchstart", "touchend")
-        mouse = recorder.of_type("mousemove", "mousedown")
+        touches = features.of_type("touchstart", "touchend")
+        mouse = features.of_type("mousemove", "mousedown")
         if len(mouse) >= self.minimum_mouse_events and not touches:
             return self._bot(
                 0.8,
@@ -65,10 +65,10 @@ class SmoothScrollMismatchDetector(Detector):
     def __init__(self, window) -> None:
         self.window = window
 
-    def observe(self, recorder: EventRecorder) -> Verdict:
+    def judge(self, features: RecordingFeatures) -> Verdict:
         if not getattr(self.window, "smooth_scroll", False):
             return self._human()
-        scrolls = recorder.scroll_events()
+        scrolls = features.scroll_events
         if len(scrolls) < self.minimum_scroll_events:
             return self._human()
         import numpy as np
@@ -96,7 +96,8 @@ class CrossCheckReport:
         return any(v.is_bot for v in self.verdicts)
 
 
-def cross_check(window, recorder: EventRecorder) -> CrossCheckReport:
+def cross_check(window, recording: Recording) -> CrossCheckReport:
     """Run all fingerprint-x-interaction consistency checks."""
+    features = RecordingFeatures.of(recording)
     detectors = [TouchClaimDetector(window), SmoothScrollMismatchDetector(window)]
-    return CrossCheckReport([d.observe(recorder) for d in detectors])
+    return CrossCheckReport([d.judge(features) for d in detectors])

@@ -15,16 +15,10 @@ behaviour to a model of human behaviour:
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
-from repro.analysis.clicks import click_metrics
-from repro.analysis.scroll_metrics import scroll_metrics
-from repro.analysis.trajectory import per_movement_metrics
-from repro.analysis.typing_metrics import typing_metrics
 from repro.detection.base import DetectionLevel, Detector, Verdict
-from repro.events.recorder import EventRecorder
+from repro.detection.features import RecordingFeatures
 
 
 class ClickScatterDetector(Detector):
@@ -34,19 +28,10 @@ class ClickScatterDetector(Detector):
     level = DetectionLevel.DEVIATION
     minimum_clicks = 20
 
-    def observe(self, recorder: EventRecorder) -> Verdict:
-        clicks = recorder.clicks()
-        positions: List = []
-        boxes: List = []
-        for click in clicks:
-            box = click.target_box
-            if box is None or box.width < 4 or box.height < 4:
-                continue
-            positions.append(click.position)
-            boxes.append(box)
-        if len(positions) < self.minimum_clicks:
+    def judge(self, features: RecordingFeatures) -> Verdict:
+        if len(features.placed_clicks) < self.minimum_clicks:
             return self._human()
-        metrics = click_metrics(positions, boxes)
+        metrics = features.click_placement
         if metrics.exact_center_rate > 0.25:
             return self._bot(
                 0.9,
@@ -87,10 +72,10 @@ class UniformSpeedDetector(Detector):
     name = "uniform-speed"
     level = DetectionLevel.DEVIATION
 
-    def observe(self, recorder: EventRecorder) -> Verdict:
+    def judge(self, features: RecordingFeatures) -> Verdict:
         flagged = 0
         considered = 0
-        for metrics in per_movement_metrics(recorder.mouse_path()):
+        for metrics in features.movement_metrics:
             if metrics.chord_length < 200 or metrics.n_samples < 8:
                 continue
             considered += 1
@@ -109,10 +94,10 @@ class TrajectoryShapeDetector(Detector):
     name = "trajectory-shape"
     level = DetectionLevel.DEVIATION
 
-    def observe(self, recorder: EventRecorder) -> Verdict:
+    def judge(self, features: RecordingFeatures) -> Verdict:
         movements = [
             m
-            for m in per_movement_metrics(recorder.mouse_path())
+            for m in features.movement_metrics
             if m.chord_length > 250 and m.n_samples >= 12
         ]
         if len(movements) < 2:
@@ -147,11 +132,10 @@ class RhythmlessTypingDetector(Detector):
     name = "rhythmless-typing"
     level = DetectionLevel.DEVIATION
 
-    def observe(self, recorder: EventRecorder) -> Verdict:
-        strokes = recorder.key_strokes()
-        if len(strokes) < 15:
+    def judge(self, features: RecordingFeatures) -> Verdict:
+        metrics = features.typing
+        if len(features.key_strokes) < 15 or metrics is None:
             return self._human()
-        metrics = typing_metrics(strokes)
         if metrics.dwell_std_ms < 6.0:
             return self._bot(
                 0.9,
@@ -176,12 +160,8 @@ class PauselessTypingDetector(Detector):
     name = "pauseless-typing"
     level = DetectionLevel.DEVIATION
 
-    def observe(self, recorder: EventRecorder) -> Verdict:
-        strokes = [
-            s
-            for s in recorder.key_strokes()
-            if s.key not in ("Shift", "Control", "Alt", "Meta")
-        ]
+    def judge(self, features: RecordingFeatures) -> Verdict:
+        strokes = features.character_strokes
         if len(strokes) < 40:
             return self._human()
         downs = np.array([s.down.timestamp for s in strokes])
@@ -218,8 +198,8 @@ class MetronomeScrollDetector(Detector):
     #: (drag/animated) scrolling, not discrete wheel ticks.
     FRAME_PACED_GAP_MS = 40.0
 
-    def observe(self, recorder: EventRecorder) -> Verdict:
-        metrics = scroll_metrics(recorder.scroll_events(), recorder.wheel_ticks())
+    def judge(self, features: RecordingFeatures) -> Verdict:
+        metrics = features.scrolling
         if metrics.n_scroll_events < 12:
             return self._human()
         if metrics.median_tick_gap_ms <= 0:

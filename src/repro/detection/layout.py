@@ -18,11 +18,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.detection.base import DetectionLevel, Detector, Verdict
-from repro.events.recorder import EventRecorder
+from repro.detection.features import Recording, RecordingFeatures
 from repro.models.layouts import ALTGR, PLAIN, SHIFT, KeyboardLayout, infer_layout
 
 
-def observe_modifier_usage(recorder: EventRecorder) -> Dict[str, str]:
+def observe_modifier_usage(recording: Recording) -> Dict[str, str]:
     """Reconstruct ``char -> modifier`` from the key-event stream.
 
     Modifier state is rebuilt from the Shift/AltGraph down/up events --
@@ -30,7 +30,7 @@ def observe_modifier_usage(recorder: EventRecorder) -> Dict[str, str]:
     """
     held = {"Shift": False, "AltGraph": False}
     observations: Dict[str, str] = {}
-    for event in recorder.of_type("keydown", "keyup"):
+    for event in RecordingFeatures.of(recording).of_type("keydown", "keyup"):
         if event.key in held:
             held[event.key] = event.type == "keydown"
             continue
@@ -45,9 +45,9 @@ def observe_modifier_usage(recorder: EventRecorder) -> Dict[str, str]:
     return observations
 
 
-def infer_layout_from_recording(recorder: EventRecorder) -> Optional[KeyboardLayout]:
+def infer_layout_from_recording(recording: Recording) -> Optional[KeyboardLayout]:
     """The detector-side layout guess (None without discriminating chars)."""
-    return infer_layout(observe_modifier_usage(recorder))
+    return infer_layout(observe_modifier_usage(recording))
 
 
 class LayoutLanguageMismatchDetector(Detector):
@@ -65,8 +65,8 @@ class LayoutLanguageMismatchDetector(Detector):
     def __init__(self, window) -> None:
         self.window = window
 
-    def observe(self, recorder: EventRecorder) -> Verdict:
-        layout = infer_layout_from_recording(recorder)
+    def judge(self, features: RecordingFeatures) -> Verdict:
+        layout = infer_layout_from_recording(features)
         if layout is None:
             return self._human()  # nothing discriminating was typed
         language = self.window.navigator.get("language")

@@ -20,8 +20,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.detection.base import DetectionLevel, Detector, Verdict
-from repro.detection.features import FEATURE_NAMES, extract_features
-from repro.events.recorder import EventRecorder
+from repro.detection.features import FEATURE_NAMES, Recording, RecordingFeatures
 
 
 class EnrolledProfileDetector(Detector):
@@ -46,13 +45,13 @@ class EnrolledProfileDetector(Detector):
 
     # -- enrolment ---------------------------------------------------------
 
-    def enroll(self, recordings: Sequence[EventRecorder]) -> None:
+    def enroll(self, recordings: Sequence[Recording]) -> None:
         """Learn the user's profile from several recordings."""
         if len(recordings) < 2:
             raise ValueError("enrolment needs at least 2 recordings")
         per_feature: Dict[str, List[float]] = {name: [] for name in FEATURE_NAMES}
-        for recorder in recordings:
-            for name, value in extract_features(recorder).items():
+        for recording in recordings:
+            for name, value in RecordingFeatures.of(recording).profile_vector.items():
                 if value is not None:
                     per_feature[name].append(value)
         for name, values in per_feature.items():
@@ -69,11 +68,11 @@ class EnrolledProfileDetector(Detector):
 
     # -- matching -------------------------------------------------------------
 
-    def z_scores(self, recorder: EventRecorder) -> Dict[str, float]:
+    def z_scores(self, recording: Recording) -> Dict[str, float]:
         """Per-feature |z| of a probe recording against the profile."""
         if not self.enrolled:
             raise RuntimeError("detector has not been enrolled")
-        probe = extract_features(recorder)
+        probe = RecordingFeatures.of(recording).profile_vector
         scores: Dict[str, float] = {}
         for name, value in probe.items():
             if value is None or name not in self._means:
@@ -81,8 +80,8 @@ class EnrolledProfileDetector(Detector):
             scores[name] = abs(value - self._means[name]) / self._stds[name]
         return scores
 
-    def observe(self, recorder: EventRecorder) -> Verdict:
-        scores = self.z_scores(recorder)
+    def judge(self, features: RecordingFeatures) -> Verdict:
+        scores = self.z_scores(features)
         if len(scores) < self.min_features:
             return self._human()
         mean_z = float(np.mean(list(scores.values())))

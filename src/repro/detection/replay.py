@@ -20,17 +20,18 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.detection.base import DetectionLevel, Detector, Verdict
-from repro.events.recorder import EventRecorder
+from repro.detection.features import Recording, RecordingFeatures
 
 
-def timing_signature(recorder: EventRecorder, max_len: int = 400) -> np.ndarray:
+def timing_signature(recording: Recording, max_len: int = 400) -> np.ndarray:
     """A session's timing fingerprint: concatenated inter-event gaps.
 
     Keystroke-press gaps followed by mousedown gaps -- replays preserve
     both exactly; two genuine human sessions differ everywhere.
     """
-    key_times = [e.timestamp for e in recorder.of_type("keydown")]
-    click_times = [e.timestamp for e in recorder.of_type("mousedown")]
+    features = RecordingFeatures.of(recording)
+    key_times = [e.timestamp for e in features.of_type("keydown")]
+    click_times = [e.timestamp for e in features.of_type("mousedown")]
     gaps: List[float] = []
     for times in (key_times, click_times):
         if len(times) >= 2:
@@ -61,9 +62,9 @@ class CrossSessionReplayDetector(Detector):
     minimum_gaps: int = 20
     _library: List[np.ndarray] = field(default_factory=list)
 
-    def observe(self, recorder: EventRecorder) -> Verdict:
+    def judge(self, features: RecordingFeatures) -> Verdict:
         """Judge a session against the library, then remember it."""
-        signature = timing_signature(recorder)
+        signature = timing_signature(features)
         verdict = self._judge(signature)
         if signature.size >= self.minimum_gaps:
             self._library.append(signature)

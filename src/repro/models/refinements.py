@@ -25,7 +25,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.detection.base import DetectionLevel, Detector, Verdict
-from repro.events.recorder import EventRecorder
+from repro.detection.features import RecordingFeatures
 from repro.humans.typing import lognormal_ms, needs_shift
 from repro.models.typing_rhythm import KeyEvent, TypingParams, TypingRhythm
 
@@ -60,12 +60,8 @@ class SkewAwareTypingDetector(Detector):
     #: threshold leaves head-room for sampling noise.
     skew_threshold = 0.30
 
-    def observe(self, recorder: EventRecorder) -> Verdict:
-        strokes = [
-            s
-            for s in recorder.key_strokes()
-            if s.key not in ("Shift", "Control", "Alt", "Meta")
-        ]
+    def judge(self, features: RecordingFeatures) -> Verdict:
+        strokes = features.character_strokes
         if len(strokes) < self.minimum_strokes:
             return self._human()
         dwells = [s.dwell_ms for s in strokes]

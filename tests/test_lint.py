@@ -530,6 +530,60 @@ class TestContainerInComprehensionCondition:
         assert rule_ids(source) == []
 
 
+class TestDetectorReanalysis:
+    def test_analysis_call_in_detector_flagged(self):
+        source = """
+            from repro.analysis.trajectory import per_movement_metrics
+            from repro.detection.base import Detector
+
+            class FastDetector(Detector):
+                def judge(self, features):
+                    return per_movement_metrics(features.mouse_path)
+            """
+        assert rule_ids(source) == ["PERF002"]
+
+    def test_recorder_scan_and_observe_override_flagged(self):
+        source = """
+            from repro.detection.base import Detector
+
+            class ClickDetector(Detector):
+                def observe(self, recorder):
+                    return recorder.clicks()
+            """
+        assert rule_ids(source) == ["PERF002", "PERF002"]
+
+    def test_shared_features_are_clean(self):
+        source = """
+            from repro.detection.base import Detector
+
+            class FastDetector(Detector):
+                def judge(self, features):
+                    return [m for m in features.movement_metrics if m.chord_length > 100]
+            """
+        assert rule_ids(source) == []
+
+    def test_non_detector_class_may_analyse(self):
+        source = """
+            from repro.analysis.trajectory import per_movement_metrics
+
+            class Report:
+                def rows(self, recorder):
+                    return per_movement_metrics(recorder.mouse_path())
+            """
+        assert rule_ids(source) == []
+
+    def test_suppressed(self):
+        source = """
+            from repro.analysis.typing_metrics import typing_metrics
+            from repro.detection.base import Detector
+
+            class TypingDetector(Detector):
+                def judge(self, features):
+                    return typing_metrics(features.key_strokes)  # repro-lint: disable=PERF002
+            """
+        assert rule_ids(source) == []
+
+
 # -- OBS: observability exports --------------------------------------------
 
 
