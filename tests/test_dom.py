@@ -1,6 +1,7 @@
 """DOM: element tree, hit testing, selectors, focus."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dom.document import Document
 from repro.dom.element import Element
@@ -81,6 +82,16 @@ class TestDocument:
         assert document.element_at(Point(60, 60)) is inner
         assert document.element_at(Point(10, 10)) is outer
 
+    def test_element_at_last_in_document_order_wins(self):
+        """The topmost painted element, not the deepest: a later sibling
+        overlapping a nested element covers it."""
+        document = Document()
+        outer = document.create_element("div", Box(0, 0, 200, 200))
+        inner = document.create_element("button", Box(50, 50, 50, 50), parent=outer)
+        cover = document.create_element("div", Box(40, 40, 30, 30))
+        assert document.element_at(Point(60, 60)) is cover
+        assert document.element_at(Point(90, 90)) is inner
+
     def test_element_at_falls_back_to_body(self):
         document = Document()
         assert document.element_at(Point(999999, 5)) is document.body
@@ -117,3 +128,62 @@ class TestDocument:
 
     def test_scroll_height(self):
         assert Document(800, 30000).scroll_height == 30000
+
+
+def reference_element_at(document, point):
+    """The recursive scan: the last containing element in document order
+    wins, falling back to the body."""
+    hit = document.body
+    for element in document.body.iter_subtree():
+        if element is not document.body and element.contains_point(point):
+            hit = element
+    return hit
+
+
+_coordinate = st.integers(min_value=-1, max_value=61).map(float)
+_boxes = st.builds(
+    Box,
+    st.integers(0, 40).map(float),
+    st.integers(0, 40).map(float),
+    st.integers(0, 40).map(float),
+    st.integers(0, 40).map(float),
+)
+
+
+@st.composite
+def _documents(draw):
+    """Random trees: nesting, overlapping siblings, hidden and box-less
+    elements, and removed subtrees, some re-appended elsewhere."""
+    document = Document(60, 60)
+    detached = []
+    for _ in range(draw(st.integers(4, 30))):
+        attached = list(document.body.iter_subtree())
+        action = draw(st.sampled_from(("create", "create", "create", "hide", "remove", "reappend")))
+        if action == "create":
+            nodes = attached + [node for root in detached for node in root.iter_subtree()]
+            parent = draw(st.sampled_from(nodes))
+            document.create_element("div", draw(st.none() | _boxes), parent=parent)
+        elif len(attached) > 1 and action == "hide":
+            draw(st.sampled_from(attached[1:])).visible = False
+        elif len(attached) > 1 and action == "remove":
+            detached.append(draw(st.sampled_from(attached[1:])).remove())
+        elif detached and action == "reappend":
+            root = detached.pop(draw(st.integers(0, len(detached) - 1)))
+            draw(st.sampled_from(attached)).append_child(root)
+    return document
+
+
+class TestHitTestReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        document=_documents(),
+        points=st.lists(st.builds(Point, _coordinate, _coordinate), min_size=1, max_size=20),
+    )
+    def test_element_at_matches_recursive_scan(self, document, points):
+        # Probe every box's corners and centre too: edges are inclusive.
+        for element in document.body.iter_subtree():
+            box = element.box
+            if box is not None:
+                points += [Point(box.left, box.top), Point(box.right, box.bottom), box.center]
+        for point in points:
+            assert document.element_at(point) is reference_element_at(document, point)

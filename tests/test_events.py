@@ -1,5 +1,7 @@
 """Event taxonomy, dispatch and recording."""
 
+import pytest
+
 from repro.dom.document import Document
 from repro.dom.element import Element
 from repro.events import (
@@ -13,6 +15,7 @@ from repro.events import (
     EventTarget,
     WINDOW_EVENTS,
 )
+from repro.events.dispatch import NON_BUBBLING
 from repro.events.recorder import flight_times
 from repro.geometry import Box
 
@@ -99,6 +102,90 @@ class TestDispatch:
         event = Event("click", timestamp=0.0)
         target.dispatch_event(event)
         assert event.target is target
+
+
+def _tree():
+    """element -> body -> document -> window."""
+    document = Document()
+    element = document.create_element("div", Box(0, 0, 10, 10), id="leaf")
+
+    class FakeWindow(EventTarget):
+        pass
+
+    window = FakeWindow()
+    document.window = window
+    return element, document.body, document, window
+
+
+class TestListenerChangesDuringDispatch:
+    """What a listener that edits listeners mid-dispatch changes for the
+    event being dispatched: each node's listeners are read when the
+    event reaches that node, and that node's list is snapshotted then."""
+
+    def test_listener_added_to_ancestor_fires_for_current_event(self):
+        element, body, document, window = _tree()
+        seen = []
+        element.add_event_listener(
+            "click",
+            lambda e: document.add_event_listener("click", lambda e: seen.append("late")),
+        )
+        element.dispatch_event(Event("click", timestamp=0.0))
+        assert seen == ["late"]
+
+    def test_listener_added_to_same_node_waits_for_next_event(self):
+        element, body, document, window = _tree()
+        seen = []
+
+        def add_sibling(event):
+            seen.append("first")
+            body.add_event_listener("click", lambda e: seen.append("added"))
+
+        body.add_event_listener("click", add_sibling)
+        element.dispatch_event(Event("click", timestamp=0.0))
+        assert seen == ["first"]
+
+    def test_removing_later_listener_does_not_stop_it_for_current_event(self):
+        element, body, document, window = _tree()
+        seen = []
+
+        def later(event):
+            seen.append("later")
+
+        body.add_event_listener("click", lambda e: body.remove_event_listener("click", later))
+        body.add_event_listener("click", later)
+        element.dispatch_event(Event("click", timestamp=0.0))
+        assert seen == ["later"]
+        element.dispatch_event(Event("click", timestamp=1.0))
+        assert seen == ["later"]
+
+    @pytest.mark.parametrize("event_type", sorted(NON_BUBBLING))
+    def test_non_bubbling_types_stop_at_target(self, event_type):
+        element, body, document, window = _tree()
+        path = []
+        nodes = {"leaf": element, "body": body, "document": document, "window": window}
+        for name, node in nodes.items():
+            node.add_event_listener(event_type, lambda e, name=name: path.append(name))
+        element.dispatch_event(Event(event_type, timestamp=0.0))
+        assert path == ["leaf"]
+
+    def test_bubbling_visits_every_ancestor_in_order(self):
+        element, body, document, window = _tree()
+        path = []
+        # Registered out of path order: the path decides the call order.
+        nodes = {"window": window, "body": body, "leaf": element, "document": document}
+        for name, node in nodes.items():
+            node.add_event_listener("keydown", lambda e, name=name: path.append(name))
+        element.dispatch_event(Event("keydown", timestamp=0.0))
+        assert path == ["leaf", "body", "document", "window"]
+
+    def test_preset_target_is_kept(self):
+        element, body, document, window = _tree()
+        targets = []
+        window.add_event_listener("scroll", lambda e: targets.append(e.target))
+        event = Event("scroll", timestamp=0.0, target=document)
+        element.dispatch_event(event)
+        assert event.target is document
+        assert targets == [document]
 
 
 class TestRecorder:
