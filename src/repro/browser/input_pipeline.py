@@ -126,41 +126,68 @@ class InputPipeline:
 
     # -- event construction -----------------------------------------------------
 
-    def _base_event(self, event_type: str, target, **kwargs) -> Event:
+    def _base_event(
+        self,
+        event_type: str,
+        target,
+        *,
+        button: int = 0,
+        detail: int = 0,
+        delta_x: float = 0.0,
+        delta_y: float = 0.0,
+        key: str = "",
+        code: str = "",
+    ) -> Event:
+        """A trusted event reading the clock, pointer, scroll offset,
+        buttons and modifiers now (each event takes its own snapshot: a
+        listener may scroll between the two events of a pointer twin).
+        Built positionally, in :class:`Event` field order: it runs once
+        per synthesised event."""
         self.events_dispatched += 1
         if self.metrics is not None:
             self.metrics.counter("events." + event_type).inc()
-        page = self.window.client_to_page(self.pointer)
-        fields = dict(
-            timestamp=self.window.clock.event_timestamp(),
-            target=target,
-            target_box=getattr(target, "box", None),
-            client_x=float(round(self.pointer.x)),
-            client_y=float(round(self.pointer.y)),
-            page_x=float(round(page.x)),
-            page_y=float(round(page.y)),
-            buttons=self._buttons_mask,
-            shift_key=self._modifiers["shift_key"],
-            ctrl_key=self._modifiers["ctrl_key"],
-            alt_key=self._modifiers["alt_key"],
-            meta_key=self._modifiers["meta_key"],
+        window = self.window
+        x, y = self.pointer
+        modifiers = self._modifiers
+        return Event(
+            event_type,
+            window.clock.event_timestamp(),
+            target,
+            float(round(x)),
+            float(round(y)),
+            float(round(x + window.scroll_x)),
+            float(round(y + window.scroll_y)),
+            button,
+            self._buttons_mask,
+            delta_x,
+            delta_y,
+            key,
+            code,
+            modifiers["shift_key"],
+            modifiers["ctrl_key"],
+            modifiers["alt_key"],
+            modifiers["meta_key"],
+            detail,
+            True,
+            getattr(target, "box", None),
         )
-        fields.update(kwargs)
-        return Event(event_type, **fields)
 
     def _element_under_pointer(self) -> Element:
-        page = self.window.client_to_page(self.pointer)
-        return self.window.document.element_at(page)
+        window = self.window
+        x, y = self.pointer
+        return window.document.element_at((x + window.scroll_x, y + window.scroll_y))
 
     # -- mouse movement -----------------------------------------------------------
 
     def move_mouse_to(self, x: float, y: float, force_event: bool = False) -> Optional[Event]:
         """Move the OS cursor to client coordinates ``(x, y)``.
 
-        Dispatches at most one ``mousemove`` (rate-limited), plus the
-        mouseover/out/enter/leave transitions when the hovered element
-        changes.  Returns the dispatched mousemove, or ``None`` if it was
-        coalesced away.
+        One sample of a pointer walk, with no clock advance: the hover
+        transitions (mouseover/out/enter/leave) when the element under
+        the cursor changes, the drag state machine, then at most one
+        ``pointermove``/``mousemove`` pair, rate-limited unless
+        ``force_event``.  Returns the dispatched mousemove, or ``None``
+        if it was coalesced away.
         """
         self.pointer = Point(float(x), float(y))
         previous = self._hovered
@@ -172,7 +199,8 @@ class InputPipeline:
             current.dispatch_event(self._base_event("mouseover", current))
             current.dispatch_event(self._base_event("mouseenter", current))
             self._hovered = current
-        self._progress_drag(current)
+        if self._drag_source is not None or self._drag_armed_at is not None:
+            self._progress_drag(current)
         now = self.window.clock.now()
         if (
             not force_event
@@ -200,11 +228,10 @@ class InputPipeline:
         """Advance the clock and move the pointer along ``moves`` in one pass.
 
         ``moves`` is an iterable of ``(advance_ms, point)`` pairs: the clock
-        advance *before* the cursor reaches ``point``.  The event stream is
-        byte-identical to the equivalent per-point loop of
-        ``clock.advance(advance_ms)`` + :meth:`move_mouse_to` -- the batch
-        exists so trajectory walks pay the hover hit-test and coalescing
-        check once per sample without the per-call attribute traffic.
+        advance *before* the cursor reaches ``point``.  Each sample is one
+        :meth:`move_mouse_to`, so the event stream is the per-point loop of
+        ``clock.advance(advance_ms)`` + :meth:`move_mouse_to` by
+        construction.
 
         ``force_last`` forces the final sample's mousemove through the rate
         limiter (the WebDriver pointer-move contract).  ``repeat_final_forced``
@@ -217,46 +244,17 @@ class InputPipeline:
         moves = list(moves)
         if not moves:
             return 0
-        window = self.window
-        clock = window.clock
-        advance = clock.advance
-        now_fn = clock.now
-        client_to_page = window.client_to_page
-        element_at = window.document.element_at
-        min_interval = self.mousemove_min_interval_ms
+        advance = self.window.clock.advance
+        move = self.move_mouse_to
         dispatched = 0
         last_index = len(moves) - 1
         for index, (advance_ms, point) in enumerate(moves):
             advance(advance_ms)
-            self.pointer = Point(float(point.x), float(point.y))
-            previous = self._hovered
-            current = element_at(client_to_page(self.pointer))
-            if previous is not current:
-                if previous is not None:
-                    previous.dispatch_event(self._base_event("mouseout", previous))
-                    previous.dispatch_event(self._base_event("mouseleave", previous))
-                current.dispatch_event(self._base_event("mouseover", current))
-                current.dispatch_event(self._base_event("mouseenter", current))
-                self._hovered = current
-            if self._drag_source is not None or self._drag_armed_at is not None:
-                # _progress_drag is a no-op unless a drag is armed or
-                # active; skipping the call in the common case keeps the
-                # hot loop to the hit test plus the coalescing check.
-                self._progress_drag(current)
-            now = now_fn()
-            if (
-                not (force_last and index == last_index)
-                and self._last_mousemove_ts is not None
-                and now - self._last_mousemove_ts < min_interval
-            ):
-                continue
-            self._last_mousemove_ts = now
-            current.dispatch_event(self._base_event("pointermove", current))
-            current.dispatch_event(self._base_event("mousemove", current))
-            dispatched += 1
+            if move(point.x, point.y, force_last and index == last_index) is not None:
+                dispatched += 1
         if repeat_final_forced:
             final = moves[-1][1]
-            if self.move_mouse_to(final.x, final.y, force_event=True) is not None:
+            if move(final.x, final.y, True) is not None:
                 dispatched += 1
         return dispatched
 

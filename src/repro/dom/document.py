@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.dom.element import Element
 from repro.events.dispatch import EventTarget
-from repro.geometry import Box, Point
+from repro.geometry import Box
 
 
 class Document(EventTarget):
@@ -86,15 +86,33 @@ class Document(EventTarget):
         """All elements matching a minimal selector, in tree order."""
         return [e for e in self.body.iter_subtree() if e.matches(selector)]
 
-    def element_at(self, point: Point) -> Element:
-        """Hit test: the deepest visible element containing ``point``.
+    def element_at(self, point: Tuple[float, float]) -> Element:
+        """Hit test: the topmost visible element containing ``point``.
 
-        Falls back to the body, as browsers do.
+        ``point`` is an ``(x, y)`` pair (a ``Point`` or a plain tuple) in
+        page coordinates.  Elements paint in document order, so the *last*
+        containing element in document order wins -- a later sibling
+        covers an earlier sibling's descendants, however deep.  Falls back
+        to the body, as browsers do.  The scan walks the tree with an
+        explicit stack and applies :meth:`Element.contains_point`'s rule
+        inline (visible, laid out, edges inclusive): it runs once per
+        pointer sample.
         """
+        x, y = point
         hit = self.body
-        for element in self.body.iter_subtree():
-            if element is not self.body and element.contains_point(point):
+        stack = self.body.children[::-1]
+        while stack:
+            element = stack.pop()
+            box = element.box
+            if (
+                element.visible
+                and box is not None
+                and box.x <= x <= box.x + box.width
+                and box.y <= y <= box.y + box.height
+            ):
                 hit = element
+            if element.children:
+                stack.extend(reversed(element.children))
         return hit
 
     # -- focus ------------------------------------------------------------------

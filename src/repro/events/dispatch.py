@@ -58,19 +58,23 @@ class EventTarget:
         """Next target in the bubbling path (``None`` terminates)."""
         return None
 
-    def handle_event(self, event: Event) -> None:
-        """Invoke this target's listeners for ``event`` (no bubbling)."""
-        for listener in list(self._listeners.get(event.type, [])):
-            listener(event)
-
     def dispatch_event(self, event: Event) -> None:
-        """Dispatch ``event`` at this target and bubble it upwards."""
+        """Dispatch ``event`` at this target and bubble it upwards.
+
+        Each node on the path looks up its listeners for the event's type
+        when the event reaches it, and runs a copy of that list: a
+        listener may add a listener to a node further up and have it run
+        for this very event, while changes to the node it runs on wait
+        for the next event.  Nodes without listeners cost one lookup.
+        """
         if event.target is None:
             event.target = self
-        self.handle_event(event)
-        if event.type in NON_BUBBLING:
-            return
-        node = self.parent_target
+        event_type = event.type
+        bubbles = event_type not in NON_BUBBLING
+        node = self
         while node is not None:
-            node.handle_event(event)
-            node = node.parent_target
+            listeners = node._listeners.get(event_type)
+            if listeners:
+                for listener in listeners[:]:
+                    listener(event)
+            node = node.parent_target if bubbles else None
