@@ -199,9 +199,21 @@ def _dispatch_rates(reps=150):
         pipeline.dispatch_batch(moves, repeat_final_forced=True)
         return pipeline.events_dispatched - before
 
-    loop_rate, _ = _rate(loop, reps, warmup=10)
-    batch_rate, _ = _rate(batch, reps, warmup=10)
-    return loop_rate, batch_rate
+    # The two deliveries run the same per-sample step, so their ratio is
+    # about 1 and host-speed drift between two back-to-back timing runs
+    # would swamp it: interleave the walks, alternating which goes first,
+    # so drift weighs on both rates alike.
+    for _ in range(10):
+        loop()
+        batch()
+    elapsed = {loop: 0.0, batch: 0.0}
+    events = {loop: 0, batch: 0}
+    for rep in range(reps):
+        for fn in (loop, batch) if rep % 2 == 0 else (batch, loop):
+            started = time.perf_counter()
+            events[fn] += fn()
+            elapsed[fn] += time.perf_counter() - started
+    return events[loop] / elapsed[loop], events[batch] / elapsed[batch]
 
 
 def test_hlisa_motor_events_per_sec():
