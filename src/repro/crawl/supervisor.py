@@ -51,6 +51,12 @@ from repro.bus import (
     FaultObserved,
 )
 from repro.clock import VirtualClock
+from repro.crawl.checkpoint import (
+    CHECKPOINT_VERSION,
+    CheckpointTexts,
+    checkpoint_payload,
+    write_checkpoint,
+)
 from repro.crawl.crawler import CrawlResult, OpenWPMCrawler
 from repro.crawl.population import SiteConfig
 from repro.crawl.visit import FailureReason, VisitRecord, simulate_visit
@@ -62,12 +68,6 @@ from repro.faults.types import FaultError
 from repro.obs import CrawlReport, Tracer, build_report, write_trace
 from repro.obs.probes import ProbeLedger, write_ledger
 from repro.obs.tracer import NULL_TRACER
-
-#: Version 2 adds the ``trace`` and ``metrics`` fields that carry the
-#: observability state across interruptions.  The optional ``ledger``
-#: field (present only when the supervisor was built with a probe
-#: ledger) rides within version 2: default-off checkpoints are unchanged.
-CHECKPOINT_VERSION = 2
 
 #: Sub-stream tags keeping visit and jitter draws on disjoint streams.
 _VISIT_STREAM = 0x51
@@ -260,6 +260,7 @@ class CrawlSupervisor:
         self.stats = SupervisorStats()
         self._instances: Optional[List[BrowserInstance]] = None
         self._restored_browsers: Optional[List[Dict[str, int]]] = None
+        self._checkpoint_texts: Optional[CheckpointTexts] = None
         self._bind_metric_handles()
         # The deterministic event bus every crawl collaborator talks
         # over: sessions execute command events, watchdogs subscribe to
@@ -322,6 +323,10 @@ class CrawlSupervisor:
             seed=self.crawler.seed,
             instances=self.crawler.instances,
         )
+        # Kept for this call only, and started after resume has reloaded
+        # the records and re-opened the root span, so restored items are
+        # encoded like new ones.
+        self._checkpoint_texts = CheckpointTexts()
 
         instances = [
             BrowserInstance(
@@ -379,6 +384,7 @@ class CrawlSupervisor:
         self.tracer.end(root)
         if path is not None:
             self._write_checkpoint(path, records)
+        self._checkpoint_texts = None
         if trace_path is not None:
             write_trace(trace_path, self.tracer.spans)
         if ledger_path is not None:
@@ -673,27 +679,26 @@ class CrawlSupervisor:
         return completed
 
     def _write_checkpoint(self, path: Path, records: List[VisitRecord]) -> None:
-        payload = {
-            "version": CHECKPOINT_VERSION,
-            "crawler_name": self.crawler.name,
-            "seed": self.crawler.seed,
-            "instances": self.crawler.instances,
-            "clock_ms": self.clock.now(),
-            "stats": asdict(self.stats),
-            "browsers": [
-                instance.state_dict() for instance in self._instances or []
-            ],
-            "trace": self.tracer.state_dict(),
-            "metrics": self.metrics.state_dict(),
-            "records": [r.to_dict() for r in records],
-        }
-        # Only a ledger-enabled supervisor writes the key: default-off
-        # checkpoints stay byte-identical to pre-ledger ones.
-        if self.ledger is not None:
-            payload["ledger"] = self.ledger.state_dict()
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(payload))
-        tmp.replace(path)
+        """Write the checkpoint, encoding only what changed since the
+        last write of this crawl (see :mod:`repro.crawl.checkpoint`)."""
+        texts = self._checkpoint_texts
+        tracer = self.tracer
+        ledger = self.ledger
+        payload = checkpoint_payload(
+            crawler_name=self.crawler.name,
+            seed=self.crawler.seed,
+            instances=self.crawler.instances,
+            clock_ms=self.clock.now(),
+            stats=asdict(self.stats),
+            browsers=[instance.state_dict() for instance in self._instances or []],
+            trace=tracer.state_dict(spans=texts.spans.array(tracer.spans)),
+            metrics=self.metrics.state_dict(),
+            records=texts.records.array(records),
+            ledger=None
+            if ledger is None
+            else ledger.state_dict(entries=texts.entries.array(ledger.entries)),
+        )
+        write_checkpoint(path, payload)
 
 
 def visit_coverage(

@@ -231,11 +231,20 @@ class ProbeLedger:
 
     # -- serialisation ---------------------------------------------------
 
-    def state_dict(self) -> Dict[str, Any]:
+    def state_dict(self, entries: Any = None) -> Dict[str, Any]:
+        """JSON-safe snapshot of the ledger.
+
+        ``entries`` stands in for the encoded entry list: a checkpoint
+        writer passes the JSON array it keeps for :attr:`entries`.
+        """
         return {
             "next_id": self._next_id,
             "scopes": list(self._scope_stack),
-            "entries": [entry.to_dict() for entry in self._entries],
+            "entries": (
+                [entry.to_dict() for entry in self._entries]
+                if entries is None
+                else entries
+            ),
         }
 
     def load_state(self, state: Dict[str, Any]) -> None:

@@ -153,12 +153,18 @@ class Tracer:
 
     # -- checkpoint state ------------------------------------------------
 
-    def state_dict(self) -> Dict[str, Any]:
-        """JSON-safe snapshot of the full tracer."""
+    def state_dict(self, spans: Any = None) -> Dict[str, Any]:
+        """JSON-safe snapshot of the full tracer.
+
+        ``spans`` stands in for the encoded span list: a checkpoint
+        writer passes the JSON array it keeps for :attr:`spans`.
+        """
         return {
             "next_id": self._next_id,
             "open": [span.span_id for span in self._stack],
-            "spans": [span.to_dict() for span in self._spans],
+            "spans": (
+                [span.to_dict() for span in self._spans] if spans is None else spans
+            ),
         }
 
     def load_state(self, state: Dict[str, Any]) -> None:
@@ -207,7 +213,7 @@ class NullTracer:
     def open_spans(self) -> List[Span]:
         return []
 
-    def state_dict(self) -> None:
+    def state_dict(self, spans: Any = None) -> None:
         return None
 
     def load_state(self, state: Any) -> None:

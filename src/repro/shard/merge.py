@@ -32,8 +32,9 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
+from repro.crawl.checkpoint import checkpoint_payload, write_checkpoint
 from repro.crawl.crawler import CrawlResult
-from repro.crawl.supervisor import CHECKPOINT_VERSION, SupervisorStats
+from repro.crawl.supervisor import SupervisorStats
 from repro.crawl.visit import VisitRecord
 from repro.obs.export import trace_to_jsonl, write_trace
 from repro.obs.merge import (
@@ -185,35 +186,35 @@ def merge_shards(
             durations,
         )
 
-    checkpoint_payload: Dict[str, Any] = {
-        "version": CHECKPOINT_VERSION,
-        "crawler_name": spec.crawler_name,
-        "seed": spec.seed,
-        "instances": spec.instances,
-        "clock_ms": clock_ms,
-        "stats": asdict(stats),
-        "browsers": [dict(state) for state in browser_states],
-        "trace": {
-            "next_id": len(merged_spans) + 1,
-            "open": [],
-            "spans": [span.to_dict() for span in merged_spans],
-        },
-        "metrics": metrics_state,
-        "records": record_dicts,
-    }
+    ledger_state: Optional[Dict[str, Any]] = None
     if merged_ledger is not None:
-        checkpoint_payload["ledger"] = {
+        ledger_state = {
             "next_id": len(merged_ledger) + 1,
             "scopes": [],
             "entries": [entry.to_dict() for entry in merged_ledger],
         }
-
     checkpoint_path = out_dir / "crawl.ckpt.json"
-    # Same non-canonical dumps the serial supervisor uses, so the two
-    # checkpoint files are byte-comparable.
-    tmp = checkpoint_path.with_name(checkpoint_path.name + ".tmp")
-    tmp.write_text(json.dumps(checkpoint_payload))
-    tmp.replace(checkpoint_path)
+    # The serial supervisor's layout and encoding, so the two checkpoint
+    # files are byte-comparable.
+    write_checkpoint(
+        checkpoint_path,
+        checkpoint_payload(
+            crawler_name=spec.crawler_name,
+            seed=spec.seed,
+            instances=spec.instances,
+            clock_ms=clock_ms,
+            stats=asdict(stats),
+            browsers=[dict(state) for state in browser_states],
+            trace={
+                "next_id": len(merged_spans) + 1,
+                "open": [],
+                "spans": [span.to_dict() for span in merged_spans],
+            },
+            metrics=metrics_state,
+            records=record_dicts,
+            ledger=ledger_state,
+        ),
+    )
 
     trace_path = out_dir / "crawl.trace.jsonl"
     trace_path.write_text(trace_to_jsonl(merged_spans))
