@@ -28,12 +28,16 @@ History records carry no wall-clock timestamps: determinism rules
 (``repro.lint`` DET001) ban time reads in this tree, and ordering is
 already total -- the file is append-only and each append batch gets the
 next sequential ``seq``.  Callers who want real timestamps can put them
-in ``label``.
+in ``label``.  Each appended record is stamped with the ``host`` it was
+measured on (:func:`host_context`), so absolute values can be compared
+like with like; records written before the stamp load unchanged.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import platform
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -143,6 +147,16 @@ def read_history(path: Union[str, Path]) -> List[Dict[str, Any]]:
     return records
 
 
+def host_context() -> Dict[str, Any]:
+    """The host a history batch is measured on: core count, machine
+    architecture and Python version."""
+    return {
+        "cpu_count": os.cpu_count(),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+    }
+
+
 def append_history(
     history_path: Union[str, Path],
     bench_paths: Sequence[Union[str, Path]],
@@ -153,14 +167,16 @@ def append_history(
 
     ``kind`` is ``"sample"`` (a measurement) or ``"baseline"`` (the
     reference the gate compares against; the *last* baseline per metric
-    wins, so re-baselining is one more append, never a rewrite).
-    Returns the records appended.
+    wins, so re-baselining is one more append, never a rewrite).  Every
+    record carries this host's :func:`host_context`.  Returns the
+    records appended.
     """
     if kind not in ("sample", "baseline"):
         raise BenchError(f"unknown history kind: {kind!r}")
     history_path = Path(history_path)
     existing = read_history(history_path)
     seq = 1 + max((int(r.get("seq", 0)) for r in existing), default=0)
+    host = host_context()
     records = []
     for path in bench_paths:
         path = Path(path)
@@ -168,6 +184,7 @@ def append_history(
         for metric in sorted(values):
             records.append(
                 {
+                    "host": host,
                     "kind": kind,
                     "label": label,
                     "metric": metric,

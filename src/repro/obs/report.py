@@ -65,9 +65,12 @@ class SpanAggregate:
     def percentile(self, q: float) -> float:
         """The q-quantile as a bucket upper bound (conservative).
 
-        Same rule as :meth:`repro.obs.metrics.Histogram.percentile`,
-        except overflow-bucket quantiles report the exact ``max_ms`` the
-        aggregate tracked instead of the last bound."""
+        Returns the upper bound of the first bucket whose cumulative
+        count reaches ``ceil(q * count)``, capped at the exact ``max_ms``
+        the aggregate tracked; quantiles in the overflow bucket report
+        ``max_ms``.  No interpolation: unlike
+        :meth:`repro.obs.metrics.Histogram.percentile`, which places the
+        quantile linearly within its bucket."""
         if not 0.0 < q <= 1.0:
             raise ValueError("q must be in (0, 1]")
         if self.count == 0:

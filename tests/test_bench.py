@@ -6,6 +6,8 @@ exits 1 when a 2x slowdown is injected.
 """
 
 import json
+import os
+import platform
 from pathlib import Path
 
 import pytest
@@ -117,6 +119,31 @@ class TestHistory:
         assert records[0]["kind"] == "baseline"
         assert records[-1]["label"] == "rerun"
         assert records[0]["source"] == "BENCH_hlisa.json"
+
+    def test_records_carry_host_context(self, tmp_path):
+        """Each appended record says which host measured it; records
+        appended before the stamp existed still load and still gate."""
+        history = tmp_path / "BENCH_HISTORY.jsonl"
+        legacy = {
+            "kind": "baseline",
+            "label": "",
+            "metric": "hlisa.full_lint_s",
+            "seq": 1,
+            "source": "BENCH_hlisa.json",
+            "value": 1.5,
+        }
+        history.write_text(json.dumps(legacy) + "\n")
+        bench = write_bench(tmp_path / "BENCH_hlisa.json", SAMPLE)
+        appended = append_history(history, [bench], label="rerun")
+        records = read_history(history)
+        assert records[0] == legacy
+        host = {
+            "cpu_count": os.cpu_count(),
+            "machine": platform.machine(),
+            "python": platform.python_version(),
+        }
+        assert [r["host"] for r in records[1:]] == [host] * len(appended)
+        assert baseline_values(records) == {"hlisa.full_lint_s": 1.5}
 
     def test_append_rejects_unknown_kind(self, tmp_path):
         bench = write_bench(tmp_path / "BENCH_hlisa.json", SAMPLE)
