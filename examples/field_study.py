@@ -6,11 +6,13 @@ OpenWPM with the webdriver-spoofing extension -- then prints the
 screenshot evaluation, the breakage report, and the HTTP status-code
 comparison with the Wilcoxon significance test.
 
-With a non-zero fault rate, both crawls run under the resilient
-supervisor against a deterministic fault plan (page-load timeouts,
-driver crashes/hangs, stale elements, network resets, OOM restarts) and
-a crawl-health report shows the recovery accounting -- demonstrating
-that retried/recycled crawls keep the paper's statistics intact.
+Both crawls always run on the resilient supervisor.  Fault-free, it is
+the paper crawl: no fault plan, no watchdogs.  With a non-zero fault
+rate, the supervisor attaches its watchdogs and runs against a
+deterministic fault plan (page-load timeouts, driver crashes/hangs,
+stale elements, network resets, OOM restarts), and a crawl-health
+report shows the recovery accounting -- demonstrating that
+retried/recycled crawls keep the paper's statistics intact.
 
 With a trace directory, each supervised crawl exports its deterministic
 JSONL trace there; inspect one with ``python -m repro.obs report``.

@@ -10,14 +10,7 @@ counters, ``bus.*`` trace events).  The crawl layers --
 calling each other directly.  See docs/EVENT_BUS.md.
 """
 
-from repro.bus.bus import (
-    EventBus,
-    Handler,
-    NULL_BUS,
-    NullBus,
-    Subscription,
-    resolve_or_none,
-)
+from repro.bus.bus import EventBus, Handler, Subscription
 from repro.bus.events import (
     AttemptFinished,
     AttemptStarted,
@@ -40,10 +33,7 @@ from repro.bus.events import (
 __all__ = [
     "EventBus",
     "Handler",
-    "NULL_BUS",
-    "NullBus",
     "Subscription",
-    "resolve_or_none",
     "BusEvent",
     "Resolvable",
     "event_name",

@@ -26,7 +26,7 @@ class in the MRO matched them.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type
+from typing import Callable, Dict, List, Optional, Tuple, Type
 
 from repro.bus.events import BusEvent, event_name
 from repro.clock import VirtualClock
@@ -172,41 +172,3 @@ class EventBus:
                 )
         rows.sort(key=lambda row: row[2])
         return [(event, name) for event, name, _ in rows]
-
-
-#: Sentinel "no bus": publishing is a cheap no-op that still returns the
-#: event, so code paths can stay branch-free.
-class NullBus:
-    """Inert bus: accepts subscriptions and publishes nothing."""
-
-    clock = None
-    tracer = NULL_TRACER
-    metrics = NULL_TRACER.metrics
-    events_published = 0
-
-    def subscribe(self, event_type, handler, *, name=None):
-        return Subscription(event_type, handler, name or "null", 0)
-
-    def unsubscribe(self, subscription) -> None:
-        return None
-
-    def subscribers(self, event_type) -> List[Subscription]:
-        return []
-
-    def publish(self, event: BusEvent) -> BusEvent:
-        return event
-
-    def registry_snapshot(self) -> List[Tuple[str, str]]:
-        return []
-
-
-NULL_BUS = NullBus()
-
-
-def resolve_or_none(bus, event: Any) -> Optional[Any]:
-    """Publish a :class:`~repro.bus.events.Resolvable` and hand it back,
-    or ``None`` when there is no live bus (watchdogs-off baselines pass
-    ``None``/:data:`NULL_BUS` and degrade immediately)."""
-    if bus is None or isinstance(bus, NullBus):
-        return None
-    return bus.publish(event)

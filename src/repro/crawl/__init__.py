@@ -13,8 +13,9 @@ Appendix B).  The live web is replaced by a synthetic population:
   of sites); what happens when the extension is enabled is then fully
   mechanical: sites re-run their real fingerprint probes against the real
   (spoofed) navigator.
-- :mod:`repro.crawl.crawler` -- the OpenWPM-like crawler.
-- :mod:`repro.crawl.supervisor` -- the fault-aware crawl supervisor:
+- :mod:`repro.crawl.crawler` -- the OpenWPM-like crawler configuration;
+  its ``crawl`` is the supervisor with watchdogs, faults and tracing off.
+- :mod:`repro.crawl.supervisor` -- the one crawl engine, fault-aware:
   retries with backoff, per-domain circuit breaking and
   checkpoint/resume (pairs with :mod:`repro.faults`), orchestrated over
   the :mod:`repro.bus` event bus.

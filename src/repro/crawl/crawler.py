@@ -1,15 +1,19 @@
-"""The OpenWPM-like crawler."""
+"""The OpenWPM-like crawler: one crawl configuration and its result.
+
+:meth:`OpenWPMCrawler.crawl` runs the paper's field study on the one
+crawl engine, :class:`~repro.crawl.supervisor.CrawlSupervisor`, with no
+fault plan, no watchdogs and no tracing -- so Table 2 and Fig. 4 come
+from the path the serial/sharded/resumed byte-identity oracles pin.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.crawl.population import SiteConfig
-from repro.crawl.visit import VisitRecord, simulate_visit
-from repro.detection.fingerprint import _reference_navigator
+from repro.crawl.visit import VisitRecord
+from repro.obs.tracer import NULL_TRACER
 from repro.spoofing.extension import SpoofingExtension
 
 
@@ -71,6 +75,13 @@ class CrawlResult:
             counts[record.domain] = counts.get(record.domain, 0) + record.first_party_errors()
         return counts
 
+    def third_party_error_counts(self) -> Dict[str, int]:
+        """Per-domain total third-party error responses (for Wilcoxon)."""
+        counts: Dict[str, int] = {}
+        for record in self.successful_visits:
+            counts[record.domain] = counts.get(record.domain, 0) + record.third_party_errors()
+        return counts
+
     def status_code_counts(self, first_party: Optional[bool] = None) -> Dict[int, int]:
         """Occurrences of each status code (optionally split by party)."""
         counts: Dict[int, int] = {}
@@ -83,7 +94,11 @@ class CrawlResult:
 
 
 class OpenWPMCrawler:
-    """Visits every site of a population a fixed number of times.
+    """One crawl configuration: name, extension, instances and seed.
+
+    The :class:`~repro.crawl.supervisor.CrawlSupervisor` reads its
+    configuration from here; :meth:`crawl` runs that supervisor with
+    its watchdogs off.
 
     Parameters
     ----------
@@ -94,9 +109,10 @@ class OpenWPMCrawler:
         Browser instances per site -- the paper ran 8 simultaneously per
         machine to average out web dynamics.
     seed:
-        Seed for the visit-level randomness (web dynamics, sampled
-        detector checks).  Two crawlers with different seeds model the
-        two distinct machines/residential IPs of the paper's setup.
+        Seed every per-attempt rng stream derives from (web dynamics,
+        sampled detector checks, retry jitter).  Two crawlers with
+        different seeds model the two distinct machines/residential IPs
+        of the paper's setup.
     """
 
     def __init__(
@@ -112,19 +128,10 @@ class OpenWPMCrawler:
         self.seed = seed
 
     def crawl(self, population: Sequence[SiteConfig]) -> CrawlResult:
-        """Visit every site ``instances`` times."""
-        rng = np.random.default_rng(self.seed)
-        reference = _reference_navigator()
-        result = CrawlResult(crawler_name=self.name)
-        for site in population:
-            for visit_index in range(self.instances):
-                result.records.append(
-                    simulate_visit(
-                        site,
-                        extension=self.extension,
-                        visit_index=visit_index,
-                        rng=rng,
-                        reference=reference,
-                    )
-                )
-        return result
+        """Visit every site ``instances`` times: the supervisor with no
+        fault plan, no watchdogs, no tracing and its default config."""
+        # Function-local: the supervisor module imports this one.
+        from repro.crawl.supervisor import CrawlSupervisor
+
+        supervisor = CrawlSupervisor(self, tracer=NULL_TRACER, watchdogs=())
+        return supervisor.crawl(population)

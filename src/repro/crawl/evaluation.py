@@ -250,25 +250,19 @@ def evaluate_http_errors(
     base_fp, ext_fp = _paired("first_party_error_counts")
     evaluation.baseline_first_party_errors = int(sum(base_fp))
     evaluation.extended_first_party_errors = int(sum(ext_fp))
-    try:
-        evaluation.first_party_wilcoxon = wilcoxon_signed_rank(base_fp, ext_fp)
-    except ValueError:
-        evaluation.first_party_wilcoxon = None
-
-    def _third_party_counts(result: CrawlResult) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for record in result.successful_visits:
-            counts[record.domain] = counts.get(record.domain, 0) + record.third_party_errors()
-        return counts
-
-    base_tp_map = _third_party_counts(baseline)
-    ext_tp_map = _third_party_counts(extended)
-    shared = sorted(set(base_tp_map) & set(ext_tp_map))
-    try:
-        evaluation.third_party_wilcoxon = wilcoxon_signed_rank(
-            [float(base_tp_map[d]) for d in shared],
-            [float(ext_tp_map[d]) for d in shared],
-        )
-    except ValueError:
-        evaluation.third_party_wilcoxon = None
+    evaluation.first_party_wilcoxon = _wilcoxon_or_none(base_fp, ext_fp)
+    evaluation.third_party_wilcoxon = _wilcoxon_or_none(
+        *_paired("third_party_error_counts")
+    )
     return evaluation
+
+
+def _wilcoxon_or_none(
+    baseline: List[float], extended: List[float]
+) -> Optional[WilcoxonResult]:
+    """The matched-pairs test, or ``None`` when it is undefined (no
+    pairs, or every pair tied)."""
+    try:
+        return wilcoxon_signed_rank(baseline, extended)
+    except ValueError:
+        return None

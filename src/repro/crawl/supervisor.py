@@ -1,8 +1,10 @@
 """The resilient crawl supervisor: retries, recycling, checkpointing.
 
-:class:`CrawlSupervisor` wraps an :class:`~repro.crawl.crawler.
-OpenWPMCrawler` with the recovery behaviour a real field study needs
-(and the bare double loop lacks):
+:class:`CrawlSupervisor` is the one crawl engine.  It runs an
+:class:`~repro.crawl.crawler.OpenWPMCrawler` configuration with the
+recovery behaviour a real field study needs; the paper's Table 2 /
+Fig. 4 crawl (:meth:`OpenWPMCrawler.crawl`) is this engine with no
+fault plan, no watchdogs and no tracing.  What it adds:
 
 - **retry with exponential backoff** -- failed visits are retried up to
   a budget, with deterministic seeded jitter advancing the simulated
@@ -198,7 +200,7 @@ class BrowserInstance:
 
 
 class CrawlSupervisor:
-    """Fault-aware wrapper around :class:`OpenWPMCrawler`.
+    """The crawl engine for an :class:`OpenWPMCrawler` configuration.
 
     Parameters
     ----------

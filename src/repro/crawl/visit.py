@@ -1,11 +1,13 @@
 """A single crawler visit to a site.
 
-Every visit builds a *real* simulated browser window (WebDriver-controlled
-profile), lets the extension -- if any -- inject its content script, and
-then runs the site's actual fingerprint probes against it.  The bot
-verdict is therefore produced by the same code path as the Table 1
-experiments; the population only decides *which* probes a site runs and
-how it reacts.
+Every visit runs on a supervisor-managed browser session: a *real*
+simulated window (WebDriver-controlled profile, extension -- if any --
+injected at spawn).  The visit publishes its commands over the crawl's
+event bus (navigate, element lookup, hostile-page confrontation) and
+then runs the site's actual fingerprint probes against the session's
+window.  The bot verdict is therefore produced by the same code path as
+the Table 1 experiments; the population only decides *which* probes a
+site runs and how it reacts.
 """
 
 from __future__ import annotations
@@ -15,18 +17,15 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.browser.navigator import NavigatorProfile
 from repro.browser.window import Window
 from repro.bus import (
     ChallengeDetected,
     InputObstructed,
     NavigateToUrl,
-    NullBus,
     OverlayDetected,
     PageStalled,
     QueryElements,
     RunScript,
-    resolve_or_none,
 )
 from repro.crawl.population import (
     DetectionSignal,
@@ -223,11 +222,6 @@ def _run_site_detector(
     return True
 
 
-def _scripted_scroll(bus, browser: int) -> None:
-    """The visit's scripted scroll, issued over the bus."""
-    bus.publish(RunScript(script="window.scrollTo(0, 0)", browser=browser))
-
-
 def _confront_hostile(
     site: SiteConfig,
     window: Window,
@@ -247,12 +241,11 @@ def _confront_hostile(
     degrades gracefully into the returned typed failure reason -- never
     an exception.
     """
-    live = bus is not None and not isinstance(bus, NullBus)
     hostile = site.hostile
 
     def finish_actions() -> None:
-        if live:
-            _scripted_scroll(bus, browser)
+        # The visit's scripted scroll, issued over the bus.
+        bus.publish(RunScript(script="window.scrollTo(0, 0)", browser=browser))
 
     if hostile is HostileArchetype.STALLING:
         # One dedicated draw decides whether this attempt stalls; plain
@@ -260,39 +253,36 @@ def _confront_hostile(
         if rng.random() >= site.hostile_intensity:
             finish_actions()
             return None
-        event = resolve_or_none(
-            bus,
+        event = bus.publish(
             PageStalled(
                 domain=site.domain, visit_index=visit_index, attempt=attempt
-            ),
+            )
         )
-        if event is not None and event.resolved:
+        if event.resolved:
             return FailureReason.STALLED
         return FailureReason.STALLED_UNBOUNDED
 
     if hostile is HostileArchetype.MODAL_OVERLAY:
         kind = "cookie-banner" if site.rank % 2 == 0 else "modal"
         overlay = install_overlay(window.document, kind=kind)
-        event = resolve_or_none(
-            bus,
+        event = bus.publish(
             OverlayDetected(
                 domain=site.domain,
                 kind=kind,
                 dismiss=overlay.remove,
                 action_chain=[finish_actions],
-            ),
+            )
         )
-        if event is not None and event.resolved:
+        if event.resolved:
             return None
         return FailureReason.MODAL_OVERLAY
 
     if hostile is HostileArchetype.CHALLENGE_INTERSTITIAL:
         interstitial = install_challenge(window.document)
-        event = resolve_or_none(
-            bus,
-            ChallengeDetected(domain=site.domain, wait_out=interstitial.remove),
+        event = bus.publish(
+            ChallengeDetected(domain=site.domain, wait_out=interstitial.remove)
         )
-        if event is not None and event.resolved:
+        if event.resolved:
             finish_actions()
             return None
         return FailureReason.CHALLENGE_INTERSTITIAL
@@ -303,15 +293,14 @@ def _confront_hostile(
         def fill_direct() -> None:
             hidden.value = "crawler@example.org"
 
-        event = resolve_or_none(
-            bus,
+        event = bus.publish(
             InputObstructed(
                 domain=site.domain,
                 element_id=hidden.id,
                 fill_direct=fill_direct,
-            ),
+            )
         )
-        if event is not None and event.resolved and hidden.value:
+        if event.resolved and hidden.value:
             finish_actions()
             return None
         return FailureReason.HIDDEN_INPUT
@@ -326,29 +315,28 @@ def simulate_visit(
     extension: Optional[SpoofingExtension],
     visit_index: int,
     rng: np.random.Generator,
+    driver,
+    bus,
     reference=None,
     per_visit_failure: float = 0.002,
-    driver=None,
     injector=None,
-    bus=None,
     browser: int = 0,
     attempt: int = 0,
 ) -> VisitRecord:
     """Simulate one crawler visit to ``site``.
 
-    ``driver`` (a :class:`repro.webdriver.driver.WebDriver`) reuses a
-    supervisor-managed browser instance instead of building a fresh
-    window; its caller is then responsible for extension injection.
-    ``injector`` (an armed :class:`repro.faults.FaultInjector`) routes
-    the visit through the real WebDriver command sequence -- navigate,
-    element lookup, scripted scroll -- so scheduled faults surface as
-    the typed exceptions a live crawl would see.
-    ``bus`` (a live :class:`repro.bus.EventBus` with a
+    ``driver`` (a :class:`repro.webdriver.driver.WebDriver`) is the
+    supervisor-managed browser instance the visit runs on; its session
+    injected the extension at spawn.  ``bus`` (a live
+    :class:`repro.bus.EventBus` with a
     :class:`~repro.browser.session.BrowserSession` attached for
-    ``browser``) routes that same command sequence through command
-    events instead of direct driver calls, and lets watchdog
-    subscribers resolve the site's hostile archetype; without a bus,
-    hostile pages degrade into their typed failure immediately.
+    ``browser``) carries the visit's WebDriver command sequence --
+    navigate, element lookup, scripted scroll -- as command events, and
+    lets watchdog subscribers resolve the site's hostile archetype; an
+    unresolved one degrades into its typed failure.  ``injector`` (an
+    armed :class:`repro.faults.FaultInjector`) is wired into the driver
+    for those commands, so scheduled faults surface as the typed
+    exceptions a live crawl would see.
     """
     record = VisitRecord(
         domain=site.domain, rank=site.rank, visit_index=visit_index, reached=True
@@ -365,64 +353,18 @@ def simulate_visit(
         record.failure_reason = FailureReason.TRANSIENT
         return record
 
-    # Build (or reuse) the automated browser and let the extension act
-    # on the page.
-    if driver is not None:
-        window = driver.window
-    else:
-        window = Window(profile=NavigatorProfile(webdriver=True))
-        if injector is not None:
-            from repro.webdriver.driver import WebDriver
-
-            # The driver marks the navigator *before* the extension
-            # spoofs it, as in a real instrumented browser.
-            driver = WebDriver(window)
-        if extension is not None:
-            extension.inject(window)
-    use_bus = (
-        bus is not None and not isinstance(bus, NullBus) and driver is not None
-    )
-    if use_bus:
-        previous_injector = driver.fault_injector
-        if injector is not None:
-            driver.fault_injector = injector
-        try:
-            bus.publish(
-                NavigateToUrl(url=f"https://{site.domain}/", browser=browser)
-            )
-            bus.publish(
-                QueryElements(by="tag name", value="body", browser=browser)
-            )
-            hostile_failure = _confront_hostile(
-                site,
-                window,
-                rng,
-                bus=bus,
-                browser=browser,
-                visit_index=visit_index,
-                attempt=attempt,
-            )
-            if hostile_failure is not None:
-                record.reached = False
-                record.failure_reason = hostile_failure
-                return record
-        finally:
-            driver.fault_injector = previous_injector
-    elif injector is not None:
-        previous_injector = driver.fault_injector
+    window = driver.window
+    previous_injector = driver.fault_injector
+    if injector is not None:
         driver.fault_injector = injector
-        try:
-            driver.get(f"https://{site.domain}/")
-            driver.find_elements("tag name", "body")
-            driver.execute_script("window.scrollTo(0, 0)")
-        finally:
-            driver.fault_injector = previous_injector
-    elif site.hostile is not None:
+    try:
+        bus.publish(NavigateToUrl(url=f"https://{site.domain}/", browser=browser))
+        bus.publish(QueryElements(by="tag name", value="body", browser=browser))
         hostile_failure = _confront_hostile(
             site,
             window,
             rng,
-            bus=None,
+            bus=bus,
             browser=browser,
             visit_index=visit_index,
             attempt=attempt,
@@ -431,11 +373,13 @@ def simulate_visit(
             record.reached = False
             record.failure_reason = hostile_failure
             return record
+    finally:
+        driver.fault_injector = previous_injector
 
-    ledger = getattr(window, "probe_ledger", None)
+    ledger = window.probe_ledger
     ledger_start = len(ledger) if ledger is not None else 0
     detected = _run_site_detector(site, window, rng, reference)
-    if ledger is not None and driver is not None:
+    if ledger is not None:
         delta = len(ledger) - ledger_start
         if delta:
             # Tie the visit's ledger slice into the span tree: the event

@@ -8,8 +8,7 @@ Collects, across every linted module:
 * **subscriptions** -- ``*.subscribe(EventType, handler)`` call sites,
   with the handler resolved to a project function/method (or kept as a
   lambda node);
-* **publishes** -- ``*.publish(EventType(...))`` and
-  ``resolve_or_none(bus, EventType(...))`` call sites.
+* **publishes** -- ``*.publish(EventType(...))`` call sites.
 
 The BUS rules read this inventory: BUS001 wants every concrete event
 class covered by at least one subscription (MRO matching, like the real
@@ -56,12 +55,11 @@ class Subscription:
 
 @dataclass
 class Publish:
-    """One publish/resolve_or_none call site constructing an event."""
+    """One publish call site constructing an event."""
 
     event: str
     path: str
     node: ast.Call
-    via: str  # "publish" | "resolve_or_none"
 
 
 class BusInventory:
@@ -135,13 +133,7 @@ class BusInventory:
                 self._collect_subscription(module, ctx, node)
                 continue
             if isinstance(func, ast.Attribute) and func.attr == "publish":
-                self._collect_publish(module, ctx, node, via="publish")
-                continue
-            dotted = ctx.dotted_name(func)
-            if dotted is not None and dotted.rsplit(".", 1)[-1] == (
-                "resolve_or_none"
-            ):
-                self._collect_publish(module, ctx, node, via="resolve_or_none")
+                self._collect_publish(module, ctx, node)
 
     def _event_class(
         self, module: str, ctx: ModuleContext, node: ast.AST
@@ -202,7 +194,7 @@ class BusInventory:
         return None
 
     def _collect_publish(
-        self, module: str, ctx: ModuleContext, node: ast.Call, via: str
+        self, module: str, ctx: ModuleContext, node: ast.Call
     ) -> None:
         for arg in node.args:
             if not isinstance(arg, ast.Call):
@@ -210,7 +202,7 @@ class BusInventory:
             event = self._event_class(module, ctx, arg.func)
             if event is not None:
                 self.publishes.append(
-                    Publish(event=event, path=ctx.path, node=node, via=via)
+                    Publish(event=event, path=ctx.path, node=node)
                 )
 
     # -- coverage queries ------------------------------------------------

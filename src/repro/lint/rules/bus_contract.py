@@ -6,10 +6,9 @@ across module boundaries -- exactly what no per-module rule can see.
 * BUS001 -- a concrete event class (leaf of the ``BusEvent`` hierarchy)
   with no covering ``subscribe`` call anywhere in the linted tree is
   dead protocol: published occurrences vanish silently.
-* BUS002 -- a ``Resolvable`` published (via ``publish`` or
-  ``resolve_or_none``) where no covering handler ever calls
-  ``event.resolve(...)``: the degradation ladder treats the hazard as
-  unhandled every time.
+* BUS002 -- a ``Resolvable`` published where no covering handler ever
+  calls ``event.resolve(...)``: the degradation ladder treats the
+  hazard as unhandled every time.
 * BUS003 -- a subscribed handler assigning event-payload attributes
   other than the sanctioned command-result fields (``handled``,
   ``result``): notifications must stay immutable facts.

@@ -15,13 +15,10 @@ from repro.bus import (
     BusEvent,
     EventBus,
     FaultObserved,
-    NULL_BUS,
-    NullBus,
     OverlayDetected,
     PageStalled,
     Resolvable,
     event_name,
-    resolve_or_none,
 )
 from repro.clock import VirtualClock
 from repro.crawl import (
@@ -184,26 +181,10 @@ class TestResolvable:
         assert not event.resolved
         assert event.resolved_by is None
 
-
-class TestNullBus:
-    def test_publish_is_inert_but_returns_the_event(self):
-        log = []
-        NULL_BUS.subscribe(AttemptStarted, lambda e: log.append(True))
-        event = NULL_BUS.publish(AttemptStarted("a.example", 0, 0, 0))
-        assert isinstance(event, AttemptStarted)
-        assert log == []
-        assert NULL_BUS.events_published == 0
-        assert NULL_BUS.registry_snapshot() == []
-
-    def test_resolve_or_none_degrades_without_a_bus(self):
-        assert resolve_or_none(None, PageStalled("a", 0, 0)) is None
-        assert resolve_or_none(NULL_BUS, PageStalled("a", 0, 0)) is None
-        assert resolve_or_none(NullBus(), PageStalled("a", 0, 0)) is None
-
-    def test_resolve_or_none_publishes_on_a_live_bus(self):
+    def test_publish_hands_back_the_resolved_event(self):
         bus = make_bus()
         bus.subscribe(PageStalled, lambda e: e.resolve("stall", "aborted"))
-        event = resolve_or_none(bus, PageStalled("a", 0, 0))
+        event = bus.publish(PageStalled("a", 0, 0))
         assert event is not None and event.resolved
 
 

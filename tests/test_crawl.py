@@ -1,9 +1,11 @@
 """The field-study simulation: population, visits, Table 2 / Fig. 4."""
 
-import numpy as np
+import json
+
 import pytest
 
 from repro.crawl import (
+    CrawlSupervisor,
     DetectionSignal,
     DetectorDeployment,
     OpenWPMCrawler,
@@ -14,8 +16,10 @@ from repro.crawl import (
     evaluate_http_errors,
     evaluate_screenshots,
     generate_population,
-    simulate_visit,
 )
+from repro.obs.tracer import NULL_TRACER
+from repro.shard import run_sharded_crawl
+from repro.shard.worker import WATCHDOGS_NONE
 from repro.spoofing import SpoofingExtension, SpoofingMethod
 
 
@@ -82,20 +86,26 @@ class TestPopulation:
         assert len({s.domain for s in special}) == len(special)
 
 
+def crawl_site(site, extension=None, seed=0):
+    """One visit to ``site`` on the crawl engine: a one-instance,
+    watchdog-less, untraced supervisor crawl."""
+    crawler = OpenWPMCrawler("visit", extension=extension, instances=1, seed=seed)
+    supervisor = CrawlSupervisor(crawler, watchdogs=(), tracer=NULL_TRACER)
+    (record,) = supervisor.crawl([site]).records
+    return record
+
+
 class TestVisit:
     def _site(self, **kwargs):
         return SiteConfig(rank=1, domain="test.example", **kwargs)
 
     def test_unreachable_site(self):
-        site = self._site(unreachable=True)
-        record = simulate_visit(site, extension=None, visit_index=0, rng=np.random.default_rng(0))
+        record = crawl_site(self._site(unreachable=True))
         assert not record.reached
         assert record.responses == []
 
     def test_plain_site_returns_200(self):
-        record = simulate_visit(
-            self._site(), extension=None, visit_index=0, rng=np.random.default_rng(0)
-        )
+        record = crawl_site(self._site())
         assert record.reached
         assert record.responses[0].status == 200
         assert not record.detected_as_bot
@@ -104,7 +114,7 @@ class TestVisit:
         site = self._site(
             detector=DetectorDeployment(DetectionSignal.WEBDRIVER_FLAG, Reaction.BLOCK_PAGE)
         )
-        record = simulate_visit(site, extension=None, visit_index=0, rng=np.random.default_rng(0))
+        record = crawl_site(site)
         assert record.detected_as_bot
         assert record.screenshot.blocked
         assert record.responses[0].status == 403
@@ -113,9 +123,7 @@ class TestVisit:
         site = self._site(
             detector=DetectorDeployment(DetectionSignal.WEBDRIVER_FLAG, Reaction.BLOCK_PAGE)
         )
-        record = simulate_visit(
-            site, extension=SpoofingExtension(), visit_index=0, rng=np.random.default_rng(0)
-        )
+        record = crawl_site(site, SpoofingExtension())
         assert not record.detected_as_bot
         assert not record.screenshot.blocked
 
@@ -123,16 +131,14 @@ class TestVisit:
         site = self._site(
             detector=DetectorDeployment(DetectionSignal.SIDE_EFFECTS, Reaction.BLOCK_PAGE)
         )
-        record = simulate_visit(
-            site, extension=SpoofingExtension(), visit_index=0, rng=np.random.default_rng(0)
-        )
+        record = crawl_site(site, SpoofingExtension())
         assert record.detected_as_bot  # unnamed-function side effect
 
     def test_captcha_reaction(self):
         site = self._site(
             detector=DetectorDeployment(DetectionSignal.WEBDRIVER_FLAG, Reaction.CAPTCHA)
         )
-        record = simulate_visit(site, extension=None, visit_index=0, rng=np.random.default_rng(0))
+        record = crawl_site(site)
         assert record.screenshot.captcha
         assert record.responses[0].status == 503
 
@@ -141,15 +147,13 @@ class TestVisit:
             ad_slots=4,
             detector=DetectorDeployment(DetectionSignal.WEBDRIVER_FLAG, Reaction.NO_ADS),
         )
-        record = simulate_visit(site, extension=None, visit_index=0, rng=np.random.default_rng(0))
+        record = crawl_site(site)
         assert record.screenshot.missing_all_ads
 
     def test_breakage_only_with_extension(self):
         site = self._site(breakage="layout")
-        plain = simulate_visit(site, extension=None, visit_index=0, rng=np.random.default_rng(0))
-        spoofed = simulate_visit(
-            site, extension=SpoofingExtension(), visit_index=0, rng=np.random.default_rng(0)
-        )
+        plain = crawl_site(site)
+        spoofed = crawl_site(site, SpoofingExtension())
         assert not plain.screenshot.layout_deformed
         assert spoofed.screenshot.layout_deformed
 
@@ -157,9 +161,92 @@ class TestVisit:
         site = self._site(
             detector=DetectorDeployment(DetectionSignal.WEBDRIVER_FLAG, Reaction.HTTP_ONLY)
         )
-        record = simulate_visit(site, extension=None, visit_index=0, rng=np.random.default_rng(0))
+        record = crawl_site(site)
         assert not record.screenshot.blocked
         assert record.first_party_errors() >= 1
+
+
+class TestReusedSessions:
+    def test_side_effect_blocker_catches_every_reused_session(self):
+        # Each browser session injects the extension once, at spawn, and
+        # then carries its spoofed window across the whole crawl.  The
+        # side effects must survive that reuse: a blocker that always
+        # checks catches all 8 visits, while the webdriver flag stays
+        # hidden on every site.
+        population = generate_population(PopulationConfig(side_effect_fire_probability=1.0))
+        result = OpenWPMCrawler(
+            "OpenWPM+extension", extension=SpoofingExtension(), instances=8, seed=22
+        ).crawl(population)
+        by_domain = {}
+        for record in result.records:
+            by_domain.setdefault(record.domain, []).append(record)
+        [(position, blocker)] = [
+            (i, site)
+            for i, site in enumerate(population)
+            if site.detector is not None
+            and site.detector.signal is DetectionSignal.SIDE_EFFECTS
+        ]
+        assert position > 0  # the sessions served earlier sites first
+        blocked = by_domain[blocker.domain]
+        assert len(blocked) == 8
+        assert all(r.reached and r.detected_as_bot for r in blocked)
+        assert all(r.screenshot.blocked for r in blocked)
+        flagged = [
+            site
+            for site in population
+            if site.detector is not None
+            and site.detector.signal is DetectionSignal.WEBDRIVER_FLAG
+        ]
+        assert flagged
+        for site in flagged:
+            for record in by_domain[site.domain]:
+                assert record.reached and not record.detected_as_bot
+                assert not (record.screenshot.blocked or record.screenshot.captcha)
+
+
+def canonical_records_json(result):
+    """A crawl's records in the sharded merge's canonical JSON."""
+    return (
+        json.dumps(
+            [record.to_dict() for record in result.records],
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        + "\n"
+    )
+
+
+class TestPaperEngineOracle:
+    """Table 2 / Fig. 4 come from the oracle-covered engine: the paper
+    crawl's records equal a sharded watchdog-less crawl's, byte for
+    byte."""
+
+    @pytest.mark.parametrize(
+        "extension, seed",
+        [(False, 11), (True, 22)],
+        ids=["stock", "extension"],
+    )
+    def test_paper_crawl_matches_sharded_merge(self, tmp_path, extension, seed):
+        sites = generate_population()[:70]
+        crawler = OpenWPMCrawler(
+            "OpenWPM",
+            extension=SpoofingExtension() if extension else None,
+            instances=8,
+            seed=seed,
+        )
+        serial = canonical_records_json(crawler.crawl(sites))
+        outcome = run_sharded_crawl(
+            sites,
+            out_dir=tmp_path,
+            seed=seed,
+            instances=8,
+            with_extension=extension,
+            watchdogs=WATCHDOGS_NONE,
+            shard_size=30,  # 30 + 30 + 10: does not divide 70
+        )
+        assert len(outcome.plan) == 3
+        assert outcome.artifacts.records.read_bytes() == serial.encode()
+        assert serial.count('"domain"') == 560
 
 
 class TestCrawlAndEvaluation:

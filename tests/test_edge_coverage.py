@@ -1,18 +1,19 @@
 """Assorted edge-case coverage across subsystems."""
 
-import numpy as np
 import pytest
 
 from repro.crawl import (
     CrawlResult,
+    CrawlSupervisor,
     OpenWPMCrawler,
     SiteConfig,
+    SupervisorConfig,
     evaluate_breakage,
     evaluate_http_errors,
     evaluate_screenshots,
-    simulate_visit,
 )
 from repro.crawl.visit import HTTPResponse, Screenshot
+from repro.obs.tracer import NULL_TRACER
 from repro.spoofing import SpoofingExtension
 
 
@@ -37,10 +38,14 @@ class TestVisitRecordCounters:
     def test_error_counters(self):
         site = SiteConfig(rank=1, domain="a.example", first_party_error_rate=0.0,
                           third_party_error_rate=0.0)
-        record = simulate_visit(
-            site, extension=None, visit_index=0, rng=np.random.default_rng(0),
-            per_visit_failure=0.0,
+        crawler = OpenWPMCrawler("x", None, instances=1, seed=0)
+        supervisor = CrawlSupervisor(
+            crawler,
+            config=SupervisorConfig(per_visit_failure=0.0),
+            watchdogs=(),
+            tracer=NULL_TRACER,
         )
+        (record,) = supervisor.crawl([site]).records
         assert record.first_party_errors() == 0
         assert record.third_party_errors() == 0
 
@@ -120,8 +125,13 @@ class TestNavigatorExtras:
 class TestSpoofedCrawlDeterminism:
     def test_same_seed_same_outcome(self):
         site = SiteConfig(rank=1, domain="d.example")
-        a = simulate_visit(site, extension=SpoofingExtension(), visit_index=0,
-                           rng=np.random.default_rng(5))
-        b = simulate_visit(site, extension=SpoofingExtension(), visit_index=0,
-                           rng=np.random.default_rng(5))
-        assert [r.status for r in a.responses] == [r.status for r in b.responses]
+
+        def crawl():
+            crawler = OpenWPMCrawler("x", SpoofingExtension(), instances=2, seed=5)
+            supervisor = CrawlSupervisor(crawler, watchdogs=(), tracer=NULL_TRACER)
+            return supervisor.crawl([site]).records
+
+        first, second = crawl(), crawl()
+        assert len(first) == len(second) == 2
+        for a, b in zip(first, second):
+            assert [r.status for r in a.responses] == [r.status for r in b.responses]

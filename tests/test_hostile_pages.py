@@ -3,12 +3,11 @@
 The four archetypes (modal/cookie overlays, challenge interstitials,
 hidden inputs, stalling pages) are real pages a field crawler meets;
 these tests pin their mechanics at every layer -- the live-DOM
-furniture, the graceful-degradation semantics in ``simulate_visit``,
+furniture, the graceful-degradation semantics of a visit,
 the hostile-population generator, and the watchdogs-on/off coverage
 split the robustness ablation measures at scale.
 """
 
-import numpy as np
 import pytest
 
 from repro.browser.navigator import NavigatorProfile
@@ -23,7 +22,6 @@ from repro.crawl import (
     SupervisorConfig,
     generate_population,
     hostile_population,
-    simulate_visit,
     visit_coverage,
 )
 from repro.dom.hostile import (
@@ -37,6 +35,7 @@ from repro.dom.hostile import (
     install_overlay,
 )
 from repro.geometry import Point
+from repro.obs.tracer import NULL_TRACER
 
 
 def fresh_document():
@@ -102,18 +101,21 @@ def hostile_site(archetype, intensity=0.4, rank=0):
 
 
 def visit(site, seed=1):
-    return simulate_visit(
-        site,
-        extension=None,
-        visit_index=0,
-        rng=np.random.default_rng(seed),
-        per_visit_failure=0.0,
+    """One visit to ``site`` on a watchdog-less, untraced supervisor."""
+    crawler = OpenWPMCrawler("visit", instances=1, seed=seed)
+    supervisor = CrawlSupervisor(
+        crawler,
+        config=SupervisorConfig(per_visit_failure=0.0),
+        watchdogs=(),
+        tracer=NULL_TRACER,
     )
+    (record,) = supervisor.crawl([site]).records
+    return record
 
 
 class TestUnwatchedVisitSemantics:
-    """Without a bus (no watchdogs), every archetype degrades into its
-    typed permanent failure -- never an exception."""
+    """With no watchdog subscribed to resolve it, every archetype
+    degrades into its typed permanent failure -- never an exception."""
 
     @pytest.mark.parametrize(
         "archetype, reason",
@@ -143,20 +145,8 @@ class TestUnwatchedVisitSemantics:
         # only on the STALLING path; plain sites must consume the same
         # stream they always did, or Table 2 / Fig. 4 shift.
         plain = SiteConfig(rank=0, domain="plain.example")
-        a = simulate_visit(
-            plain,
-            extension=None,
-            visit_index=0,
-            rng=np.random.default_rng(5),
-            per_visit_failure=0.0,
-        )
-        b = simulate_visit(
-            plain,
-            extension=None,
-            visit_index=0,
-            rng=np.random.default_rng(5),
-            per_visit_failure=0.0,
-        )
+        a = visit(plain, seed=5)
+        b = visit(plain, seed=5)
         assert a.to_dict() == b.to_dict()
 
 
