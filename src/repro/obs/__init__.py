@@ -55,11 +55,9 @@ from repro.obs.profile import (
 from repro.obs.diff import ExportDiff, diff_exports
 from repro.obs.merge import (
     MergeError,
-    merge_ledger_dir,
     merge_ledger_entries,
     merge_metrics_states,
     merge_spans,
-    merge_trace_dir,
     shard_durations,
 )
 from repro.obs.export import (
@@ -125,8 +123,6 @@ __all__ = [
     "merge_spans",
     "merge_metrics_states",
     "merge_ledger_entries",
-    "merge_trace_dir",
-    "merge_ledger_dir",
     "shard_durations",
     "AttributionReport",
     "build_attribution",

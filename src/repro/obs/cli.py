@@ -5,6 +5,7 @@ Usage::
     python -m repro.obs report trace.jsonl            # text report
     python -m repro.obs report trace.jsonl --format json --top 10
     python -m repro.obs profile traces/ --speedscope out.json
+    python -m repro.obs profile shard-out/        # a repro.shard --out dir
     python -m repro.obs diff a.jsonl b.jsonl          # exit 0 iff identical
     python -m repro.obs diff a.jsonl b.jsonl --profile # + hotspot deltas
     python -m repro.obs bench record --baseline
@@ -17,13 +18,14 @@ Usage::
 trace into the deterministic profiler's accounting -- per-span-name
 self/total time, per-visit percentiles, the slowest visit's critical
 path -- and optionally exports speedscope / chrome-trace files for
-human inspection.  ``diff`` compares two exports of the same kind
-(traces or probe ledgers) record by record and uses ``diff(1)`` exit
-semantics: 0 identical, 1 different, 2 on error.  All three accept a
-*directory* of per-shard exports (``repro.shard`` output): the shards
-are merged onto the serial timeline first, so ``report``/``profile``
-summarise the whole sharded crawl and ``diff shard-dir serial.jsonl``
-asserts the sharded bytes equal the serial ones.
+human inspection.  ``report`` and ``profile`` also accept a
+directory: a ``repro.shard`` output directory (it holds
+``manifest.json``) is read through the merged ``crawl.trace.jsonl`` the
+shard merge writes, and any other directory has its ``*.trace.jsonl``
+files spliced end to end in sorted-name order.  ``diff`` compares two
+export files of the same kind (traces or probe ledgers) record by
+record and uses ``diff(1)`` exit semantics: 0 identical, 1 different,
+2 on error.
 ``bench`` maintains the append-only ``BENCH_HISTORY.jsonl`` over the
 ``BENCH_*.json`` benchmark outputs and gates regressions against the
 recorded baseline (``check`` exits 1 past tolerance).
@@ -53,7 +55,7 @@ from repro.obs.bench import (
 from repro.obs.diff import ExportKindError, diff_exports
 from repro.obs.export import read_trace
 from repro.obs.flame import write_chrome_trace, write_speedscope
-from repro.obs.merge import MergeError, merge_spans, merge_trace_dir
+from repro.obs.merge import merge_spans
 from repro.obs.probes import read_ledger
 from repro.obs.profile import (
     build_profile,
@@ -94,8 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument(
         "trace",
-        help="JSONL trace file, or a directory of per-shard "
-        "*.trace.jsonl files (merged before reporting)",
+        help="JSONL trace file, a repro.shard output directory, or a "
+        "directory of *.trace.jsonl files (spliced before reporting)",
     )
     report.add_argument(
         "--top",
@@ -119,8 +121,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument(
         "trace",
-        help="JSONL trace file, or a directory of per-shard "
-        "*.trace.jsonl files (merged before profiling)",
+        help="JSONL trace file, a repro.shard output directory, or a "
+        "directory of *.trace.jsonl files (spliced before profiling)",
     )
     profile.add_argument(
         "--top",
@@ -140,12 +142,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="also write a chrome-trace file (chrome://tracing, Perfetto)",
-    )
-    profile.add_argument(
-        "--wall",
-        action="store_true",
-        help="include wall-time deltas from a dual-clock trace "
-        "(output is then NOT canonical / byte-comparable)",
     )
     _add_output_arguments(profile)
 
@@ -202,15 +198,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="compare two JSONL exports (traces or ledgers); "
         "exit 0 iff identical",
     )
-    diff.add_argument("a", help="first export (file or per-shard directory)")
-    diff.add_argument("b", help="second export (file or per-shard directory)")
-    diff.add_argument(
-        "--kind",
-        choices=("auto", "trace", "ledger"),
-        default="auto",
-        help="which exports to merge from a per-shard directory holding "
-        "both kinds (default: auto = prefer traces)",
-    )
+    diff.add_argument("a", help="first export file")
+    diff.add_argument("b", help="second export file")
     diff.add_argument(
         "--limit",
         type=int,
@@ -260,22 +249,31 @@ def _require(path_str: str, what: str) -> Optional[Path]:
 
 
 def _load_spans(trace_path: Path):
-    """Spans from a trace file or a directory of traces.
+    """Spans from a trace file or a directory.
 
-    Directories prefer the sharded layout (``shard-*.trace.jsonl``,
-    merged byte-exactly onto the serial timeline); otherwise any
-    ``*.trace.jsonl`` files (e.g. ``examples/field_study.py`` output)
-    are spliced end to end in sorted-name order.
+    A ``repro.shard`` output directory (it holds the manifest) is read
+    through its merged ``crawl.trace.jsonl``, which exists once every
+    shard is done.  Any other directory (e.g. ``examples/field_study.py``
+    output) has its ``*.trace.jsonl`` files spliced end to end in
+    sorted-name order.
     """
     if not trace_path.is_dir():
         return read_trace(trace_path)
-    try:
-        return merge_trace_dir(trace_path)
-    except MergeError:
-        files = sorted(trace_path.glob("*.trace.jsonl"))
-        if not files:
-            raise
-        return merge_spans([read_trace(path) for path in files])
+    # Imported here: only directory arguments need the shard layout.
+    from repro.shard.manifest import MANIFEST_NAME
+
+    if (trace_path / MANIFEST_NAME).exists():
+        merged = trace_path / "crawl.trace.jsonl"
+        if not merged.exists():
+            raise ValueError(
+                f"{trace_path}: sharded run incomplete; re-run "
+                "python -m repro.shard with the same --out"
+            )
+        return read_trace(merged)
+    files = sorted(trace_path.glob("*.trace.jsonl"))
+    if not files:
+        raise ValueError(f"{trace_path}: no *.trace.jsonl files")
+    return merge_spans([read_trace(path) for path in files])
 
 
 def _run_report(args: argparse.Namespace) -> int:
@@ -284,7 +282,7 @@ def _run_report(args: argparse.Namespace) -> int:
         return 1
     try:
         spans = _load_spans(trace_path)
-    except (MergeError, ValueError) as error:
+    except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
     report = build_report(spans, top=args.top)
@@ -311,16 +309,16 @@ def _run_profile(args: argparse.Namespace) -> int:
         return 1
     try:
         spans = _load_spans(trace_path)
-    except (MergeError, ValueError) as error:
+    except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
-    profile = build_profile(spans, include_wall=args.wall)
+    profile = build_profile(spans)
     if args.speedscope is not None:
         write_speedscope(args.speedscope, spans)
     if args.chrome is not None:
         write_chrome_trace(args.chrome, spans)
     rendered = (
-        profile_to_json(profile, include_wall=args.wall)
+        profile_to_json(profile)
         if args.format == "json"
         else render_profile_text(profile, top=args.top)
     )
@@ -380,8 +378,16 @@ def _run_diff(args: argparse.Namespace) -> int:
     path_b = _require(args.b, "export")
     if path_a is None or path_b is None:
         return 2
+    for path in (path_a, path_b):
+        if path.is_dir():
+            print(
+                f"error: {path} is a directory; diff compares two files, "
+                f"e.g. {path / 'crawl.trace.jsonl'}",
+                file=sys.stderr,
+            )
+            return 2
     try:
-        result = diff_exports(path_a, path_b, kind=args.kind)
+        result = diff_exports(path_a, path_b)
     except (ExportKindError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -396,10 +402,10 @@ def _run_diff(args: argparse.Namespace) -> int:
     if args.profile:
         try:
             deltas = profile_delta(
-                build_profile(_load_spans(path_a)),
-                build_profile(_load_spans(path_b)),
+                build_profile(read_trace(path_a)),
+                build_profile(read_trace(path_b)),
             )
-        except (MergeError, ValueError) as error:
+        except ValueError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
         if args.format == "json":

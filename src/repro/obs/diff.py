@@ -1,4 +1,4 @@
-"""Diffing two canonical JSONL exports (traces or probe ledgers).
+"""Diffing two canonical JSONL export files (traces or probe ledgers).
 
 The exports are byte-stable by construction, so the interesting question
 is never "are the files equal?" (``cmp`` answers that) but *where* two
@@ -6,7 +6,9 @@ runs diverged: which spans or ledger entries were added, which vanished,
 and which changed in place -- field by field.  ``python -m repro.obs
 diff`` exposes this; CI uses it to assert that two same-seed crawls (or
 an interrupted-and-resumed crawl and its uninterrupted twin) produced
-zero differences.
+zero differences.  A sharded crawl is diffed through its merged
+``crawl.trace.jsonl`` / ``crawl.ledger.jsonl``, which the shard merge
+writes once every shard is done.
 
 Records are keyed by their stable sequential id (``span_id`` for
 traces, ``entry_id`` for ledgers); the kind of each file is detected
@@ -168,36 +170,6 @@ def load_export(path: Union[str, Path]) -> Tuple[str, Dict[int, Dict[str, Any]]]
     return kind or "trace", records
 
 
-def load_export_any(
-    path: Union[str, Path], kind: str = "auto"
-) -> Tuple[str, Dict[int, Dict[str, Any]]]:
-    """Load an export file *or* a directory of per-shard exports.
-
-    A directory is merged onto the serial timeline first (see
-    :mod:`repro.obs.merge`), so diffing a shard directory against a
-    serial export answers "did sharding change the bytes?".  ``kind``
-    picks which exports to merge from a directory holding both traces
-    and ledgers (``auto`` prefers traces); it is ignored for files,
-    whose kind is self-describing.
-    """
-    path = Path(path)
-    if not path.is_dir():
-        return load_export(path)
-    # Imported lazily: repro.obs.merge pulls in the probe-ledger module,
-    # which file-only diffs never need.
-    from repro.obs import merge as shard_merge
-
-    has_traces = bool(sorted(path.glob(shard_merge.TRACE_GLOB)))
-    has_ledgers = bool(sorted(path.glob(shard_merge.LEDGER_GLOB)))
-    if kind == "auto":
-        kind = "trace" if has_traces or not has_ledgers else "ledger"
-    if kind == "trace":
-        spans = shard_merge.merge_trace_dir(path)
-        return "trace", {span.span_id: span.to_dict() for span in spans}
-    entries = shard_merge.merge_ledger_dir(path)
-    return "ledger", {entry.entry_id: entry.to_dict() for entry in entries}
-
-
 # -- diffing ------------------------------------------------------------------
 
 
@@ -224,19 +196,15 @@ def diff_records(
 
 
 def diff_exports(
-    path_a: Union[str, Path],
-    path_b: Union[str, Path],
-    kind: str = "auto",
+    path_a: Union[str, Path], path_b: Union[str, Path]
 ) -> ExportDiff:
-    """Diff two exports (both traces, or both ledgers).
+    """Diff two export files (both traces, or both ledgers).
 
-    Either side may be a directory of per-shard exports, which is merged
-    onto the serial timeline before diffing.  A genuinely empty file
-    takes the other file's kind: zero records diff cleanly against
-    either kind.
+    A genuinely empty file takes the other file's kind: zero records
+    diff cleanly against either kind.
     """
-    kind_a, records_a = load_export_any(path_a, kind)
-    kind_b, records_b = load_export_any(path_b, kind)
+    kind_a, records_a = load_export(path_a)
+    kind_b, records_b = load_export(path_b)
     if records_a and records_b and kind_a != kind_b:
         raise ExportKindError(
             f"cannot diff a {kind_a} export against a {kind_b} export"

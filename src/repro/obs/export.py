@@ -18,30 +18,21 @@ from repro.obs.span import Span
 _SEPARATORS = (",", ":")
 
 
-def span_to_json(span: Span, dual: bool = False) -> str:
-    """One span as a canonical single-line JSON object.
-
-    ``dual=True`` additionally carries the span's wall-time delta when
-    the tracer ran in dual-clock mode (``Tracer(wall_clock=...)``).
-    Dual output is for human inspection only: wall deltas are machine
-    noise, so everything byte-compared across runs uses the default.
-    """
-    data = span.to_dict_dual() if dual else span.to_dict()
-    return json.dumps(data, sort_keys=True, separators=_SEPARATORS)
+def span_to_json(span: Span) -> str:
+    """One span as a canonical single-line JSON object."""
+    return json.dumps(span.to_dict(), sort_keys=True, separators=_SEPARATORS)
 
 
-def trace_to_jsonl(spans: Iterable[Span], dual: bool = False) -> str:
+def trace_to_jsonl(spans: Iterable[Span]) -> str:
     """The whole trace as canonical JSONL (trailing newline included)."""
-    lines = [span_to_json(span, dual=dual) for span in spans]
+    lines = [span_to_json(span) for span in spans]
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def write_trace(
-    path: Union[str, Path], spans: Iterable[Span], dual: bool = False
-) -> Path:
+def write_trace(path: Union[str, Path], spans: Iterable[Span]) -> Path:
     """Write a JSONL trace file; returns the path written."""
     path = Path(path)
-    path.write_text(trace_to_jsonl(spans, dual=dual))
+    path.write_text(trace_to_jsonl(spans))
     return path
 
 

@@ -1,11 +1,12 @@
-"""Recombining per-shard observability exports into one serial timeline.
+"""Recombining per-shard observability state into one serial timeline.
 
 A sharded crawl (:mod:`repro.shard`) runs one supervisor -- with its own
 virtual clock, tracer, metrics registry and probe ledger -- per
-contiguous block of the population.  Each shard's exports are therefore
-a clean *segment*: span ids count from 1, timestamps count from 0.  This
-module splices the segments back together so the result is byte-
-identical to what a single serial supervisor would have exported:
+contiguous block of the population.  Each shard's checkpoint therefore
+holds a clean *segment*: span ids count from 1, timestamps count from 0.
+The shard merge (:mod:`repro.shard.merge`) splices the segments back
+together with the functions here, so the result is byte-identical to
+what a single serial supervisor would have exported:
 
 - **spans**: every shard's root ``crawl`` span is the same region of the
   serial timeline, so shard 0's root survives (re-ended at the total
@@ -15,6 +16,9 @@ identical to what a single serial supervisor would have exported:
 - **metrics**: counters sum; histograms (same frozen bucket layout) sum
   bucket-wise.
 - **ledger entries**: renumbered sequentially, timestamps shifted.
+
+``python -m repro.obs report|profile`` also uses :func:`merge_spans` to
+splice a plain directory of trace files end to end.
 
 Exactness contract: every supervisor-clock advance lies on a dyadic
 grid (config constants plus :data:`repro.faults.recovery.DELAY_GRID_MS`-
@@ -26,16 +30,14 @@ in ``tests/test_shard.py`` assert the resulting bytes literally.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Any, Dict, List, Sequence, Union
+from typing import Any, Dict, List, Sequence
 
-from repro.obs.export import read_trace
-from repro.obs.probes import LedgerEntry, read_ledger
+from repro.obs.probes import LedgerEntry
 from repro.obs.span import Span, SpanEvent
 
 
 class MergeError(ValueError):
-    """Raised when per-shard exports cannot form one serial timeline."""
+    """Raised when shard segments cannot form one serial timeline."""
 
 
 def shard_durations(shard_spans: Sequence[Sequence[Span]]) -> List[float]:
@@ -181,55 +183,3 @@ def merge_ledger_entries(
             next_id += 1
         offset += duration
     return merged
-
-
-# -- directory loading (``repro.obs report/diff`` on shard dirs) --------------
-
-#: Per-shard artifact names (the executor's ``shard-NNNN.*`` layout).
-#: Deliberately narrower than ``*.trace.jsonl``: the shard output
-#: directory also holds the *merged* ``crawl.trace.jsonl`` (and the
-#: ``--verify`` oracle's ``serial.*``), which must not be re-merged.
-TRACE_GLOB = "shard-*.trace.jsonl"
-LEDGER_GLOB = "shard-*.ledger.jsonl"
-
-
-def _shard_files(directory: Path, pattern: str) -> List[Path]:
-    files = sorted(directory.glob(pattern))
-    if not files:
-        raise MergeError(f"{directory}: no {pattern} files to merge")
-    return files
-
-
-def merge_trace_dir(directory: Union[str, Path]) -> List[Span]:
-    """Merge a directory of per-shard trace files into one span list.
-
-    Files match ``shard-*.trace.jsonl`` and merge in sorted-name order
-    -- the executor's zero-padded ``shard-NNNN.trace.jsonl`` names make
-    that the plan order.
-    """
-    directory = Path(directory)
-    shard_spans = [
-        read_trace(path) for path in _shard_files(directory, TRACE_GLOB)
-    ]
-    return merge_spans(shard_spans)
-
-
-def merge_ledger_dir(directory: Union[str, Path]) -> List[LedgerEntry]:
-    """Merge a directory of per-shard ledger files into one entry list.
-
-    Ledger timestamps need each shard's duration, which only the trace
-    records -- so the directory must hold the sibling ``*.trace.jsonl``
-    files too (the shard executor always writes both).
-    """
-    directory = Path(directory)
-    ledger_files = _shard_files(directory, LEDGER_GLOB)
-    trace_files = _shard_files(directory, TRACE_GLOB)
-    if len(ledger_files) != len(trace_files):
-        raise MergeError(
-            f"{directory}: {len(ledger_files)} ledgers but "
-            f"{len(trace_files)} traces; cannot pair shards"
-        )
-    durations = shard_durations([read_trace(path) for path in trace_files])
-    return merge_ledger_entries(
-        [read_ledger(path) for path in ledger_files], durations
-    )

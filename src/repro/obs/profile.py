@@ -12,15 +12,13 @@ Determinism contract: every number is derived from virtual-clock spans
 whose timestamps live on the dyadic grid (see :mod:`repro.obs.merge`),
 folded in ``span_id`` order, and serialised with sorted keys and fixed
 separators -- so the canonical profile of a same-seed serial run, an
-interrupted-then-resumed run, and a ``repro.shard --jobs N`` merged
-directory are byte-identical (asserted in ``tests/test_profile.py``).
+interrupted-then-resumed run, and a ``repro.shard --jobs N`` run's
+merged ``crawl.trace.jsonl`` are byte-identical (asserted in
+``tests/test_profile.py``).
 
-Dual-clock traces (``Tracer(wall_clock=...)``) additionally carry
-wall-time deltas per span; :func:`build_profile` folds them into a
-separate ``wall`` section that the canonical serialisation *excludes*
-(:func:`profile_to_json` drops it unless asked), preserving the
-byte-identity contract while still letting a human compare virtual
-attribution against measured wall cost.
+Wall-clock attribution needs no separate mode: a :class:`~repro.obs.
+Tracer` built on a wall-clock clock (``benchmarks/e2e/layers.py``'s
+``PerfClock``) records a trace that folds here like any other.
 """
 
 from __future__ import annotations
@@ -64,18 +62,10 @@ def _duration(span: Span) -> float:
     return 0.0 if span.end_ms is None else span.end_ms - span.start_ms
 
 
-def build_profile(
-    spans: Sequence[Span], include_wall: bool = False
-) -> Dict[str, Any]:
-    """Fold a trace into the profile dict (see the module docstring).
-
-    ``include_wall`` adds a ``wall`` section with per-name wall-time
-    totals when the trace carries dual-clock deltas; it is excluded
-    from the canonical serialisation either way.
-    """
+def build_profile(spans: Sequence[Span]) -> Dict[str, Any]:
+    """Fold a trace into the profile dict (see the module docstring)."""
     children = _children_map(spans)
     names: Dict[str, Dict[str, Any]] = {}
-    wall: Dict[str, Dict[str, float]] = {}
     total_ms = 0.0
     for span in spans:
         duration = _duration(span)
@@ -97,12 +87,6 @@ def build_profile(
         entry["self_ms"] += duration - child_ms
         if duration > entry["max_ms"]:
             entry["max_ms"] = duration
-        if include_wall and span.wall_ms is not None:
-            wall_entry = wall.get(span.name)
-            if wall_entry is None:
-                wall_entry = wall[span.name] = {"count": 0, "wall_ms": 0.0}
-            wall_entry["count"] += 1
-            wall_entry["wall_ms"] += span.wall_ms
 
     visits = [span for span in spans if span.name == SPAN_VISIT]
     per_visit: Dict[str, List[float]] = {}
@@ -123,7 +107,7 @@ def build_profile(
             "p95_ms": nearest_rank(values, 0.95),
         }
 
-    profile: Dict[str, Any] = {
+    return {
         "schema": PROFILE_SCHEMA,
         "total_ms": total_ms,
         "span_count": len(spans),
@@ -131,9 +115,6 @@ def build_profile(
         "names": names,
         "critical_path": _critical_path(visits, children),
     }
-    if include_wall and wall:
-        profile["wall"] = wall
-    return profile
 
 
 def _critical_path(
@@ -182,29 +163,17 @@ def _critical_path(
 # -- serialisation ------------------------------------------------------------
 
 
-def profile_to_json(profile: Dict[str, Any], include_wall: bool = False) -> str:
-    """The profile as canonical JSON (sorted keys, fixed separators).
-
-    The ``wall`` section is dropped unless ``include_wall=True``: wall
-    deltas are machine noise, and the canonical bytes must match across
-    same-seed serial, resumed and sharded runs.
-    """
-    data = profile if include_wall else {
-        key: value for key, value in profile.items() if key != "wall"
-    }
+def profile_to_json(profile: Dict[str, Any]) -> str:
+    """The profile as canonical JSON (sorted keys, fixed separators)."""
     return (
-        json.dumps(data, sort_keys=True, separators=_SEPARATORS) + "\n"
+        json.dumps(profile, sort_keys=True, separators=_SEPARATORS) + "\n"
     )
 
 
-def write_profile(
-    path: Union[str, Path],
-    profile: Dict[str, Any],
-    include_wall: bool = False,
-) -> Path:
+def write_profile(path: Union[str, Path], profile: Dict[str, Any]) -> Path:
     """Write the canonical profile JSON; returns the path written."""
     path = Path(path)
-    path.write_text(profile_to_json(profile, include_wall=include_wall))
+    path.write_text(profile_to_json(profile))
     return path
 
 
@@ -286,15 +255,6 @@ def render_profile_text(profile: Dict[str, Any], top: int = 10) -> str:
             f"{spot['self_ms']:14.1f} {spot['total_ms']:14.1f} "
             f"{per_visit['p50_ms']:12.1f} {per_visit['p95_ms']:12.1f}"
         )
-    wall = profile.get("wall")
-    if wall:
-        lines.append("")
-        lines.append("wall-time totals (dual-clock trace; not canonical)")
-        for name in sorted(wall):
-            entry = wall[name]
-            lines.append(
-                f"  {name:26s} {entry['count']:8d} {entry['wall_ms']:14.1f} ms"
-            )
     critical = profile.get("critical_path")
     if critical:
         lines.append("")

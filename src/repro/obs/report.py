@@ -303,7 +303,8 @@ def build_report(
 
     ``top`` > 0 additionally ranks the ``top`` slowest sites (by total
     visit time on the virtual clock) and the ``top`` most frequent
-    failure reasons, with deterministic name tie-breaks.
+    failure reasons, with deterministic name tie-breaks, and keeps the
+    profiler's ``top`` hotspots (:func:`repro.obs.profile.hotspots`).
     """
     report = CrawlReport(metrics=metrics)
     attempts_histogram: Dict[int, int] = {}
@@ -375,30 +376,8 @@ def build_report(
         report.top_failure_reasons = sorted(
             failure_counts.items(), key=lambda item: (-item[1], item[0])
         )[:top]
-        # Hotspots: per-name *self* time (duration minus the children's
-        # durations).  Same fold the profiler performs; kept inline so
-        # the report has no dependency on repro.obs.profile.
-        children_ms: Dict[int, float] = {}
-        for span in spans:
-            children_ms[span.parent_id] = (
-                children_ms.get(span.parent_id, 0.0) + span.duration_ms
-            )
-        self_totals: Dict[str, float] = {}
-        for span in spans:
-            self_totals[span.name] = (
-                self_totals.get(span.name, 0.0)
-                + span.duration_ms
-                - children_ms.get(span.span_id, 0.0)
-            )
-        report.hotspots = [
-            {
-                "name": name,
-                "self_ms": self_totals[name],
-                "total_ms": report.span_totals[name].total_ms,
-                "count": report.span_totals[name].count,
-            }
-            for name in sorted(
-                self_totals, key=lambda n: (-self_totals[n], n)
-            )[:top]
-        ]
+        # Imported here: repro.obs.profile imports this module.
+        from repro.obs.profile import build_profile, hotspots
+
+        report.hotspots = hotspots(build_profile(spans), top=top)
     return report

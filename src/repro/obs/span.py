@@ -66,8 +66,6 @@ class Span:
         "end_ms",
         "status",
         "events",
-        "wall_ms",
-        "_wall_start",
     )
 
     def __init__(
@@ -87,13 +85,6 @@ class Span:
         self.status = STATUS_OK
         #: Lazily allocated: most spans carry no events.
         self.events: Optional[List[SpanEvent]] = None
-        #: Dual-clock mode only (``Tracer(wall_clock=...)``): the
-        #: *wall-time* cost of the span, next to its virtual duration.
-        #: Never part of :meth:`to_dict` -- wall time is machine noise,
-        #: and the canonical export must stay byte-identical across
-        #: runs.  ``to_dict_dual`` includes it for human inspection.
-        self.wall_ms: Optional[float] = None
-        self._wall_start: Optional[float] = None
 
     @property
     def open(self) -> bool:
@@ -125,17 +116,6 @@ class Span:
             "events": [e.to_dict() for e in self.events or []],
         }
 
-    def to_dict_dual(self) -> Dict[str, Any]:
-        """The canonical dict plus the wall-time delta (when recorded).
-
-        Only the opt-in dual-clock export uses this; everything that is
-        diffed or byte-compared goes through :meth:`to_dict`.
-        """
-        data = self.to_dict()
-        if self.wall_ms is not None:
-            data["wall_ms"] = self.wall_ms
-        return data
-
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Span":
         span = cls(
@@ -151,9 +131,6 @@ class Span:
         events = data.get("events") or []
         if events:
             span.events = [SpanEvent.from_dict(e) for e in events]
-        wall_ms = data.get("wall_ms")
-        if wall_ms is not None:
-            span.wall_ms = float(wall_ms)
         return span
 
     def __eq__(self, other: object) -> bool:

@@ -25,7 +25,7 @@ it, or the tracer would keep stamping spans from a stale timeline.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.clock import VirtualClock
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
@@ -47,17 +47,9 @@ class Tracer:
         self,
         clock: VirtualClock,
         metrics: Optional[MetricsRegistry] = None,
-        wall_clock: Optional[Callable[[], float]] = None,
     ) -> None:
         self.clock = clock
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: Opt-in dual-clock mode: a *seconds*-returning monotonic
-        #: callable (``time.perf_counter`` from the caller's side) that
-        #: stamps each span with its wall-time cost next to the virtual
-        #: duration.  Wall deltas never enter the canonical export or
-        #: the checkpoint state -- they are machine noise by definition
-        #: -- so byte-identity of traces and profiles is unaffected.
-        self.wall_clock = wall_clock
         self._spans: List[Span] = []
         self._stack: List[Span] = []
         self._next_id = 1
@@ -77,8 +69,6 @@ class Tracer:
         self._next_id += 1
         self._spans.append(span)
         stack.append(span)
-        if self.wall_clock is not None:
-            span._wall_start = self.wall_clock()
         return span
 
     def end(self, span: Span) -> Span:
@@ -89,8 +79,6 @@ class Tracer:
             )
         self._stack.pop()
         span.end_ms = self.clock.now()
-        if self.wall_clock is not None and span._wall_start is not None:
-            span.wall_ms = (self.wall_clock() - span._wall_start) * 1_000.0
         return span
 
     @contextmanager

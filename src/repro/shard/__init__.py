@@ -16,10 +16,11 @@ layer protects:
   crawl would carry into each shard, and recycle placement;
 - :mod:`repro.shard.executor` -- the pool driver: runs every shard not
   yet recorded exactly once, from fresh browser states, then merges;
-- :mod:`repro.shard.merge` -- moves each shard's fault-budget recycles
-  to where the fold of all fault logs puts them, and recombines
-  per-shard VisitRecords, traces, metrics, probe ledgers and
-  checkpoints into artifacts byte-identical to a serial run's;
+- :mod:`repro.shard.merge` -- reads the shard checkpoints, moves each
+  shard's fault-budget recycles to where the fold of all fault logs
+  puts them, and recombines their VisitRecords, traces, metrics and
+  probe ledgers into ``crawl.*`` artifacts byte-identical to a serial
+  run's;
 - :mod:`repro.shard.manifest` -- the resume manifest: a partially
   completed sharded crawl picks up where it stopped (mid-shard via the
   per-shard supervisor checkpoints, cross-shard via recorded fault
@@ -47,7 +48,7 @@ from repro.shard.worker import (
     ShardTask,
     build_supervisor,
     run_shard,
-    shard_paths,
+    shard_checkpoint,
 )
 
 __all__ = [
@@ -64,7 +65,7 @@ __all__ = [
     "ShardTask",
     "build_supervisor",
     "run_shard",
-    "shard_paths",
+    "shard_checkpoint",
     "ShardManifest",
     "ManifestError",
     "MergedArtifacts",

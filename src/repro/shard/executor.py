@@ -7,8 +7,9 @@ carry into each shard, so :func:`~repro.shard.merge.merge_shards` moves
 those recycles at merge time (:mod:`repro.shard.state`).
 
 Workers are plain ``multiprocessing.Pool`` processes; every task is
-picklable and writes only its own ``shard-NNNN.*`` files, so the pool
-needs no shared state and ``--jobs N`` changes nothing but wall-clock.
+picklable and writes only its own ``shard-NNNN.ckpt.json``, so the
+pool needs no shared state and ``--jobs N`` changes nothing but
+wall-clock.
 """
 
 from __future__ import annotations

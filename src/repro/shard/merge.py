@@ -1,16 +1,16 @@
-"""Recombining per-shard artifacts into serial-identical output.
+"""Recombining per-shard checkpoints into serial-identical output.
 
-Inputs are the per-shard supervisor checkpoints (which already carry
-each shard's records, trace, metrics, stats, and optional ledger) and
-the manifest's fault logs; the observability splice lives in
+The merge is a pure function of the per-shard supervisor checkpoints
+(which carry each shard's records, trace, metrics, stats, and optional
+ledger) and the manifest's fault logs; it reads every ``shard-*`` file
+and writes only ``crawl.*`` files.  The observability splice lives in
 :mod:`repro.obs.merge`.  This module adds the crawl-level assembly:
 
 - **recycles**: shards run from fresh browser states, so the merge folds
   the fault logs in plan order and, in every shard whose recorded budget
-  triggers differ from the fold's, moves the recycle trace events
-  (rewriting its ``shard-NNNN.trace.jsonl``), counters and
-  ``stats.recycles``.  Shard checkpoints are only read, so merging twice
-  gives the same bytes;
+  triggers differ from the fold's, moves the recycle trace events,
+  counters and ``stats.recycles`` in memory, before the splice.
+  Merging twice gives the same bytes;
 - **records**: shards are contiguous population blocks, so plain
   concatenation in shard order *is* the serial visit order;
 - **stats**: work counters sum; result counters are reconciled from the
@@ -36,7 +36,7 @@ from repro.crawl.checkpoint import checkpoint_payload, write_checkpoint
 from repro.crawl.crawler import CrawlResult
 from repro.crawl.supervisor import SupervisorStats
 from repro.crawl.visit import VisitRecord
-from repro.obs.export import trace_to_jsonl, write_trace
+from repro.obs.export import trace_to_jsonl
 from repro.obs.merge import (
     MergeError,
     merge_ledger_entries,
@@ -55,7 +55,7 @@ from repro.shard.state import (
     observed_triggers,
     place_recycles,
 )
-from repro.shard.worker import ShardRunSpec, shard_paths
+from repro.shard.worker import ShardRunSpec, shard_checkpoint
 
 _SEPARATORS = (",", ":")
 
@@ -128,7 +128,7 @@ def merge_shards(
     out_dir = Path(out_dir)
     payloads = []
     for shard in plan.shards:
-        checkpoint = shard_paths(out_dir, shard.index).checkpoint
+        checkpoint = shard_checkpoint(out_dir, shard.index)
         if not checkpoint.exists():
             raise MergeError(
                 f"shard {shard.index}: no checkpoint at {checkpoint}; "
@@ -151,7 +151,6 @@ def merge_shards(
         if triggers != recorded:
             place_recycles(spans, triggers, budget)
             _shift_recycles(payload, len(triggers) - len(recorded))
-            write_trace(shard_paths(out_dir, shard.index).trace, spans)
     durations = shard_durations(shard_spans)
     merged_spans = merge_spans(shard_spans)
     clock_ms = _exact_sum(durations)

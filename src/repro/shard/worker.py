@@ -12,9 +12,9 @@ locking.
 The supervisor's own site-boundary checkpointing gives mid-shard
 interrupt/resume for free: ``run_shard`` passes a per-shard checkpoint
 path, and a re-run of the same task resumes from it byte-identically.
-The shard's final checkpoint doubles as the merge layer's input -- it
-already carries the records, trace, metrics, stats, browser states and
-ledger of the completed shard.
+That checkpoint is the only file a shard writes, and the merge layer's
+only per-shard input -- it already carries the records, trace, metrics,
+stats, browser states and ledger of the completed shard.
 """
 
 from __future__ import annotations
@@ -80,23 +80,10 @@ class ShardTask:
     out_dir: str
 
 
-@dataclass(frozen=True)
-class ShardPaths:
-    """Where one shard's artifacts live inside the output directory."""
-
-    checkpoint: Path
-    trace: Path
-    ledger: Path
-
-
-def shard_paths(out_dir: Any, index: int) -> ShardPaths:
-    """Zero-padded per-shard file names (sorted order == plan order)."""
-    base = Path(out_dir) / f"shard-{index:04d}"
-    return ShardPaths(
-        checkpoint=base.with_name(base.name + ".ckpt.json"),
-        trace=base.with_name(base.name + ".trace.jsonl"),
-        ledger=base.with_name(base.name + ".ledger.jsonl"),
-    )
+def shard_checkpoint(out_dir: Any, index: int) -> Path:
+    """The shard's checkpoint file, zero-padded (sorted order == plan
+    order)."""
+    return Path(out_dir) / f"shard-{index:04d}.ckpt.json"
 
 
 def build_supervisor(spec: ShardRunSpec) -> CrawlSupervisor:
@@ -122,17 +109,13 @@ def run_shard(task: ShardTask) -> Dict[str, Any]:
 
     The meta record carries the shard's duration and its fault log --
     read back off the trace, so a resumed shard reports its complete
-    history.  The heavyweight artifacts (checkpoint, trace, ledger) go
-    to disk under :func:`shard_paths`.
+    history.  Everything else (records, trace, metrics, ledger) stays in
+    the checkpoint at :func:`shard_checkpoint`.
     """
-    spec = task.spec
-    paths = shard_paths(task.out_dir, task.index)
-    supervisor = build_supervisor(spec)
+    supervisor = build_supervisor(task.spec)
     supervisor.crawl(
         list(task.sites),
-        checkpoint_path=paths.checkpoint,
-        trace_path=paths.trace,
-        ledger_path=paths.ledger if spec.ledger else None,
+        checkpoint_path=shard_checkpoint(task.out_dir, task.index),
     )
     log = fault_log_from_spans(supervisor.tracer.spans)
     return {

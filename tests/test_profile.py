@@ -2,7 +2,7 @@
 
 The acceptance criterion lives here: the canonical profile JSON of a
 same-seed serial run, an interrupted-then-resumed run (cut at *every*
-site boundary) and a ``--jobs 2`` sharded run's merged directory are
+site boundary) and a ``--jobs 2`` sharded run's merged trace are
 byte-identical.
 """
 
@@ -32,13 +32,13 @@ from repro.obs import (
 )
 from repro.obs.cli import main as obs_main
 from repro.obs.flame import SPEEDSCOPE_SCHEMA
-from repro.obs.merge import merge_trace_dir
 from repro.obs.profile import (
     PROFILE_SCHEMA,
     render_delta_text,
     render_profile_text,
 )
 from repro.shard import ShardRunSpec, build_supervisor, run_sharded_crawl
+from repro.shard.manifest import MANIFEST_NAME
 
 
 def small_population(n=10, seed=3):
@@ -211,49 +211,6 @@ class TestCanonicalSerialisation:
         assert "(no spans on either side)" in render_delta_text([], top=3)
 
 
-class TestDualClock:
-    def make_wall_clock(self, step=0.001):
-        state = {"now": 0.0}
-
-        def wall_clock():
-            state["now"] += step
-            return state["now"]
-
-        return wall_clock
-
-    def dual_spans(self):
-        clock = VirtualClock()
-        tracer = Tracer(clock, wall_clock=self.make_wall_clock())
-        span = tracer.start("visit", domain="a.example")
-        clock.advance(5.0)
-        tracer.end(span)
-        return tracer.spans
-
-    def test_spans_carry_wall_deltas(self):
-        (span,) = self.dual_spans()
-        assert span.wall_ms is not None and span.wall_ms > 0.0
-
-    def test_wall_deltas_stay_out_of_canonical_exports(self):
-        spans = self.dual_spans()
-        assert "wall_ms" not in spans[0].to_dict()
-        assert spans[0].to_dict_dual()["wall_ms"] == spans[0].wall_ms
-        profile = build_profile(spans, include_wall=True)
-        assert profile["wall"]["visit"]["count"] == 1
-        assert "wall" not in json.loads(profile_to_json(profile))
-        kept = json.loads(profile_to_json(profile, include_wall=True))
-        assert "wall" in kept
-
-    def test_dual_trace_round_trips_through_jsonl(self, tmp_path):
-        spans = self.dual_spans()
-        path = tmp_path / "dual.jsonl"
-        write_trace(path, spans, dual=True)
-        loaded = read_trace(path)
-        assert loaded[0].wall_ms == spans[0].wall_ms
-        # the default (canonical) export drops the wall column entirely
-        write_trace(path, spans)
-        assert read_trace(path)[0].wall_ms is None
-
-
 class TestFlameExports:
     def test_speedscope_required_keys(self):
         doc = speedscope_document(hand_trace())
@@ -327,7 +284,7 @@ class TestByteIdentity:
             shard_size=4,
             jobs=2,
         )
-        merged = merge_trace_dir(out)
+        merged = read_trace(out / "crawl.trace.jsonl")
         assert profile_to_json(build_profile(merged)) == profile_to_json(
             build_profile(serial_spans)
         )
@@ -383,31 +340,6 @@ class TestProfileCli:
         assert json.loads(scope.read_text())["$schema"] == SPEEDSCOPE_SCHEMA
         assert json.loads(chrome.read_text())["traceEvents"]
 
-    def test_wall_mode_shows_wall_totals(self, tmp_path, capsys):
-        clock = VirtualClock()
-        state = {"now": 0.0}
-
-        def wall_clock():
-            state["now"] += 0.002
-            return state["now"]
-
-        tracer = Tracer(clock, wall_clock=wall_clock)
-        span = tracer.start("visit", domain="a.example")
-        clock.advance(3.0)
-        tracer.end(span)
-        path = tmp_path / "dual.jsonl"
-        write_trace(path, tracer.spans, dual=True)
-        assert obs_main(["profile", str(path), "--wall"]) == 0
-        assert "wall-time totals" in capsys.readouterr().out
-
-    def test_profile_of_shard_directory(self, tmp_path, capsys):
-        # two fake shard files; the dir loader merges before profiling
-        spans = hand_trace()
-        write_trace(tmp_path / "shard-0000.trace.jsonl", spans)
-        write_trace(tmp_path / "shard-0001.trace.jsonl", spans)
-        assert obs_main(["profile", str(tmp_path)]) == 0
-        assert "crawl profile" in capsys.readouterr().out
-
     def test_profile_of_plain_trace_directory(self, tmp_path):
         # the README one-liner: a field_study output dir (no shard-*
         # files) splices its *.trace.jsonl traces end to end
@@ -425,9 +357,60 @@ class TestProfileCli:
         assert data["visits"] == 4  # two traces x two visits, spliced
         assert data["total_ms"] == 94.0
 
+    def test_profile_of_shard_directory(self, tmp_path, capsys):
+        # a repro.shard output dir (it holds the manifest) is read through
+        # its merged trace alone: the serial.trace.jsonl that --verify
+        # leaves beside it is not spliced in
+        (tmp_path / MANIFEST_NAME).write_text("{}\n")
+        write_trace(tmp_path / "crawl.trace.jsonl", hand_trace())
+        write_trace(tmp_path / "serial.trace.jsonl", hand_trace())
+        json_out = tmp_path / "profile.json"
+        assert (
+            obs_main(
+                ["profile", str(tmp_path), "--format", "json", "--out",
+                 str(json_out)]
+            )
+            == 0
+        )
+        assert json_out.read_text() == profile_to_json(
+            build_profile(hand_trace())
+        )
+        assert obs_main(["profile", str(tmp_path)]) == 0
+        assert "crawl profile" in capsys.readouterr().out
+
+    def test_profile_of_incomplete_shard_directory_errors(
+        self, tmp_path, capsys
+    ):
+        # no merged trace yet: the manifest rule wins over the splice
+        (tmp_path / MANIFEST_NAME).write_text("{}\n")
+        write_trace(tmp_path / "serial.trace.jsonl", hand_trace())
+        assert obs_main(["profile", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "sharded run incomplete" in err
+        assert "re-run python -m repro.shard with the same --out" in err
+
     def test_empty_directory_errors(self, tmp_path, capsys):
         assert obs_main(["profile", str(tmp_path)]) == 1
-        assert "no shard-*.trace.jsonl" in capsys.readouterr().err
+        assert "no *.trace.jsonl" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [("diff", "--kind"), ("profile", "--wall")],
+        ids=["diff-kind", "profile-wall"],
+    )
+    def test_help_lists_no_deleted_option(
+        self, tmp_path, capsys, command, option
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            obs_main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert option not in capsys.readouterr().out
+        path = str(self.trace_file(tmp_path))
+        args = [path, path] if command == "diff" else [path]
+        with pytest.raises(SystemExit) as exit_info:
+            obs_main([command, *args, option])
+        assert exit_info.value.code == 2
+        assert option in capsys.readouterr().err
 
     def test_missing_trace_errors(self, tmp_path, capsys):
         assert obs_main(["profile", str(tmp_path / "nope.jsonl")]) == 1
@@ -456,10 +439,22 @@ class TestProfileCli:
         data = json.loads(json_out.read_text())
         assert data["profile"]["schema"] == PROFILE_SCHEMA
 
-    def test_report_top_ranks_hotspots(self, tmp_path, capsys):
+    def test_report_top_ranks_hotspots(self, tmp_path, capsys, serial_spans):
         path = self.trace_file(tmp_path)
         assert obs_main(["report", str(path), "--top", "2"]) == 0
         assert "hotspots by self time (top 2)" in capsys.readouterr().out
+        # One hotspot table: the report's is the profiler's.
+        for name, spans in (("hand", hand_trace()), ("serial", serial_spans)):
+            trace = tmp_path / f"{name}.trace.jsonl"
+            write_trace(trace, spans)
+            out = tmp_path / f"{name}.report.json"
+            assert obs_main(
+                ["report", str(trace), "--top", "2", "--format", "json",
+                 "--out", str(out)]
+            ) == 0
+            assert json.loads(out.read_text())["hotspots"] == hotspots(
+                build_profile(spans), top=2
+            )
 
     def test_diff_profile_shows_hotspot_deltas(self, tmp_path, capsys):
         path_a = self.trace_file(tmp_path)
@@ -500,8 +495,7 @@ class TestProfileCli:
         )
         assert (
             obs_main(
-                ["diff", str(ledger), str(ledger), "--kind", "ledger",
-                 "--profile"]
+                ["diff", str(ledger), str(ledger), "--profile"]
             )
             == 2
         )

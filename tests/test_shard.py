@@ -7,6 +7,7 @@ worker counts and shard sizes, and under interrupt-then-resume at every
 shard boundary.
 """
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -26,14 +27,16 @@ from repro.shard import (
     ManifestError,
     ShardManifest,
     ShardRunSpec,
+    ShardTask,
     build_supervisor,
     fold_fault_log,
     fresh_browser_states,
     observed_triggers,
     plan_shards,
     population_digest,
+    run_shard,
     run_sharded_crawl,
-    shard_paths,
+    shard_checkpoint,
 )
 from repro.shard.cli import main as shard_main
 from repro.shard.worker import WATCHDOGS_NONE
@@ -595,12 +598,18 @@ class TestObsDirectorySupport:
     ):
         from repro.obs.cli import main as obs_main
 
+        serial_trace = str(serial_dir / "crawl.trace.jsonl")
         code = obs_main(
-            ["diff", str(sharded_dir), str(serial_dir / "crawl.trace.jsonl")]
+            ["diff", str(sharded_dir / "crawl.trace.jsonl"), serial_trace]
         )
         out = capsys.readouterr().out
         assert code == 0
         assert "identical: yes" in out
+        # diff compares files: a directory is an error naming the file.
+        assert obs_main(["diff", str(sharded_dir), serial_trace]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(sharded_dir / "crawl.trace.jsonl") in err
 
     def test_diff_ledger_kind(self, sharded_dir, serial_dir, capsys):
         from repro.obs.cli import main as obs_main
@@ -608,14 +617,13 @@ class TestObsDirectorySupport:
         code = obs_main(
             [
                 "diff",
-                str(sharded_dir),
+                str(sharded_dir / "crawl.ledger.jsonl"),
                 str(serial_dir / "crawl.ledger.jsonl"),
-                "--kind",
-                "ledger",
             ]
         )
         out = capsys.readouterr().out
         assert code == 0
+        assert "kind: ledger" in out
         assert "identical: yes" in out
 
     def test_report_rejects_an_empty_directory(self, tmp_path, capsys):
@@ -647,6 +655,16 @@ class TestShardCli:
         assert code == 0
         assert '"status": "complete"' in out
         assert "verify ok" in out
+        # The directory reads the merged trace, not the serial.trace.jsonl
+        # --verify left next to it.
+        from repro.obs.cli import main as obs_main
+
+        out_dir = tmp_path / "out"
+        assert (out_dir / "serial.trace.jsonl").exists()
+        assert obs_main(["report", str(out_dir)]) == 0
+        from_dir = capsys.readouterr().out
+        assert obs_main(["report", str(out_dir / "crawl.trace.jsonl")]) == 0
+        assert from_dir == capsys.readouterr().out
 
     def test_interrupted_run_reports_resume_hint(self, tmp_path, capsys):
         args = [
@@ -663,21 +681,83 @@ class TestShardCli:
         out = capsys.readouterr().out
         assert '"status": "interrupted"' in out
         assert (tmp_path / "out" / "manifest.json").exists()
+        from repro.obs.cli import main as obs_main
+
+        assert obs_main(["report", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "sharded run incomplete" in err
+        assert "re-run python -m repro.shard with the same --out" in err
         assert shard_main(args) == 0
         assert '"status": "complete"' in capsys.readouterr().out
 
 
 class TestShardArtifactLayout:
     def test_per_shard_files_are_zero_padded_plan_order(self, tmp_path):
-        outcome = run_sharded(tmp_path / "sharded", jobs=1)
+        # pool workers (jobs=2) write one checkpoint per shard and nothing
+        # else under the shard-* prefix
+        out = tmp_path / "sharded"
+        outcome = run_sharded(out, jobs=2)
         for shard in outcome.plan.shards:
-            paths = shard_paths(tmp_path / "sharded", shard.index)
-            assert paths.checkpoint.exists()
-            assert paths.trace.exists()
-            assert paths.ledger.exists()
-        names = sorted(
-            p.name for p in (tmp_path / "sharded").glob("shard-*.trace.jsonl")
-        )
+            assert shard_checkpoint(out, shard.index).exists()
+        names = sorted(path.name for path in out.glob("shard-*"))
         assert names == [
-            f"shard-{i:04d}.trace.jsonl" for i in range(len(outcome.plan))
+            f"shard-{i:04d}.ckpt.json" for i in range(len(outcome.plan))
         ]
+
+    def test_worker_writes_only_its_checkpoint(self, tmp_path):
+        spec = make_spec()
+        shard = plan_shards(POPULATION, 7, seed=spec.seed).shards[1]
+        task = ShardTask(
+            spec=spec, index=shard.index, sites=shard.sites,
+            out_dir=str(tmp_path),
+        )
+        meta = run_shard(task)
+        assert meta["shard"] == 1
+        assert [path.name for path in tmp_path.iterdir()] == [
+            "shard-0001.ckpt.json"
+        ]
+        first = json.loads(shard_checkpoint(tmp_path, 1).read_text())
+        # A re-run of the same task resumes from that checkpoint: the same
+        # meta record and crawl state, where only stats.resumed counts the
+        # visits it restored, and still the only file.
+        assert run_shard(task) == meta
+        again = json.loads(shard_checkpoint(tmp_path, 1).read_text())
+        assert first["stats"].pop("resumed") == 0
+        assert again["stats"].pop("resumed") == len(first["records"])
+        assert again == first
+        assert [path.name for path in tmp_path.iterdir()] == [
+            "shard-0001.ckpt.json"
+        ]
+
+    def test_merge_writes_no_shard_file(self, tmp_path):
+        out = tmp_path / "sharded"
+        spec = make_spec()
+        plan = plan_shards(POPULATION, 7, seed=spec.seed)
+        assert not run_sharded(out, max_shards=len(plan) - 1).complete
+        before = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.glob("shard-*"))
+        }
+        assert run_sharded(out).complete
+        after = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in before
+        }
+        assert after == before
+        checkpoints = [
+            shard_checkpoint(out, shard.index).name for shard in plan.shards
+        ]
+        assert checkpoints == [
+            f"shard-{index:04d}.ckpt.json" for index in range(len(plan))
+        ]
+        assert sorted(path.name for path in out.iterdir()) == sorted(
+            ["manifest.json", *checkpoints, *ARTIFACTS]
+        )
+        # The merge moved recycles in a shard that was already on disk, so
+        # a merge that rewrote shard files would have changed a hash.
+        hashed = {
+            shard.index
+            for shard in plan.shards
+            if shard_checkpoint(out, shard.index).name in before
+        }
+        assert hashed & set(corrected_shards(out, plan, spec))
