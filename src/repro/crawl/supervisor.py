@@ -263,7 +263,6 @@ class CrawlSupervisor:
         self._instances: Optional[List[BrowserInstance]] = None
         self._restored_browsers: Optional[List[Dict[str, int]]] = None
         self._checkpoint_texts: Optional[CheckpointTexts] = None
-        self._bind_metric_handles()
         # The deterministic event bus every crawl collaborator talks
         # over: sessions execute command events, watchdogs subscribe to
         # fault/hostile events, and the supervisor itself only executes
@@ -280,18 +279,6 @@ class CrawlSupervisor:
             name="supervisor.recycle",
         )
         self._attached_sessions: List = []
-
-    def _bind_metric_handles(self) -> None:
-        """Cache per-visit metric handles (one method call on hot paths).
-
-        Must be re-run whenever ``metrics.load_state`` replaces the
-        registry's contents, or the cached handles would keep feeding
-        orphaned objects.
-        """
-        metrics = self.metrics
-        self._visit_ms = metrics.histogram("visit_ms")
-        self._attempt_ms = metrics.histogram("attempt_ms")
-        self._backoff_ms = metrics.histogram("backoff_ms")
 
     # -- main loop -------------------------------------------------------
 
@@ -455,7 +442,6 @@ class CrawlSupervisor:
         span = tracer.start(
             "visit", domain=site.domain, rank=site.rank, visit_index=visit_index
         )
-        start_ms = self.clock.now()
         try:
             record = self._run_attempts(
                 site, visit_index, instance, breaker, reference
@@ -465,7 +451,6 @@ class CrawlSupervisor:
                 span.status = "failed:" + (record.failure_reason or "unknown")
             return record
         finally:
-            self._visit_ms.observe(self.clock.now() - start_ms)
             tracer.end(span)
 
     def _run_attempts(
@@ -501,7 +486,6 @@ class CrawlSupervisor:
             if self.injector is not None:
                 self.injector.arm(site.domain, visit_index, attempt)
             span = tracer.start("attempt", attempt=attempt)
-            attempt_start_ms = self.clock.now()
             reached = False
             failure_reason: Optional[str] = None
             try:
@@ -601,7 +585,6 @@ class CrawlSupervisor:
                         failure_reason=failure_reason,
                     )
                 )
-                self._attempt_ms.observe(self.clock.now() - attempt_start_ms)
                 tracer.end(span)
 
         return VisitRecord(
@@ -626,7 +609,6 @@ class CrawlSupervisor:
         )
         delay_ms = self.config.backoff.delay_ms(attempt, rng)
         self.tracer.event("backoff", delay_ms=delay_ms, attempt=attempt)
-        self._backoff_ms.observe(delay_ms)
         self.clock.advance(delay_ms)
         self.stats.retries += 1
 
@@ -674,7 +656,6 @@ class CrawlSupervisor:
         metrics_state = data.get("metrics")
         if metrics_state is not None:
             self.metrics.load_state(metrics_state)
-            self._bind_metric_handles()
         ledger_state = data.get("ledger")
         if ledger_state is not None and self.ledger is not None:
             self.ledger.load_state(ledger_state)

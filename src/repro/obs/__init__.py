@@ -4,8 +4,9 @@ Spans (a per-visit tree over the virtual clock), a metrics registry
 (counters + fixed-bucket histograms), byte-stable JSONL trace export,
 an aggregate crawl report, the probe ledger (detection-surface tracing
 in the JS object model), diff/attribution tooling over the exports, a
-deterministic profiler (self/total time, per-visit percentiles,
-critical paths, speedscope/chrome-trace flame exports), and the
+deterministic profiler (self/total time, exact per-visit percentiles,
+critical paths, speedscope/chrome-trace flame exports; the crawl
+report embeds its profile rather than folding spans again), and the
 benchmark-history regression gate (``BENCH_HISTORY.jsonl`` +
 ``python -m repro.obs bench check``) -- all seed- and
 clock-deterministic, so traces, ledgers and canonical profiles are
@@ -85,7 +86,7 @@ from repro.obs.probes import (
     read_ledger,
     write_ledger,
 )
-from repro.obs.report import CrawlReport, SpanAggregate, build_report
+from repro.obs.report import CrawlReport, build_report
 from repro.obs.span import Span, SpanEvent
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 
@@ -107,7 +108,6 @@ __all__ = [
     "parse_trace",
     "read_trace",
     "CrawlReport",
-    "SpanAggregate",
     "build_report",
     "LedgerEntry",
     "ProbeLedger",

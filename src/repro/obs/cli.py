@@ -14,11 +14,13 @@ Usage::
     python -m repro.obs attribute spoofed.ledger.jsonl vanilla.ledger.jsonl
 
 ``report`` aggregates the JSONL trace written by
-``CrawlSupervisor.crawl(..., trace_path=...)``.  ``profile`` folds a
-trace into the deterministic profiler's accounting -- per-span-name
-self/total time, per-visit percentiles, the slowest visit's critical
-path -- and optionally exports speedscope / chrome-trace files for
-human inspection.  ``report`` and ``profile`` also accept a
+``CrawlSupervisor.crawl(..., trace_path=...)``; it embeds the trace's
+profile, so its JSON ``profile`` is ``profile --format json``'s and its
+text ends with the profile table.  ``profile`` folds a trace into the
+deterministic profiler's accounting -- per-span-name self/total time,
+per-visit percentiles, the slowest visit's critical path -- and
+optionally exports speedscope / chrome-trace files for human
+inspection.  ``report`` and ``profile`` also accept a
 directory: a ``repro.shard`` output directory (it holds
 ``manifest.json``) is read through the merged ``crawl.trace.jsonl`` the
 shard merge writes, and any other directory has its ``*.trace.jsonl``
@@ -104,14 +106,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="also rank the N slowest sites, most frequent failure "
-        "reasons and hotspot span names (default: off)",
-    )
-    report.add_argument(
-        "--profile",
-        action="store_true",
-        help="append the full deterministic profile (per-visit "
-        "percentiles, critical path) to the report",
+        help="also rank the N slowest sites and most frequent failure "
+        "reasons, and cut the profile table to the N hottest span "
+        "names (default: off; the table lists every name)",
     )
     _add_output_arguments(report)
 
@@ -286,19 +283,9 @@ def _run_report(args: argparse.Namespace) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 1
     report = build_report(spans, top=args.top)
-    if args.format == "json":
-        rendered = report.render_json()
-        if args.profile:
-            data = report.to_dict()
-            data["profile"] = build_profile(spans)
-            rendered = json.dumps(data, sort_keys=True, indent=2) + "\n"
-    else:
-        rendered = report.render_text()
-        if args.profile:
-            top = args.top if args.top > 0 else 10
-            rendered += "\n" + render_profile_text(
-                build_profile(spans), top=top
-            )
+    rendered = (
+        report.render_json() if args.format == "json" else report.render_text()
+    )
     _emit(rendered, args.out)
     return 0
 

@@ -172,7 +172,13 @@ class MetricsRegistry:
         }
 
     def load_state(self, state: Dict[str, Any]) -> None:
-        """Replace the registry's contents with a checkpointed state."""
+        """Replace the registry's contents with a checkpointed state.
+
+        The counter and histogram objects are replaced, so a handle
+        fetched before the call feeds an orphan afterwards.  No code
+        keeps one: every instrumentation site looks its metric up by
+        name (``metrics.counter(name).inc()``) at each use.
+        """
         self._counters = {
             name: Counter(name, int(value))
             for name, value in state.get("counters", {}).items()

@@ -153,10 +153,6 @@ class ProbeLedger:
         self._next_id = 1
         self._scope_stack: List[str] = []
         self._scope_str = ""
-        # Counter handles cached per op, invalidated if the registry is
-        # swapped (a supervisor re-wires ``metrics`` after construction).
-        self._op_counters: Dict[str, Any] = {}
-        self._op_counters_for: Any = None
 
     # -- recording -------------------------------------------------------
 
@@ -180,17 +176,8 @@ class ProbeLedger:
         )
         self._next_id += 1
         self._entries.append(entry)
-        metrics = self.metrics
-        if metrics is not None:
-            if self._op_counters_for is not metrics:
-                self._op_counters = {}
-                self._op_counters_for = metrics
-            counter = self._op_counters.get(op)
-            if counter is None:
-                counter = self._op_counters[op] = metrics.counter(
-                    "probe.ops." + op
-                )
-            counter.inc()
+        if self.metrics is not None:
+            self.metrics.counter("probe.ops." + op).inc()
         return entry
 
     @contextmanager

@@ -8,6 +8,11 @@ totals, nearest-rank -- no averaging, so every reported value is one
 that actually occurred), and the **critical path** of the slowest
 visit (the greedy heaviest-child chain from the visit span down).
 
+This is the one place span durations are folded: the crawl report
+(:mod:`repro.obs.report`) carries this profile rather than its own
+aggregate, and ``diff --profile`` subtracts two of them, so every
+command that reads a trace agrees on it.
+
 Determinism contract: every number is derived from virtual-clock spans
 whose timestamps live on the dyadic grid (see :mod:`repro.obs.merge`),
 folded in ``span_id`` order, and serialised with sorted keys and fixed
@@ -28,10 +33,13 @@ import math
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from repro.obs.report import SPAN_VISIT
 from repro.obs.span import Span
 
 _SEPARATORS = (",", ":")
+
+#: The span the supervisor opens per visit; per-visit percentiles and
+#: the critical path are taken over these subtrees.
+SPAN_VISIT = "visit"
 
 #: Bumped when the canonical profile layout changes.
 PROFILE_SCHEMA = "repro.obs.profile/1"

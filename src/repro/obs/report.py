@@ -7,22 +7,33 @@ virtual-clock time went (navigation vs. interaction vs. recovery), and
 the fault / breaker / recycle distributions.  Everything derives from
 the trace alone, so ``python -m repro.obs report trace.jsonl`` works on
 any machine without the original crawl objects.
+
+Per-span-name numbers (counts, total/self/max time, per-visit p50/p95)
+are not folded here: the report carries the profiler's accounting of
+the same spans (:func:`repro.obs.profile.build_profile`), so a trace
+gives one answer whichever command reads it.  Quantiles of raw
+durations are exact (:func:`repro.obs.profile.nearest_rank`); only
+metrics that exist solely as buckets are read by interpolation
+(:meth:`repro.obs.metrics.Histogram.percentile`).
 """
 
 from __future__ import annotations
 
 import json
-import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS_MS, Histogram
+from repro.obs.metrics import Histogram
+from repro.obs.profile import (
+    SPAN_VISIT,
+    build_profile,
+    hotspots,
+    render_profile_text,
+)
 from repro.obs.span import Span
 
 #: Span names emitted by the instrumented stack (docs/OBSERVABILITY.md).
 SPAN_CRAWL = "crawl"
-SPAN_VISIT = "visit"
 SPAN_ATTEMPT = "attempt"
 SPAN_HLISA_PERFORM = "hlisa.perform"
 SPAN_WEBDRIVER_PREFIX = "webdriver."
@@ -37,74 +48,13 @@ EVENT_WATCHDOG_PREFIX = "watchdog."
 
 
 @dataclass
-class SpanAggregate:
-    """Count, virtual-clock totals and fixed-bucket percentiles for one
-    span name.
-
-    Durations land in :data:`~repro.obs.metrics.
-    DEFAULT_LATENCY_BUCKETS_MS` buckets at ``add`` time, so p50/p95 are
-    derivable later from the aggregate alone -- including from its
-    serialised form -- without keeping every duration."""
-
-    count: int = 0
-    total_ms: float = 0.0
-    max_ms: float = 0.0
-    bucket_counts: List[int] = field(
-        default_factory=lambda: [0] * (len(DEFAULT_LATENCY_BUCKETS_MS) + 1)
-    )
-
-    def add(self, duration_ms: float) -> None:
-        self.count += 1
-        self.total_ms += duration_ms
-        if duration_ms > self.max_ms:
-            self.max_ms = duration_ms
-        self.bucket_counts[
-            bisect_left(DEFAULT_LATENCY_BUCKETS_MS, duration_ms)
-        ] += 1
-
-    def percentile(self, q: float) -> float:
-        """The q-quantile as a bucket upper bound (conservative).
-
-        Returns the upper bound of the first bucket whose cumulative
-        count reaches ``ceil(q * count)``, capped at the exact ``max_ms``
-        the aggregate tracked; quantiles in the overflow bucket report
-        ``max_ms``.  No interpolation: unlike
-        :meth:`repro.obs.metrics.Histogram.percentile`, which places the
-        quantile linearly within its bucket."""
-        if not 0.0 < q <= 1.0:
-            raise ValueError("q must be in (0, 1]")
-        if self.count == 0:
-            return 0.0
-        target = math.ceil(q * self.count)
-        cumulative = 0
-        for bound, bucket in zip(DEFAULT_LATENCY_BUCKETS_MS, self.bucket_counts):
-            cumulative += bucket
-            if cumulative >= target:
-                return min(bound, self.max_ms)
-        return self.max_ms
-
-    @property
-    def p50_ms(self) -> float:
-        return self.percentile(0.50)
-
-    @property
-    def p95_ms(self) -> float:
-        return self.percentile(0.95)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "count": self.count,
-            "total_ms": self.total_ms,
-            "max_ms": self.max_ms,
-            "p50_ms": self.p50_ms,
-            "p95_ms": self.p95_ms,
-        }
-
-
-@dataclass
 class CrawlReport:
     """Everything the trace says about one crawl."""
 
+    #: The profiler's accounting of the same trace (:func:`repro.obs.
+    #: profile.build_profile`): the one source of every per-span-name
+    #: count, total/self/max time and per-visit p50/p95.
+    profile: Dict[str, Any]
     crawl_ms: float = 0.0
     visits: int = 0
     reached: int = 0
@@ -126,19 +76,18 @@ class CrawlReport:
     watchdog_events: Dict[str, int] = field(default_factory=dict)
     #: ``(attempts, visits)`` pairs, sorted by attempt count.
     attempts_per_visit: List[Tuple[int, int]] = field(default_factory=list)
-    span_totals: Dict[str, SpanAggregate] = field(default_factory=dict)
     event_counts: Dict[str, int] = field(default_factory=dict)
     #: Optional metrics-registry snapshot (``MetricsRegistry.state_dict``).
     metrics: Optional[Dict[str, Any]] = None
-    #: ``build_report(top=N)``: the N slowest sites by total visit time.
-    top_sites: List[Tuple[str, SpanAggregate]] = field(default_factory=list)
+    #: ``build_report(top=N)``: the N slowest sites by total visit
+    #: time, each ``{"count", "total_ms", "max_ms"}``.
+    top_sites: List[Tuple[str, Dict[str, Any]]] = field(default_factory=list)
     #: ``build_report(top=N)``: the N most frequent failure reasons.
     top_failure_reasons: List[Tuple[str, int]] = field(default_factory=list)
-    #: ``build_report(top=N)``: the N span names costing the most *self*
-    #: time (time inside the span, outside its children) -- the
-    #: profiler's hotspot ranking, surfaced in the report so ``--top``
-    #: answers "where does the time go" without a second invocation.
-    hotspots: List[Dict[str, Any]] = field(default_factory=list)
+    #: ``build_report(top=N)``: rows per ranking, the profile's hotspot
+    #: table included (``0``: no site or failure rankings, every span
+    #: name in the table).
+    top: int = 0
 
     def histogram_summaries(self) -> Dict[str, Dict[str, float]]:
         """count/mean/p50/p95 per metrics histogram (empty without
@@ -179,21 +128,17 @@ class CrawlReport:
                 for k in sorted(self.watchdog_events)
             },
             "attempts_per_visit": [list(p) for p in self.attempts_per_visit],
-            "span_totals": {
-                name: self.span_totals[name].to_dict()
-                for name in sorted(self.span_totals)
-            },
             "event_counts": {
                 k: self.event_counts[k] for k in sorted(self.event_counts)
             },
             "metrics": self.metrics,
             "histogram_summaries": self.histogram_summaries(),
-            "top_sites": [
-                [domain, aggregate.to_dict()]
-                for domain, aggregate in self.top_sites
-            ],
+            "top_sites": [list(p) for p in self.top_sites],
             "top_failure_reasons": [list(p) for p in self.top_failure_reasons],
-            "hotspots": [dict(spot) for spot in self.hotspots],
+            "hotspots": (
+                hotspots(self.profile, top=self.top) if self.top > 0 else []
+            ),
+            "profile": self.profile,
         }
 
     def render_json(self) -> str:
@@ -245,16 +190,6 @@ class CrawlReport:
             lines.append("attempts per visit")
             for attempts, visits in self.attempts_per_visit:
                 lines.append(f"{'  ' + str(attempts) + ' attempt(s)':28s} {visits:12d}")
-        lines.append("")
-        lines.append("span totals")
-        for name in sorted(self.span_totals):
-            aggregate = self.span_totals[name]
-            lines.append(
-                f"{'  ' + name:28s} {aggregate.count:8d} x "
-                f"{aggregate.total_ms:12.1f} ms total  "
-                f"p50 {aggregate.p50_ms:10.1f} ms  "
-                f"p95 {aggregate.p95_ms:10.1f} ms"
-            )
         summaries = self.histogram_summaries()
         if summaries:
             lines.append("")
@@ -269,11 +204,11 @@ class CrawlReport:
         if self.top_sites:
             lines.append("")
             lines.append(f"slowest sites (top {len(self.top_sites)})")
-            for domain, aggregate in self.top_sites:
+            for domain, site in self.top_sites:
                 lines.append(
-                    f"{'  ' + domain:28s} {aggregate.count:4d} visit(s) "
-                    f"{aggregate.total_ms:12.1f} ms total  "
-                    f"max {aggregate.max_ms:10.1f} ms"
+                    f"{'  ' + domain:28s} {site['count']:4d} visit(s) "
+                    f"{site['total_ms']:12.1f} ms total  "
+                    f"max {site['max_ms']:10.1f} ms"
                 )
         if self.top_failure_reasons:
             lines.append("")
@@ -282,16 +217,9 @@ class CrawlReport:
             )
             for reason, count in self.top_failure_reasons:
                 lines.append(f"{'  ' + reason:28s} {count:12d}")
-        if self.hotspots:
-            lines.append("")
-            lines.append(f"hotspots by self time (top {len(self.hotspots)})")
-            for spot in self.hotspots:
-                lines.append(
-                    f"{'  ' + spot['name']:28s} {spot['count']:8d} x "
-                    f"{spot['self_ms']:12.1f} ms self  "
-                    f"{spot['total_ms']:12.1f} ms total"
-                )
-        return "\n".join(lines) + "\n"
+        return "\n".join(lines) + "\n\n" + render_profile_text(
+            self.profile, top=self.top
+        )
 
 
 def build_report(
@@ -303,23 +231,25 @@ def build_report(
 
     ``top`` > 0 additionally ranks the ``top`` slowest sites (by total
     visit time on the virtual clock) and the ``top`` most frequent
-    failure reasons, with deterministic name tie-breaks, and keeps the
-    profiler's ``top`` hotspots (:func:`repro.obs.profile.hotspots`).
+    failure reasons, with deterministic name tie-breaks, and cuts the
+    profile's hotspot table (:func:`repro.obs.profile.hotspots`) to
+    ``top`` rows.
     """
-    report = CrawlReport(metrics=metrics)
+    profile = build_profile(spans)
+    names = profile["names"]
+    report = CrawlReport(
+        profile=profile,
+        crawl_ms=names.get(SPAN_CRAWL, {}).get("total_ms", 0.0),
+        visits=profile["visits"],
+        attempts=names.get(SPAN_ATTEMPT, {}).get("count", 0),
+        metrics=metrics,
+        top=top,
+    )
     attempts_histogram: Dict[int, int] = {}
-    site_aggregates: Dict[str, SpanAggregate] = {}
+    site_totals: Dict[str, Dict[str, Any]] = {}
     failure_counts: Dict[str, int] = {}
     for span in spans:
-        aggregate = report.span_totals.get(span.name)
-        if aggregate is None:
-            aggregate = report.span_totals[span.name] = SpanAggregate()
-        aggregate.add(span.duration_ms)
-
-        if span.name == SPAN_CRAWL:
-            report.crawl_ms += span.duration_ms
-        elif span.name == SPAN_VISIT:
-            report.visits += 1
+        if span.name == SPAN_VISIT:
             if span.status == "ok":
                 report.reached += 1
             else:
@@ -331,12 +261,17 @@ def build_report(
             attempts_histogram[attempts] = attempts_histogram.get(attempts, 0) + 1
             if top > 0:
                 domain = str(span.attrs.get("domain", "(unknown)"))
-                site = site_aggregates.get(domain)
+                site = site_totals.get(domain)
                 if site is None:
-                    site = site_aggregates[domain] = SpanAggregate()
-                site.add(span.duration_ms)
+                    site = site_totals[domain] = {
+                        "count": 0,
+                        "total_ms": 0.0,
+                        "max_ms": 0.0,
+                    }
+                site["count"] += 1
+                site["total_ms"] += span.duration_ms
+                site["max_ms"] = max(site["max_ms"], span.duration_ms)
         elif span.name == SPAN_ATTEMPT:
-            report.attempts += 1
             if span.status == "ok":
                 report.attempt_ok_ms += span.duration_ms
             else:
@@ -370,14 +305,10 @@ def build_report(
     report.attempts_per_visit = sorted(attempts_histogram.items())
     if top > 0:
         report.top_sites = sorted(
-            site_aggregates.items(),
-            key=lambda item: (-item[1].total_ms, item[0]),
+            site_totals.items(),
+            key=lambda item: (-item[1]["total_ms"], item[0]),
         )[:top]
         report.top_failure_reasons = sorted(
             failure_counts.items(), key=lambda item: (-item[1], item[0])
         )[:top]
-        # Imported here: repro.obs.profile imports this module.
-        from repro.obs.profile import build_profile, hotspots
-
-        report.hotspots = hotspots(build_profile(spans), top=top)
     return report

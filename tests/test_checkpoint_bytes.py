@@ -141,28 +141,28 @@ def interrupt_after(supervisor, visits):
 
 DIGESTS = {
     "traced-every-1": [
-        "226163acbba0207b162153cf609180ebf4a4143a432425b6473c1295f91140f5",
-        "d0cc49b3a3aa911425f7b6f19eed541305b5fa32bc96cd6cac45f166bcd5a86d",
-        "ce70c9f996e54b6c14ac5afefed4bf6e7ce8e28b296ec6e06befe0964dd6c8ac",
-        "52e1c889d1ee43291444e2e46b215de54fd24200c1015d19d739362ac64e94e4",
-        "3953429e1a887a2776e7cea0afabca94311b412bf57d8de4ffa3093f8266ed64",
-        "c433edd3ba34855ff2a14dacae85ce72518e54d5a72c18ee713f33b47cd74f75",
-        "822084f7c439aedbab4e6542957d5617d2de0f727104558ba99f69d60850041d",
-        "be92123ae2e9cd338a73d67b8dcc3795520b5c5e58c178c18647ce70f9bd0336",
-        "27a4e604a8d21e633255b0eee9e6783f1a868136cd27b4fe538aca1610aeed9f",
-        "549078f91e4d6666e5a618d29bc3fcba11107e6fd1e440e394cc58a665014ae4",
-        "675727e0393495b0a9744ae2aa5d705dd15d92f311b4ac27932636b5a01cc19e",
-        "4395b7316203bef8decc3a238f09ff52b3ed7383b3df7f742b810bba067a42d2",
-        "baa2cfdf2fdc8528e53f1c24103537cb5eb03d6a98347ee8ffa5c31503e1230d",
-        "38c950fecf5f18c96893f828380a42bc9fc0e5a87e8c1b3d10e1dcb17ef4dc47",
-        "c90ec88301268408ac5cce5bb9fbf0714d6f9692bbd5664ccaa7be9a4aa2a73a",
+        "233a51daf713a2d84a6d682d6fddf98727b171bdd1d851d3d13e78c46b575363",
+        "697757b0c1feaffaf88a2aa0499dc3f645d36ec9204eccbd3f2c0312b11af59a",
+        "d711241351de8d7805d7af02c77b301a579032a5be1f44e0ba0f4cc840e228b6",
+        "fb51f9a8a59c08284d6ae4861606e8fa8a7b207a336773ee3e5c6d02a86af5de",
+        "cd5240abcf16fd44c71da9f7967554f5ae7475c9e2ff72b0c820f978c0362d44",
+        "829a2132c7e9df83bc3e21684ffc936f516c15c302a760fd6665a5fd03c8b4ae",
+        "80a983a829fca962ba7e9faba65690078de7800e7209f776c2efe3d9210f4c73",
+        "cd54a29b6e0613722de03ab5f133b14e37392a157b93a3752c95a78d029a67da",
+        "84c4ef6712d9686cc41cf1a5e3a75983b53c755d310181e6c89ba022116b5afb",
+        "48415d82178f8b027faa146d1ef7030fc298c3232a42f4638f6fa21948ed1a2f",
+        "89c73cc7d304e1e7295deb259de44c7121d546b50267498710306b42cd75a7a0",
+        "2bd3b46acbe083c18a76f9ed4375f06665d72154cfee321f192be7b810d6cfca",
+        "7ba766a1b9bed56d30db28d7f7df42f03101d66b86d9e77832ec56347c65574b",
+        "e931116eab64b89b269027482707396790d0e9b2ccee57fa38c64a9421e012e8",
+        "ce82740039ef86b0b142bb9c153269bbce39c7ce42d658be7d8e2a9d0271bfc4",
     ],
     "traced-every-3": [
-        "ce70c9f996e54b6c14ac5afefed4bf6e7ce8e28b296ec6e06befe0964dd6c8ac",
-        "c433edd3ba34855ff2a14dacae85ce72518e54d5a72c18ee713f33b47cd74f75",
-        "27a4e604a8d21e633255b0eee9e6783f1a868136cd27b4fe538aca1610aeed9f",
-        "4395b7316203bef8decc3a238f09ff52b3ed7383b3df7f742b810bba067a42d2",
-        "c90ec88301268408ac5cce5bb9fbf0714d6f9692bbd5664ccaa7be9a4aa2a73a",
+        "d711241351de8d7805d7af02c77b301a579032a5be1f44e0ba0f4cc840e228b6",
+        "829a2132c7e9df83bc3e21684ffc936f516c15c302a760fd6665a5fd03c8b4ae",
+        "84c4ef6712d9686cc41cf1a5e3a75983b53c755d310181e6c89ba022116b5afb",
+        "2bd3b46acbe083c18a76f9ed4375f06665d72154cfee321f192be7b810d6cfca",
+        "ce82740039ef86b0b142bb9c153269bbce39c7ce42d658be7d8e2a9d0271bfc4",
     ],
     "untraced-every-3": [
         "aa08750b9c9207b08c452c3ad2e7a7befd68315c3220ed3506b1892384a056ff",
@@ -172,19 +172,19 @@ DIGESTS = {
         "b5b54c4f4ac62b38f0c629c9b0d698ae7d35600cfad2da061d956518903ac2e6",
     ],
     "interrupted-resumed": [
-        "ce70c9f996e54b6c14ac5afefed4bf6e7ce8e28b296ec6e06befe0964dd6c8ac",
-        "c433edd3ba34855ff2a14dacae85ce72518e54d5a72c18ee713f33b47cd74f75",
-        "c9fe30d6d6152b7e86631a458c1da541c7545827cb45f5936702d6fbcc53554f",
-        "a5a68e5d2f095106ec7446791cde10a8c404c29d2f0a1caa7335772058a56568",
-        "d29dcc3fd64f22223937c5edaf654ff8a248a20911823c219ef4a171cf022f7d",
+        "d711241351de8d7805d7af02c77b301a579032a5be1f44e0ba0f4cc840e228b6",
+        "829a2132c7e9df83bc3e21684ffc936f516c15c302a760fd6665a5fd03c8b4ae",
+        "00a6e3eaa92b800b7473fcc3ec8b32095fcc372ce100288785f354c09194f017",
+        "6f59939c057e50bd3763c390bbad3d6d3213918b3b7b9496bd78ffa360ab9c5a",
+        "f4cfe848e7aad8eb4114dab8de6403000ecfa7995816a96b7d9b26efc016022f",
     ],
     "second-crawl-grown": [
-        "ce70c9f996e54b6c14ac5afefed4bf6e7ce8e28b296ec6e06befe0964dd6c8ac",
-        "5dd0afa0e86fc06515bddfc8e019a36bd2f984023b9d3739b91d2dd9bee240df",
-        "76ec4d4bd89270136e8c40c7367c4de1f6ddbabfb3df88d80e5a45e0e2997f01",
-        "4f730942073e06d6709619746e00c5d1b5c5640b2b74fc0bd31288c079e18250",
-        "cfcd88f533b0b5c0265613e01aa3104710f477c4758fd0a4fb091fb4a6ca20a2",
-        "a70477156e32759a533120e977615d26d25f8222c235d537170cdb6e13ec4932",
+        "d711241351de8d7805d7af02c77b301a579032a5be1f44e0ba0f4cc840e228b6",
+        "277576834d1535e66914dbff87fabbbb3a12898135a0eca4c983fc46ed50101c",
+        "374621ff9d10c061b5994f43a7f11b8c73aa429579cb882e42fd91062e52da10",
+        "20b101cadf0d96a5e62a16d3ce10be3033c0ea8970d23095e7588ed2387b3daf",
+        "61fca356948a610859de53157fda4fbd33bcdfb74745a26a3c706c82380b9e32",
+        "15915d7892f7b6693d1d520af2b7d0650e5c8436cf885a1f255dc05dbe78c06a",
     ],
 }
 

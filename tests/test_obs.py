@@ -17,6 +17,7 @@ from repro.faults.types import FaultError, FaultType, NetworkResetFault
 from repro.obs import (
     NULL_TRACER,
     MetricsRegistry,
+    ProbeLedger,
     Span,
     Tracer,
     build_report,
@@ -235,7 +236,7 @@ class TestReport:
         assert report.attempt_failed_ms == 2_500.0
         assert report.attempt_ok_ms == 8_000.0
         assert report.attempts_per_visit == [(2, 1)]
-        assert report.span_totals["attempt"].count == 2
+        assert report.profile["names"]["attempt"]["count"] == 2
 
     def test_render_text_and_json(self):
         report = build_report(self.trace())
@@ -454,48 +455,8 @@ class TestCrawlTraceDeterminism:
 
 
 class TestPercentiles:
-    """Satellite: p50/p95 derivable from fixed buckets alone."""
-
-    def aggregate(self, durations):
-        from repro.obs.report import SpanAggregate
-
-        aggregate = SpanAggregate()
-        for duration in durations:
-            aggregate.add(duration)
-        return aggregate
-
-    def test_span_aggregate_bucketed_percentiles(self):
-        # 9 fast attempts and 1 slow one: p50 in the 10ms bucket,
-        # p95 pulled to the slow tail.
-        aggregate = self.aggregate([8.0] * 9 + [450.0])
-        assert aggregate.p50_ms == 10.0
-        # the 500ms bucket bound, clamped to the exact max observed
-        assert aggregate.p95_ms == 450.0
-
-    def test_span_aggregate_overflow_reports_exact_max(self):
-        aggregate = self.aggregate([500_000.0])
-        assert aggregate.p50_ms == 500_000.0
-        assert aggregate.p95_ms == 500_000.0
-
-    def test_span_aggregate_small_sample_clamps_to_max(self):
-        # one 3ms observation: its bucket bound is 5ms but the aggregate
-        # knows nothing exceeded 3ms.
-        aggregate = self.aggregate([3.0])
-        assert aggregate.p50_ms == 3.0
-
-    def test_span_aggregate_empty_and_invalid_q(self):
-        aggregate = self.aggregate([])
-        assert aggregate.p50_ms == 0.0
-        with pytest.raises(ValueError):
-            aggregate.percentile(0.0)
-        with pytest.raises(ValueError):
-            aggregate.percentile(1.5)
-
-    def test_span_aggregate_to_dict_includes_percentiles(self):
-        data = self.aggregate([8.0] * 9 + [450.0]).to_dict()
-        assert data["p50_ms"] == 10.0
-        assert data["p95_ms"] == 450.0
-        assert set(data) == {"count", "total_ms", "max_ms", "p50_ms", "p95_ms"}
+    """Bucketed metrics interpolate; the report's span quantiles are the
+    profile's exact ones."""
 
     def test_histogram_percentile(self):
         registry = MetricsRegistry()
@@ -534,6 +495,59 @@ class TestPercentiles:
         with pytest.raises(ValueError):
             histogram.percentile(0.0)
 
+    def visits_report(self, durations):
+        clock = VirtualClock()
+        tracer = Tracer(clock)
+        root = tracer.start("crawl")
+        for index, duration in enumerate(durations):
+            visit = tracer.start("visit", domain=f"s{index}.example")
+            clock.advance(duration)
+            tracer.end(visit)
+        tracer.end(root)
+        return build_report(tracer.spans)
+
+    def test_report_span_percentiles_are_observed_values(self):
+        # 9 fast visits and 1 slow one: the old bucket rule printed the
+        # 10ms bound for p50; the report now prints durations that
+        # actually occurred.
+        visit = self.visits_report([8.0] * 9 + [450.0]).profile["names"][
+            "visit"
+        ]
+        assert visit["count"] == 10 and visit["max_ms"] == 450.0
+        assert visit["per_visit"] == {
+            "visits": 10,
+            "p50_ms": 8.0,
+            "p95_ms": 450.0,
+        }
+
+    def test_report_span_percentiles_beyond_last_bucket(self):
+        # past the histogram's last bound (120s) the quantile is still
+        # the exact duration, not the bound
+        visit = self.visits_report([500_000.0]).profile["names"]["visit"]
+        assert visit["per_visit"]["p50_ms"] == 500_000.0
+        assert visit["per_visit"]["p95_ms"] == 500_000.0
+
+    def test_report_single_visit_percentile_is_its_duration(self):
+        # one 3ms visit: its bucket bound would be 5ms
+        visit = self.visits_report([3.0]).profile["names"]["visit"]
+        assert visit["per_visit"]["p50_ms"] == 3.0
+        assert visit["max_ms"] == 3.0
+
+    def test_report_json_span_entry_keys(self):
+        data = json.loads(self.visits_report([8.0, 450.0]).render_json())
+        visit = data["profile"]["names"]["visit"]
+        assert set(visit) == {
+            "count",
+            "total_ms",
+            "self_ms",
+            "max_ms",
+            "per_visit",
+        }
+        assert set(visit["per_visit"]) == {"visits", "p50_ms", "p95_ms"}
+        empty = json.loads(self.visits_report([]).render_json())
+        assert empty["profile"]["visits"] == 0
+        assert set(empty["profile"]["names"]) == {"crawl"}
+
     def test_report_text_shows_percentiles(self):
         population = tiny_population()
         sup = make_supervisor(population)
@@ -542,23 +556,37 @@ class TestPercentiles:
         text = report.render_text()
         assert "p50" in text and "p95" in text
         data = json.loads(report.render_json())
-        visit = data["span_totals"]["visit"]
+        visit = data["profile"]["names"]["visit"]["per_visit"]
         assert visit["p50_ms"] > 0.0
         assert visit["p95_ms"] >= visit["p50_ms"]
 
     def test_report_histogram_summaries(self):
+        # Latencies live only in the trace; the one histogram left is
+        # the probe ledger's, which exists only as buckets.
         population = tiny_population()
-        sup = make_supervisor(population)
-        sup.crawl(population)
-        report = sup.report()
-        summaries = report.histogram_summaries()
-        assert summaries  # supervisor always feeds latency histograms
-        for summary in summaries.values():
-            assert set(summary) == {"count", "mean", "p50", "p95"}
-        assert "metric histograms" in report.render_text()
-        assert json.loads(report.render_json())["histogram_summaries"] == {
-            name: summary for name, summary in summaries.items()
-        }
+        for ledger, expected in (
+            (None, set()),
+            (ProbeLedger(), {"probe_accesses_per_probe"}),
+        ):
+            sup = CrawlSupervisor(
+                OpenWPMCrawler("obs", instances=2, seed=7),
+                plan=FaultPlan.generate(population, 2, rate=0.2, seed=5),
+                probe_ledger=ledger,
+            )
+            sup.crawl(population)
+            report = sup.report()
+            summaries = report.histogram_summaries()
+            assert set(summaries) == expected
+            for summary in summaries.values():
+                assert summary["count"] > 0
+                assert set(summary) == {"count", "mean", "p50", "p95"}
+            assert ("metric histograms" in report.render_text()) == bool(
+                expected
+            )
+            assert (
+                json.loads(report.render_json())["histogram_summaries"]
+                == summaries
+            )
 
 
 class TestTopN:
@@ -574,7 +602,9 @@ class TestTopN:
         sup = self.crawled()
         report = build_report(sup.tracer.spans, top=3)
         assert 0 < len(report.top_sites) <= 3
-        totals = [agg.total_ms for _, agg in report.top_sites]
+        for _, site in report.top_sites:
+            assert set(site) == {"count", "total_ms", "max_ms"}
+        totals = [site["total_ms"] for _, site in report.top_sites]
         assert totals == sorted(totals, reverse=True)
         # the slowest site genuinely is the max over all visit spans
         slowest_domain, slowest = report.top_sites[0]
@@ -585,8 +615,8 @@ class TestTopN:
                 visit_totals[domain] = (
                     visit_totals.get(domain, 0.0) + span.duration_ms
                 )
-        assert slowest.total_ms == max(visit_totals.values())
-        assert visit_totals[slowest_domain] == slowest.total_ms
+        assert slowest["total_ms"] == max(visit_totals.values())
+        assert visit_totals[slowest_domain] == slowest["total_ms"]
 
     def test_build_report_top_failure_reasons(self):
         sup = self.crawled()

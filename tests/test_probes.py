@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -801,18 +802,31 @@ class TestSupervisedLedger:
         payload = json.loads(ckpt.read_text())
         assert payload["ledger"] == ledger.state_dict()
 
-    def test_ledger_metrics_folded_into_registry(self):
+    @pytest.mark.parametrize(
+        "crawls", [1, 2], ids=["one-crawl", "two-crawls"]
+    )
+    def test_ledger_metrics_folded_into_registry(self, tmp_path, crawls):
+        # The second crawl() reloads the registry from the checkpoint;
+        # the per-op counters must keep counting into the reloaded one.
+        population = ledger_population()
         ledger = ProbeLedger()
         sup = ledger_supervisor(ledger=ledger)
-        sup.crawl(ledger_population())
+        if crawls == 2:
+            checkpoint = tmp_path / "ckpt.json"
+            sup.crawl(
+                population[: len(population) // 2], checkpoint_path=checkpoint
+            )
+            sup.crawl(population, checkpoint_path=checkpoint)
+        else:
+            sup.crawl(population)
         assert len(ledger) > 0
         state = sup.metrics.state_dict()
         op_counters = {
-            name: value
+            name[len("probe.ops."):]: value
             for name, value in state["counters"].items()
             if name.startswith("probe.ops.")
         }
-        assert sum(op_counters.values()) == len(ledger)
+        assert op_counters == dict(Counter(e.op for e in ledger.entries))
         histogram = state["histograms"]["probe_accesses_per_probe"]
         assert histogram["count"] > 0
 

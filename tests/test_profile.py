@@ -395,8 +395,8 @@ class TestProfileCli:
 
     @pytest.mark.parametrize(
         "command, option",
-        [("diff", "--kind"), ("profile", "--wall")],
-        ids=["diff-kind", "profile-wall"],
+        [("diff", "--kind"), ("profile", "--wall"), ("report", "--profile")],
+        ids=["diff-kind", "profile-wall", "report-profile"],
     )
     def test_help_lists_no_deleted_option(
         self, tmp_path, capsys, command, option
@@ -416,28 +416,39 @@ class TestProfileCli:
         assert obs_main(["profile", str(tmp_path / "nope.jsonl")]) == 1
         assert "no such trace" in capsys.readouterr().err
 
-    def test_report_profile_flag(self, tmp_path, capsys):
-        path = self.trace_file(tmp_path)
-        assert obs_main(["report", str(path), "--profile"]) == 0
-        out = capsys.readouterr().out
-        assert "crawl report" in out and "crawl profile" in out
-        json_out = tmp_path / "report.json"
-        assert (
-            obs_main(
-                [
-                    "report",
-                    str(path),
-                    "--profile",
-                    "--format",
-                    "json",
-                    "--out",
-                    str(json_out),
-                ]
+    def test_one_trace_one_answer(self, tmp_path, capsys, serial_spans):
+        # report, profile and diff --profile read one trace the same way
+        for name, spans in (("hand", hand_trace()), ("serial", serial_spans)):
+            trace = tmp_path / f"{name}.trace.jsonl"
+            write_trace(trace, spans)
+            outputs = {}
+            for command, args in (
+                ("report", ["report", str(trace)]),
+                ("profile", ["profile", str(trace)]),
+                ("diff", ["diff", str(trace), str(trace), "--profile"]),
+            ):
+                out = tmp_path / f"{name}.{command}.json"
+                assert obs_main(
+                    [*args, "--format", "json", "--out", str(out)]
+                ) == 0
+                outputs[command] = json.loads(out.read_text())
+            profile = outputs["profile"]
+            assert outputs["report"]["profile"] == profile
+            assert {
+                delta["name"]: delta["self_ms_a"]
+                for delta in outputs["diff"]["profile_delta"]
+            } == {
+                span_name: entry["self_ms"]
+                for span_name, entry in profile["names"].items()
+            }
+            assert obs_main(["report", str(trace)]) == 0
+            text = capsys.readouterr().out
+            visit = profile["names"]["visit"]["per_visit"]
+            row_end = f"{visit['p50_ms']:12.1f} {visit['p95_ms']:12.1f}"
+            assert any(
+                line.startswith("  visit ") and line.endswith(row_end)
+                for line in text.splitlines()
             )
-            == 0
-        )
-        data = json.loads(json_out.read_text())
-        assert data["profile"]["schema"] == PROFILE_SCHEMA
 
     def test_report_top_ranks_hotspots(self, tmp_path, capsys, serial_spans):
         path = self.trace_file(tmp_path)
