@@ -14,13 +14,17 @@ back as an :class:`EncodedArray`, which :func:`dumps` splices verbatim:
 a write re-encodes only what is new, the spans still open, and the small
 parts (clock, stats, browsers, ids, metrics), yet produces the same
 bytes as encoding the whole payload.
+
+:func:`split_checkpoint` reads that layout back: the parsed document
+plus where each top-level value's text lies, so the shard merge can
+splice the shards' record arrays into its own checkpoint verbatim.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 #: Version 2 adds the ``trace`` and ``metrics`` fields that carry the
 #: observability state across interruptions.  The optional ``ledger``
@@ -32,8 +36,11 @@ CHECKPOINT_VERSION = 2
 class EncodedArray:
     """A JSON array whose items are already encoded, spliced by :func:`dumps`.
 
-    ``texts`` holds the first item's JSON text, then each later item's
-    text behind its ``", "`` separator, as ``json.dumps`` lays them out.
+    ``texts`` are joined verbatim between the brackets: the items' JSON
+    texts with their ``", "`` separators, as ``json.dumps`` lays them
+    out.  An :class:`EncodedList` keeps one item per text (each later one
+    behind its separator); the shard merge splices one shard's record
+    array per text, with a ``", "`` text between two shards.
     """
 
     __slots__ = ("texts",)
@@ -69,6 +76,50 @@ def _encode(value: Any, parts: List[str]) -> None:
         parts.append("}")
     else:
         parts.append(json.dumps(value))
+
+
+_DECODER = json.JSONDecoder()
+
+
+def split_checkpoint(
+    text: str,
+) -> Tuple[Dict[str, Any], Dict[str, Tuple[int, int]]]:
+    """Parse a checkpoint :func:`dumps` wrote, and locate its top-level
+    values.
+
+    Returns ``(json.loads(text), offsets)``: ``text[start:end]`` is the
+    JSON text of the value at ``key`` for ``offsets[key] == (start,
+    end)``.  The top level must be laid out exactly as :func:`dumps`
+    lays out a dict -- ``{``, ``"key": value`` items joined by ``", "``,
+    ``}`` and nothing after it -- or :class:`ValueError` is raised.
+    """
+    payload: Dict[str, Any] = {}
+    offsets: Dict[str, Tuple[int, int]] = {}
+    position = _expect(text, 0, "{")
+    last = len(text) - 1
+    while position < last:
+        if payload:
+            position = _expect(text, position, ", ")
+        key, end = _DECODER.raw_decode(text, position)
+        if (
+            not isinstance(key, str)
+            or key in payload
+            or text[position:end] != json.dumps(key)
+        ):
+            raise ValueError(f"checkpoint layout: bad key at char {position}")
+        position = _expect(text, end, ": ")
+        payload[key], end = _DECODER.raw_decode(text, position)
+        offsets[key] = (position, end)
+        position = end
+    if position != last or not text.endswith("}"):
+        raise ValueError(f"checkpoint layout: no closing brace at char {position}")
+    return payload, offsets
+
+
+def _expect(text: str, position: int, token: str) -> int:
+    if not text.startswith(token, position):
+        raise ValueError(f"checkpoint layout: expected {token!r} at char {position}")
+    return position + len(token)
 
 
 class EncodedList:

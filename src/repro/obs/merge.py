@@ -12,13 +12,18 @@ what a single serial supervisor would have exported:
   serial timeline, so shard 0's root survives (re-ended at the total
   duration) and the other roots are dropped; non-root spans are
   renumbered sequentially across shards and their timestamps shifted by
-  the preceding shards' total duration.
+  the preceding shards' total duration.  Spans stay in their parsed
+  JSON form (:meth:`~repro.obs.span.Span.to_dict` dicts) throughout:
+  the merge reads them from checkpoints and writes them to a checkpoint
+  and a JSONL trace, so a :class:`~repro.obs.span.Span` would only be
+  built to be taken apart again.
 - **metrics**: counters sum; histograms (same frozen bucket layout) sum
   bucket-wise.
 - **ledger entries**: renumbered sequentially, timestamps shifted.
 
 ``python -m repro.obs report|profile`` also uses :func:`merge_spans` to
-splice a plain directory of trace files end to end.
+splice a plain directory of trace files end to end, on the files'
+parsed lines.
 
 Exactness contract: every supervisor-clock advance lies on a dyadic
 grid (config constants plus :data:`repro.faults.recovery.DELAY_GRID_MS`-
@@ -33,14 +38,14 @@ from __future__ import annotations
 from typing import Any, Dict, List, Sequence
 
 from repro.obs.probes import LedgerEntry
-from repro.obs.span import Span, SpanEvent
+from repro.obs.span import SpanDict
 
 
 class MergeError(ValueError):
     """Raised when shard segments cannot form one serial timeline."""
 
 
-def shard_durations(shard_spans: Sequence[Sequence[Span]]) -> List[float]:
+def shard_durations(shard_spans: Sequence[Sequence[SpanDict]]) -> List[float]:
     """Each shard's total virtual duration, read off its root span.
 
     Every shard trace must start with a closed root span (``parent_id``
@@ -52,47 +57,51 @@ def shard_durations(shard_spans: Sequence[Sequence[Span]]) -> List[float]:
         if not spans:
             raise MergeError(f"shard {index}: empty trace")
         root = spans[0]
-        if root.parent_id != 0:
+        if root["parent_id"] != 0:
             raise MergeError(f"shard {index}: first span is not a root")
-        if root.start_ms != 0.0:
+        if root["start_ms"] != 0.0:
             raise MergeError(
-                f"shard {index}: root starts at {root.start_ms} ms, not 0"
+                f"shard {index}: root starts at {root['start_ms']} ms, not 0"
             )
-        if root.end_ms is None:
+        if root["end_ms"] is None:
             raise MergeError(f"shard {index}: root span is still open")
         for span in spans[1:]:
-            if span.parent_id == 0:
+            if span["parent_id"] == 0:
                 raise MergeError(
                     f"shard {index}: multiple root spans "
-                    f"(span_id={span.span_id})"
+                    f"(span_id={span['span_id']})"
                 )
-        durations.append(root.end_ms)
+        durations.append(root["end_ms"])
     return durations
 
 
 def _shift_span(
-    span: Span, new_id: int, new_parent: int, offset_ms: float
-) -> Span:
-    shifted = Span(
-        new_id, new_parent, span.name, span.start_ms + offset_ms, dict(span.attrs)
-    )
-    shifted.end_ms = None if span.end_ms is None else span.end_ms + offset_ms
-    shifted.status = span.status
-    if span.events:
-        shifted.events = [
-            SpanEvent(event.ts_ms + offset_ms, event.name, dict(event.attrs))
-            for event in span.events
+    span: SpanDict, new_id: int, new_parent: int, offset_ms: float
+) -> SpanDict:
+    end_ms = span["end_ms"]
+    shifted = {
+        **span,
+        "span_id": new_id,
+        "parent_id": new_parent,
+        "start_ms": span["start_ms"] + offset_ms,
+        "end_ms": None if end_ms is None else end_ms + offset_ms,
+    }
+    if span["events"]:
+        shifted["events"] = [
+            {**event, "ts_ms": event["ts_ms"] + offset_ms}
+            for event in span["events"]
         ]
     return shifted
 
 
-def merge_spans(shard_spans: Sequence[Sequence[Span]]) -> List[Span]:
+def merge_spans(shard_spans: Sequence[Sequence[SpanDict]]) -> List[SpanDict]:
     """Splice per-shard span lists into one serial trace.
 
     Shard k's non-root span ``x`` becomes span ``x - 1 + base_k`` where
     ``base_k = 1 + sum(len(shard_j) - 1 for j < k)`` -- the serial
     tracer's sequential numbering; parents pointing at the local root
-    (id 1) re-point at the surviving root.  Inputs are not mutated.
+    (id 1) re-point at the surviving root.  Inputs are not mutated: the
+    merged spans are new dicts, which share only the inputs' ``attrs``.
     """
     durations = shard_durations(shard_spans)
     total = 0.0
@@ -100,17 +109,18 @@ def merge_spans(shard_spans: Sequence[Sequence[Span]]) -> List[Span]:
         total += duration
     root = shard_spans[0][0]
     merged_root = _shift_span(root, 1, 0, 0.0)
-    merged_root.end_ms = total
-    merged: List[Span] = [merged_root]
+    merged_root["end_ms"] = total
+    merged: List[SpanDict] = [merged_root]
     base = 1
     offset = 0.0
     for spans, duration in zip(shard_spans, durations):
         for span in spans[1:]:
-            if span.span_id < 2:
+            if span["span_id"] < 2:
                 raise MergeError("non-root span with reserved id")
-            parent = 1 if span.parent_id == 1 else span.parent_id - 1 + base
+            parent_id = span["parent_id"]
+            parent = 1 if parent_id == 1 else parent_id - 1 + base
             merged.append(
-                _shift_span(span, span.span_id - 1 + base, parent, offset)
+                _shift_span(span, span["span_id"] - 1 + base, parent, offset)
             )
         base += len(spans) - 1
         offset += duration

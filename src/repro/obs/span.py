@@ -21,6 +21,10 @@ from typing import Any, Dict, List, Optional
 #: Status of a span that completed without incident.
 STATUS_OK = "ok"
 
+#: A span in its :meth:`Span.to_dict` form: the parsed JSON a checkpoint
+#: or trace line holds.
+SpanDict = Dict[str, Any]
+
 
 class SpanEvent:
     """A point-in-time annotation inside a span."""

@@ -12,12 +12,16 @@ Examples::
 form: it runs the identical crawl on one serial supervisor and diffs
 every artifact (checkpoint, trace, metrics, records, ledger) byte for
 byte, exiting non-zero on the first divergence.
+
+An output directory that belongs to another run, or a shard checkpoint
+the merge cannot read, prints ``error: <message>`` and exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import sys
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -28,7 +32,9 @@ from repro.crawl.population import (
     hostile_population,
 )
 from repro.faults.plan import FaultPlan
+from repro.obs.merge import MergeError
 from repro.shard.executor import run_sharded_crawl
+from repro.shard.manifest import ManifestError
 from repro.shard.merge import write_canonical_json
 from repro.shard.worker import (
     WATCHDOGS_DEFAULT,
@@ -195,20 +201,24 @@ def main(argv: Optional[List[str]] = None) -> int:
             seed=args.fault_seed,
         )
     watchdogs = WATCHDOGS_NONE if args.no_watchdogs else WATCHDOGS_DEFAULT
-    outcome = run_sharded_crawl(
-        population,
-        out_dir=args.out,
-        crawler_name=args.name,
-        seed=args.seed,
-        instances=args.instances,
-        with_extension=args.extension,
-        fault_plan=fault_plan,
-        ledger=args.ledger,
-        watchdogs=watchdogs,
-        shard_size=args.shard_size,
-        jobs=args.jobs,
-        max_shards=args.max_shards,
-    )
+    try:
+        outcome = run_sharded_crawl(
+            population,
+            out_dir=args.out,
+            crawler_name=args.name,
+            seed=args.seed,
+            instances=args.instances,
+            with_extension=args.extension,
+            fault_plan=fault_plan,
+            ledger=args.ledger,
+            watchdogs=watchdogs,
+            shard_size=args.shard_size,
+            jobs=args.jobs,
+            max_shards=args.max_shards,
+        )
+    except (ManifestError, MergeError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     if not outcome.complete:
         print(
             json.dumps(

@@ -24,7 +24,7 @@ from repro.crawl.population import SiteConfig
 from repro.crawl.supervisor import SupervisorConfig, SupervisorStats
 from repro.faults.plan import FaultPlan
 from repro.shard.manifest import ShardManifest
-from repro.shard.merge import MergedArtifacts, merge_shards
+from repro.shard.merge import MergedArtifacts, MergedCrawl, merge_shards
 from repro.shard.plan import ShardPlan, plan_shards
 from repro.shard.worker import (
     WATCHDOGS_DEFAULT,
@@ -38,22 +38,39 @@ from repro.shard.worker import (
 class ShardedCrawlOutcome:
     """What one executor invocation produced.
 
-    ``complete`` is False when ``max_shards`` stopped the run early (the
+    ``merged`` is None when ``max_shards`` stopped the run early (the
     interrupt case); the manifest then holds enough to resume, and
-    ``result``/``stats``/``artifacts`` are None.
+    ``result``/``stats``/``clock_ms``/``artifacts`` are None.
     """
 
-    complete: bool
     out_dir: Path
     plan: ShardPlan
     #: Shards executed by *this* invocation: the ones the manifest did
     #: not record yet, each run once (``len(plan)`` for an uninterrupted
     #: run, only the missing shards for a resumed one).
     shards_run: int
-    result: Optional[CrawlResult]
-    stats: Optional[SupervisorStats]
-    clock_ms: Optional[float]
-    artifacts: Optional[MergedArtifacts]
+    merged: Optional[MergedCrawl]
+
+    @property
+    def complete(self) -> bool:
+        return self.merged is not None
+
+    @property
+    def result(self) -> Optional[CrawlResult]:
+        """The merged result, built on its first read."""
+        return None if self.merged is None else self.merged.result
+
+    @property
+    def stats(self) -> Optional[SupervisorStats]:
+        return None if self.merged is None else self.merged.stats
+
+    @property
+    def clock_ms(self) -> Optional[float]:
+        return None if self.merged is None else self.merged.clock_ms
+
+    @property
+    def artifacts(self) -> Optional[MergedArtifacts]:
+        return None if self.merged is None else self.merged.artifacts
 
 
 def _run_tasks(
@@ -124,26 +141,9 @@ def run_sharded_crawl(
         manifest.record_shard(meta)
     manifest.save()
 
-    if manifest.completed() < len(plan):
-        return ShardedCrawlOutcome(
-            complete=False,
-            out_dir=out_dir,
-            plan=plan,
-            shards_run=len(tasks),
-            result=None,
-            stats=None,
-            clock_ms=None,
-            artifacts=None,
-        )
-
-    merged = merge_shards(out_dir, plan, spec, manifest)
+    merged = None
+    if manifest.completed() == len(plan):
+        merged = merge_shards(out_dir, plan, spec, manifest)
     return ShardedCrawlOutcome(
-        complete=True,
-        out_dir=out_dir,
-        plan=plan,
-        shards_run=len(tasks),
-        result=merged.result,
-        stats=merged.stats,
-        clock_ms=merged.clock_ms,
-        artifacts=merged.artifacts,
+        out_dir=out_dir, plan=plan, shards_run=len(tasks), merged=merged
     )

@@ -3,7 +3,9 @@
 The merge is a pure function of the per-shard supervisor checkpoints
 (which carry each shard's records, trace, metrics, stats, and optional
 ledger) and the manifest's fault logs; it reads every ``shard-*`` file
-and writes only ``crawl.*`` files.  The observability splice lives in
+and writes only ``crawl.*`` files.  Each shard checkpoint is parsed
+once, by :func:`~repro.crawl.checkpoint.split_checkpoint`, and each
+output file is encoded once.  The observability splice lives in
 :mod:`repro.obs.merge`.  This module adds the crawl-level assembly:
 
 - **recycles**: shards run from fresh browser states, so the merge folds
@@ -12,7 +14,11 @@ and writes only ``crawl.*`` files.  The observability splice lives in
   counters and ``stats.recycles`` in memory, before the splice.
   Merging twice gives the same bytes;
 - **records**: shards are contiguous population blocks, so plain
-  concatenation in shard order *is* the serial visit order;
+  concatenation in shard order *is* the serial visit order.  Records
+  carry no id or time the merge rebases, so the merged checkpoint
+  splices the shards' record-array texts verbatim;
+- **spans**: spliced as the parsed JSON the shard checkpoints hold,
+  then encoded once into the checkpoint and once into the trace;
 - **stats**: work counters sum; result counters are reconciled from the
   merged records exactly as the serial supervisor reconciles its own;
 - **checkpoint**: a version-2 supervisor checkpoint is assembled from
@@ -22,21 +28,31 @@ and writes only ``crawl.*`` files.  The observability splice lives in
 - **canonical files**: ``crawl.trace.jsonl`` / ``crawl.ledger.jsonl`` /
   ``crawl.metrics.json`` / ``crawl.records.json`` next to the
   checkpoint, each in the byte-stable form the oracle tests diff
-  against a serial run.
+  against a serial run;
+- **result**: the merged :class:`~repro.crawl.crawler.CrawlResult` is
+  built from the record dicts on first read, since the CLI and a
+  sharded pass that only writes files never read it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.crawl.checkpoint import checkpoint_payload, write_checkpoint
+from repro.crawl.checkpoint import (
+    CHECKPOINT_VERSION,
+    EncodedArray,
+    checkpoint_payload,
+    split_checkpoint,
+    write_checkpoint,
+)
 from repro.crawl.crawler import CrawlResult
 from repro.crawl.supervisor import SupervisorStats
 from repro.crawl.visit import VisitRecord
-from repro.obs.export import trace_to_jsonl
+from repro.obs.export import span_dicts_to_jsonl
 from repro.obs.merge import (
     MergeError,
     merge_ledger_entries,
@@ -45,7 +61,6 @@ from repro.obs.merge import (
     shard_durations,
 )
 from repro.obs.probes import LedgerEntry, ledger_to_jsonl
-from repro.obs.span import Span
 from repro.shard.manifest import ShardManifest
 from repro.shard.plan import ShardPlan
 from repro.shard.state import (
@@ -113,6 +128,29 @@ def _shift_recycles(payload: Dict[str, Any], delta: int) -> None:
             del counters[name]
 
 
+def _read_shard(index: int, path: Path) -> Tuple[Dict[str, Any], str]:
+    """One shard checkpoint's payload, and its record array's text
+    between the brackets."""
+    if not path.exists():
+        raise MergeError(
+            f"shard {index}: no checkpoint at {path}; "
+            "merge requires a fully-executed plan"
+        )
+    try:
+        text = path.read_text()
+        payload, offsets = split_checkpoint(text)
+    except ValueError as error:
+        raise MergeError(f"shard {index}: cannot read {path}: {error}") from None
+    version = payload.get("version")
+    if version != CHECKPOINT_VERSION:
+        raise MergeError(
+            f"shard {index}: checkpoint version {version!r} in {path}, "
+            f"expected {CHECKPOINT_VERSION}"
+        )
+    start, end = offsets["records"]
+    return payload, text[start + 1 : end - 1]
+
+
 def merge_shards(
     out_dir: Union[str, Path],
     plan: ShardPlan,
@@ -127,19 +165,18 @@ def merge_shards(
     """
     out_dir = Path(out_dir)
     payloads = []
+    record_texts: List[str] = []
     for shard in plan.shards:
-        checkpoint = shard_checkpoint(out_dir, shard.index)
-        if not checkpoint.exists():
-            raise MergeError(
-                f"shard {shard.index}: no checkpoint at {checkpoint}; "
-                "merge requires a fully-executed plan"
-            )
-        payloads.append(json.loads(checkpoint.read_text()))
+        payload, records_text = _read_shard(
+            shard.index, shard_checkpoint(out_dir, shard.index)
+        )
+        payloads.append(payload)
+        if records_text:
+            if record_texts:
+                record_texts.append(", ")
+            record_texts.append(records_text)
 
-    shard_spans = [
-        [Span.from_dict(data) for data in payload["trace"]["spans"]]
-        for payload in payloads
-    ]
+    shard_spans = [payload["trace"]["spans"] for payload in payloads]
     budget = spec.config.recycle_after_faults
     browser_states = fresh_browser_states(spec.instances)
     for shard, payload, spans in zip(plan.shards, payloads, shard_spans):
@@ -207,16 +244,16 @@ def merge_shards(
             trace={
                 "next_id": len(merged_spans) + 1,
                 "open": [],
-                "spans": [span.to_dict() for span in merged_spans],
+                "spans": merged_spans,
             },
             metrics=metrics_state,
-            records=record_dicts,
+            records=EncodedArray(record_texts),
             ledger=ledger_state,
         ),
     )
 
     trace_path = out_dir / "crawl.trace.jsonl"
-    trace_path.write_text(trace_to_jsonl(merged_spans))
+    trace_path.write_text(span_dicts_to_jsonl(merged_spans))
     metrics_path = write_canonical_json(
         out_dir / "crawl.metrics.json", metrics_state
     )
@@ -228,12 +265,7 @@ def merge_shards(
         ledger_path = out_dir / "crawl.ledger.jsonl"
         ledger_path.write_text(ledger_to_jsonl(merged_ledger))
 
-    result = CrawlResult(
-        crawler_name=spec.crawler_name,
-        records=[VisitRecord.from_dict(data) for data in record_dicts],
-    )
     return MergedCrawl(
-        result=result,
         stats=stats,
         clock_ms=clock_ms,
         artifacts=MergedArtifacts(
@@ -243,14 +275,26 @@ def merge_shards(
             records=records_path,
             ledger=ledger_path,
         ),
+        crawler_name=spec.crawler_name,
+        record_dicts=record_dicts,
     )
 
 
 @dataclass
 class MergedCrawl:
-    """The merged crawl: result, stats, and artifact locations."""
+    """The merged crawl: stats, artifact locations, and the result."""
 
-    result: CrawlResult
     stats: SupervisorStats
     clock_ms: float
     artifacts: MergedArtifacts
+    crawler_name: str
+    #: The merged records in their JSON form, as the shards wrote them.
+    record_dicts: List[Dict[str, Any]] = field(repr=False)
+
+    @cached_property
+    def result(self) -> CrawlResult:
+        """The merged :class:`CrawlResult`, built on first read."""
+        return CrawlResult(
+            crawler_name=self.crawler_name,
+            records=[VisitRecord.from_dict(data) for data in self.record_dicts],
+        )

@@ -32,15 +32,20 @@ The log itself is reconstructed from the shard's trace
 (:func:`fault_log_from_spans`) rather than captured live: the trace
 rides the per-shard checkpoint, so a shard interrupted and resumed
 mid-way still reports its *complete* fault history.
+
+Both functions walk spans in their parsed JSON form
+(:data:`~repro.obs.span.SpanDict`), the form the merge reads them in
+from the shard checkpoints; a worker converts its tracer's spans with
+:meth:`~repro.obs.span.Span.to_dict`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
 from repro.faults.types import FaultType
-from repro.obs.span import Span, SpanEvent
+from repro.obs.span import SpanDict, SpanEvent
 
 #: Trace event the supervisor records for every observed fault.
 FAULT_EVENT = "fault"
@@ -89,7 +94,7 @@ def fresh_browser_states(instances: int) -> List[Dict[str, int]]:
     return [{"fault_count": 0, "recycles": 0} for _ in range(instances)]
 
 
-def _attempt_spans(spans: Sequence[Span]) -> Iterator[Tuple[Span, int]]:
+def _attempt_spans(spans: Sequence[SpanDict]) -> Iterator[Tuple[SpanDict, int]]:
     """``(attempt span, browser slot)`` for every attempt with events.
 
     Fault events live on ``attempt`` spans; the owning browser slot is
@@ -98,25 +103,26 @@ def _attempt_spans(spans: Sequence[Span]) -> Iterator[Tuple[Span, int]]:
     so walking spans (and each span's events) in order yields the
     chronological fault sequence.
     """
-    by_id = {span.span_id: span for span in spans}
+    by_id = {span["span_id"]: span for span in spans}
     for span in spans:
-        if span.name != _ATTEMPT_SPAN or not span.events:
+        if span["name"] != _ATTEMPT_SPAN or not span["events"]:
             continue
-        visit = by_id.get(span.parent_id)
-        if visit is None or visit.name != _VISIT_SPAN:
+        visit = by_id.get(span["parent_id"])
+        if visit is None or visit["name"] != _VISIT_SPAN:
             continue
-        yield span, int(visit.attrs["visit_index"])
+        yield span, int(visit["attrs"]["visit_index"])
 
 
-def fault_log_from_spans(spans: Sequence[Span]) -> List[FaultLogEntry]:
+def fault_log_from_spans(spans: Sequence[SpanDict]) -> List[FaultLogEntry]:
     """Reconstruct the shard's fault log from its span tree."""
     log: List[FaultLogEntry] = []
     for span, browser in _attempt_spans(spans):
-        for event in span.events:
-            if event.name == FAULT_EVENT:
-                fatal = FaultType(event.attrs["fault_type"]).browser_fatal
+        for event in span["events"]:
+            name = event["name"]
+            if name == FAULT_EVENT:
+                fatal = FaultType(event["attrs"]["fault_type"]).browser_fatal
                 log.append(FaultLogEntry(browser, fatal, False))
-            elif event.name == RECYCLE_TRIGGER_EVENT and log:
+            elif name == RECYCLE_TRIGGER_EVENT and log:
                 last = log[-1]
                 log[-1] = FaultLogEntry(last.browser, last.fatal, True)
     return log
@@ -161,21 +167,24 @@ def fold_fault_log(
     return states, triggers
 
 
-def _recycle_events(ts_ms: float, browser: int, budget: int) -> List[SpanEvent]:
+def _recycle_events(
+    ts_ms: float, browser: int, budget: int
+) -> List[Dict[str, Any]]:
     """One fault-budget recycle's trace events, in emission order: the
     watchdog's request, its bus publish, the supervisor's recycle and the
     bus acknowledgement."""
     attrs = {"browser": browser}
-    return [
+    events = [
         SpanEvent(ts_ms, RECYCLE_TRIGGER_EVENT, dict(attrs, fault_count=budget)),
         SpanEvent(ts_ms, "bus.browser_recycle_requested", {}),
         SpanEvent(ts_ms, "browser.recycle", dict(attrs, reason="fault-budget")),
         SpanEvent(ts_ms, "bus.browser_recycled", {}),
     ]
+    return [event.to_dict() for event in events]
 
 
 def place_recycles(
-    spans: Sequence[Span], triggers: Sequence[int], recycle_after_faults: int
+    spans: Sequence[SpanDict], triggers: Sequence[int], recycle_after_faults: int
 ) -> None:
     """Move a shard's fault-budget recycles to the log positions
     ``triggers``, in place: every recorded recycle group goes, and one is
@@ -185,18 +194,19 @@ def place_recycles(
     wanted = set(triggers)
     position = -1
     for span, browser in _attempt_spans(spans):
-        events = span.events
-        placed: List[SpanEvent] = []
+        events = span["events"]
+        placed: List[Dict[str, Any]] = []
         index = 0
         while index < len(events):
             event = events[index]
-            if event.name == RECYCLE_TRIGGER_EVENT:
+            name = event["name"]
+            if name == RECYCLE_TRIGGER_EVENT:
                 index += _RECYCLE_GROUP_SIZE
                 continue
             placed.append(event)
             index += 1
-            if event.name == FAULT_EVENT:
+            if name == FAULT_EVENT:
                 position += 1
-            elif event.name == FAULT_OBSERVED_EVENT and position in wanted:
-                placed += _recycle_events(event.ts_ms, browser, recycle_after_faults)
-        span.events = placed
+            elif name == FAULT_OBSERVED_EVENT and position in wanted:
+                placed += _recycle_events(event["ts_ms"], browser, recycle_after_faults)
+        span["events"] = placed

@@ -117,7 +117,9 @@ def run_shard(task: ShardTask) -> Dict[str, Any]:
         list(task.sites),
         checkpoint_path=shard_checkpoint(task.out_dir, task.index),
     )
-    log = fault_log_from_spans(supervisor.tracer.spans)
+    log = fault_log_from_spans(
+        [span.to_dict() for span in supervisor.tracer.spans]
+    )
     return {
         "shard": task.index,
         "duration_ms": supervisor.clock.now(),

@@ -9,6 +9,7 @@ shard boundary.
 
 import hashlib
 import json
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.crawl import (
     SupervisorConfig,
     generate_population,
 )
+from repro.crawl.visit import VisitRecord
 from repro.faults import DELAY_GRID_MS, BackoffPolicy, FaultPlan
 from repro.obs.merge import MergeError, merge_metrics_states, merge_spans
 from repro.obs.span import Span
@@ -329,9 +331,10 @@ class TestRecyclePlacement:
 
 
 def _span(span_id, parent, name, start, end):
+    """A closed span in its parsed JSON form, as the merge reads it."""
     span = Span(span_id, parent, name, float(start), {})
     span.end_ms = float(end)
-    return span
+    return span.to_dict()
 
 
 class TestSpanMerge:
@@ -346,24 +349,24 @@ class TestSpanMerge:
             _span(3, 2, "attempt", 6, 20),
         ]
         merged = merge_spans([shard0, shard1])
-        assert [(s.span_id, s.parent_id, s.name) for s in merged] == [
+        assert [(s["span_id"], s["parent_id"], s["name"]) for s in merged] == [
             (1, 0, "crawl"),
             (2, 1, "visit"),
             (3, 1, "visit"),
             (4, 3, "attempt"),
         ]
-        assert merged[0].end_ms == 150.0
-        assert merged[2].start_ms == 105.0
-        assert merged[3].start_ms == 106.0
+        assert merged[0]["end_ms"] == 150.0
+        assert merged[2]["start_ms"] == 105.0
+        assert merged[3]["start_ms"] == 106.0
 
     def test_inputs_are_not_mutated(self):
         shard0 = [_span(1, 0, "crawl", 0, 100), _span(2, 1, "visit", 1, 2)]
         shard1 = [_span(1, 0, "crawl", 0, 50), _span(2, 1, "visit", 3, 4)]
         merge_spans([shard0, shard1])
-        assert shard1[1].span_id == 2 and shard1[1].start_ms == 3.0
+        assert shard1[1]["span_id"] == 2 and shard1[1]["start_ms"] == 3.0
 
     def test_rejects_open_or_missing_roots(self):
-        open_root = Span(1, 0, "crawl", 0.0, {})
+        open_root = Span(1, 0, "crawl", 0.0, {}).to_dict()
         with pytest.raises(MergeError):
             merge_spans([[open_root]])
         with pytest.raises(MergeError):
@@ -425,7 +428,7 @@ class TestMetricsMerge:
 
 
 def run_sharded(out_dir, *, shard_size=7, jobs=1, watchdogs="default",
-                max_shards=None):
+                max_shards=None, ledger=True):
     spec = make_spec(watchdogs)
     return run_sharded_crawl(
         POPULATION,
@@ -436,7 +439,7 @@ def run_sharded(out_dir, *, shard_size=7, jobs=1, watchdogs="default",
         with_extension=spec.with_extension,
         config=spec.config,
         fault_plan=spec.fault_plan,
-        ledger=spec.ledger,
+        ledger=ledger,
         watchdogs=watchdogs,
         shard_size=shard_size,
         jobs=jobs,
@@ -514,6 +517,79 @@ class TestShardedOracle:
         assert json.dumps([r.to_dict() for r in resumed.records]) == (
             json.dumps([r.to_dict() for r in outcome.result.records])
         )
+
+    def test_no_ledger_matches_its_serial(self, tmp_path):
+        # Without a ledger the records are the checkpoint's last key: the
+        # layout the benchmark and the default CLI run write.
+        serial = tmp_path / "serial"
+        run_serial(replace(make_spec(), ledger=False), serial)
+        out = tmp_path / "sharded"
+        outcome = run_sharded(out, jobs=2, ledger=False)
+        assert outcome.complete
+        assert outcome.artifacts.ledger is None
+        assert list(json.loads((out / "crawl.ckpt.json").read_text()))[-1] == (
+            "records"
+        )
+        assert_identical_dirs(out, serial, ARTIFACTS[:4])
+
+
+class TestLazyResult:
+    """The merge builds the merged ``CrawlResult`` only when it is read."""
+
+    def test_merge_builds_no_visit_record(self, tmp_path, monkeypatch):
+        built = []
+        from_dict = VisitRecord.from_dict.__func__
+
+        def counting(cls, data):
+            built.append(data)
+            return from_dict(cls, data)
+
+        monkeypatch.setattr(VisitRecord, "from_dict", classmethod(counting))
+        outcome = run_sharded(tmp_path / "sharded", jobs=1)
+        assert outcome.complete
+        assert built == []
+        assert len(outcome.result.records) == len(POPULATION) * 3
+        assert len(built) == len(POPULATION) * 3
+
+    def test_result_outlives_the_output_directory(self, tmp_path, serial_dir):
+        out = tmp_path / "sharded"
+        outcome = run_sharded(out, jobs=1)
+        shutil.rmtree(out)
+        records = [record.to_dict() for record in outcome.result.records]
+        canonical = dict(sort_keys=True, separators=(",", ":"))
+        assert json.dumps(records, **canonical) + "\n" == (
+            serial_dir / "crawl.records.json"
+        ).read_text()
+        assert outcome.result is outcome.result
+
+
+def _truncate(text):
+    return text[: len(text) // 2]
+
+
+def _compact(text):
+    return json.dumps(json.loads(text), separators=(",", ":"))
+
+
+def _version_1(text):
+    assert text.startswith('{"version": 2, ')
+    return text.replace('{"version": 2, ', '{"version": 1, ', 1)
+
+
+class TestUnreadableShard:
+    """A shard checkpoint the merge cannot read is a ``MergeError`` that
+    names the shard and its file."""
+
+    @pytest.mark.parametrize("rewrite", [_truncate, _compact, _version_1])
+    def test_merge_names_the_shard(self, tmp_path, rewrite):
+        out = tmp_path / "sharded"
+        assert run_sharded(out).complete
+        path = shard_checkpoint(out, 1)
+        path.write_text(rewrite(path.read_text()))
+        with pytest.raises(MergeError) as raised:
+            run_sharded(out)
+        assert str(raised.value).startswith("shard 1: ")
+        assert str(path) in str(raised.value)
 
 
 class TestInterruptResume:
@@ -689,6 +765,27 @@ class TestShardCli:
         assert "re-run python -m repro.shard with the same --out" in err
         assert shard_main(args) == 0
         assert '"status": "complete"' in capsys.readouterr().out
+
+
+    def test_user_errors_print_without_a_traceback(self, tmp_path, capsys):
+        args = [
+            "--out",
+            str(tmp_path / "out"),
+            "--sites",
+            "60",
+            "--shard-size",
+            "17",
+            "--max-shards",
+            "1",
+        ]
+        assert shard_main(args + ["--instances", "2"]) == 0
+        capsys.readouterr()
+        assert shard_main(args + ["--instances", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "different run spec" in captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestShardArtifactLayout:
