@@ -4,9 +4,9 @@ The crawl layers never touch a concrete browser directly: they talk to
 a :class:`BrowserSession`, and -- following browser-use's Selenium
 backend -- a session is an *event-driven adapter*: it subscribes to the
 command events of :mod:`repro.bus.events` (``NavigateToUrl``,
-``QueryElements``, ``RunScript``, ``ScrollTo``) and executes them on
-its backend.  The simulated backend
-(:class:`SimulatedBrowserSession`, wrapping
+``QueryElements``, ``RunScript``, ``ScrollTo``) addressed to its own
+browser index, and executes each one it receives on its backend.  The
+simulated backend (:class:`SimulatedBrowserSession`, wrapping
 :class:`~repro.browser.window.Window` +
 :class:`~repro.webdriver.driver.WebDriver`) is one implementation; a
 real-Selenium adapter can implement the same surface without the crawl
@@ -29,8 +29,10 @@ class BrowserSession(ABC):
     """One controllable browser, addressable over the event bus.
 
     ``index`` identifies the session on a shared bus: command events
-    carry a ``browser`` field and every session executes only its own
-    commands (OpenWPM's browser-slot semantics).
+    carry a ``browser`` field, and :meth:`attach` addresses the
+    session's handlers to its ``index``, so the bus delivers each
+    command to the one session it names (OpenWPM's browser-slot
+    semantics).
     """
 
     #: Human-readable backend tag ("simulated", "selenium", ...).
@@ -70,15 +72,28 @@ class BrowserSession(ABC):
     def attach(self, bus) -> None:
         """Subscribe this session's command handlers to ``bus``.
 
+        Each handler is addressed to ``self.index``
+        (``subscribe(..., browser=index)``), so it receives only the
+        commands whose ``browser`` field names this session; the
+        ``on_*`` handlers therefore execute every event they get.
         Handlers are registered in a fixed order, so a bus with several
         sessions attached dispatches deterministically.
         """
         tag = f"session[{self.index}]"
+        index = self.index
         self._subscriptions = [
-            bus.subscribe(NavigateToUrl, self.on_navigate, name=f"{tag}.navigate"),
-            bus.subscribe(QueryElements, self.on_query, name=f"{tag}.query"),
-            bus.subscribe(RunScript, self.on_run_script, name=f"{tag}.run_script"),
-            bus.subscribe(ScrollTo, self.on_scroll_to, name=f"{tag}.scroll_to"),
+            bus.subscribe(
+                NavigateToUrl, self.on_navigate, name=f"{tag}.navigate", browser=index
+            ),
+            bus.subscribe(
+                QueryElements, self.on_query, name=f"{tag}.query", browser=index
+            ),
+            bus.subscribe(
+                RunScript, self.on_run_script, name=f"{tag}.run_script", browser=index
+            ),
+            bus.subscribe(
+                ScrollTo, self.on_scroll_to, name=f"{tag}.scroll_to", browser=index
+            ),
         ]
 
     def detach(self, bus) -> None:
@@ -88,26 +103,18 @@ class BrowserSession(ABC):
         self._subscriptions = []
 
     def on_navigate(self, event: NavigateToUrl) -> None:
-        if event.browser != self.index:
-            return
         self.navigate(event.url)
         event.handled = True
 
     def on_query(self, event: QueryElements) -> None:
-        if event.browser != self.index:
-            return
         event.result = self.query(event.by, event.value)
         event.handled = True
 
     def on_run_script(self, event: RunScript) -> None:
-        if event.browser != self.index:
-            return
         event.result = self.run_script(event.script)
         event.handled = True
 
     def on_scroll_to(self, event: ScrollTo) -> None:
-        if event.browser != self.index:
-            return
         self.scroll_to(event.x, event.y)
         event.handled = True
 

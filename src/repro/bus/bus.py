@@ -21,7 +21,11 @@ Design constraints, in order:
 Subscribers match by event *class*: a handler subscribed to a base
 class receives subclasses too (dispatch walks the event's MRO).  Within
 one publish, handlers run in subscription order regardless of which
-class in the MRO matched them.
+class in the MRO matched them.  A subscription may also be *addressed*
+to one browser (``subscribe(..., browser=k)``): it then receives only
+events whose ``browser`` field is ``k``.  The route -- the ordered
+handlers an event class and browser reach -- is resolved on first use
+and reused until the next ``subscribe`` or ``unsubscribe``.
 """
 
 from __future__ import annotations
@@ -39,15 +43,23 @@ class Subscription:
     """One registered handler (the token :meth:`EventBus.unsubscribe`
     takes)."""
 
-    __slots__ = ("event_type", "handler", "name", "order")
+    __slots__ = ("event_type", "handler", "name", "order", "browser")
 
     def __init__(
-        self, event_type: Type[BusEvent], handler: Handler, name: str, order: int
+        self,
+        event_type: Type[BusEvent],
+        handler: Handler,
+        name: str,
+        order: int,
+        browser: Optional[int] = None,
     ) -> None:
         self.event_type = event_type
         self.handler = handler
         self.name = name
         self.order = order
+        #: The one browser whose events this subscription receives;
+        #: ``None`` receives every event.
+        self.browser = browser
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -73,6 +85,12 @@ class EventBus:
         self.clock = clock
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._subscriptions: Dict[Type[BusEvent], List[Subscription]] = {}
+        #: (event class, browser) -> the subscriptions it reaches, in
+        #: dispatch order.  Filled on first use; any subscribe or
+        #: unsubscribe empties it.
+        self._routes: Dict[
+            Tuple[Type[BusEvent], Optional[int]], Tuple[Subscription, ...]
+        ] = {}
         self._next_order = 0
         self._published = 0
 
@@ -88,13 +106,16 @@ class EventBus:
         handler: Handler,
         *,
         name: Optional[str] = None,
+        browser: Optional[int] = None,
     ) -> Subscription:
         """Register ``handler`` for ``event_type`` (and its subclasses).
 
         Returns the subscription token.  Handlers fire in subscription
         order; the order counter is global across event types, so a
         handler registered earlier always runs earlier no matter which
-        MRO entry matched it.
+        MRO entry matched it.  With ``browser=k`` the handler receives
+        only events whose ``browser`` field is ``k`` (a session's own
+        commands); without it, every matching event.
         """
         if not (isinstance(event_type, type) and issubclass(event_type, BusEvent)):
             raise TypeError(f"{event_type!r} is not a BusEvent subclass")
@@ -103,9 +124,11 @@ class EventBus:
             handler,
             name or getattr(handler, "__qualname__", repr(handler)),
             self._next_order,
+            browser,
         )
         self._next_order += 1
         self._subscriptions.setdefault(event_type, []).append(subscription)
+        self._routes.clear()
         return subscription
 
     def unsubscribe(self, subscription: Subscription) -> None:
@@ -113,20 +136,33 @@ class EventBus:
         bucket = self._subscriptions.get(subscription.event_type)
         if bucket and subscription in bucket:
             bucket.remove(subscription)
+            self._routes.clear()
 
-    def subscribers(self, event_type: Type[BusEvent]) -> List[Subscription]:
-        """The subscriptions an event of ``event_type`` would reach, in
-        dispatch order."""
-        matched: List[Subscription] = []
-        for klass in event_type.__mro__:
-            if klass is BusEvent:
-                matched.extend(self._subscriptions.get(BusEvent, []))
-                break
-            if not issubclass(klass, BusEvent):
-                continue
-            matched.extend(self._subscriptions.get(klass, []))
-        matched.sort(key=lambda s: s.order)
-        return matched
+    def subscribers(
+        self, event_type: Type[BusEvent], browser: Optional[int] = None
+    ) -> Tuple[Subscription, ...]:
+        """The subscriptions an event of ``event_type`` whose ``browser``
+        field is ``browser`` would reach, in dispatch order.
+
+        Resolved once per (class, browser) and cached until the next
+        subscribe or unsubscribe.
+        """
+        key = (event_type, browser)
+        route = self._routes.get(key)
+        if route is None:
+            matched: List[Subscription] = []
+            for klass in event_type.__mro__:
+                if klass is BusEvent:
+                    matched.extend(self._subscriptions.get(BusEvent, []))
+                    break
+                if not issubclass(klass, BusEvent):
+                    continue
+                matched.extend(self._subscriptions.get(klass, []))
+            matched.sort(key=lambda s: s.order)
+            route = self._routes[key] = tuple(
+                s for s in matched if s.browser is None or s.browser == browser
+            )
+        return route
 
     @property
     def events_published(self) -> int:
@@ -145,7 +181,8 @@ class EventBus:
         event.ts_ms = self.clock.now()
         self._published += 1
         event.seq = self._published
-        name = event.name
+        event_type = type(event)
+        name = event_name(event_type)
         tracer = self.tracer
         tracer.metrics.counter("bus.events." + name).inc()
         if tracer.enabled:
@@ -154,7 +191,9 @@ class EventBus:
             # not replayed), so carrying it would break the resumed
             # trace's byte-identity with an uninterrupted run.
             tracer.event("bus." + name)
-        for subscription in self.subscribers(type(event)):
+        for subscription in self.subscribers(
+            event_type, getattr(event, "browser", None)
+        ):
             subscription.handler(event)
         return event
 

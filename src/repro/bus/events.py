@@ -21,6 +21,7 @@ same-seed runs stamp identical streams.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional
@@ -28,12 +29,14 @@ from typing import Any, Callable, List, Optional
 _CAMEL_BOUNDARY = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
 
 
+@functools.cache
 def event_name(event_type: type) -> str:
     """The canonical snake-case name of an event class.
 
     ``NavigateToUrl`` -> ``navigate_to_url``.  Used for ``bus.events.*``
     metric counters and ``bus.*`` trace events, so the name must be a
-    pure function of the class name.
+    pure function of the class name -- which is also why it is
+    memoised per class.
     """
     return _CAMEL_BOUNDARY.sub("_", event_type.__name__).lower()
 

@@ -12,8 +12,9 @@ site runs and how it reacts.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -201,6 +202,59 @@ class VisitRecord:
             attempts=data.get("attempts", 1),
             recovered=data.get("recovered", False),
         )
+
+
+#: A weighted status draw: the statuses and their cumulative weights.
+_StatusTable = Tuple[Tuple[int, ...], List[float]]
+
+
+def _status_table(statuses: Sequence[int], p: Sequence[float]) -> _StatusTable:
+    """The table for drawing one of ``statuses`` with weights ``p``.
+
+    The cdf is normalised exactly as ``Generator.choice`` normalises
+    ``p`` (a float64 ``cumsum`` divided by its last entry), so
+    ``statuses[bisect_right(cdf, rng.random())]`` picks what
+    ``rng.choice(statuses, p=p)`` picks: both take one double from the
+    stream and search it on the right.
+    """
+    cdf = np.asarray(p, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return tuple(statuses), cdf.tolist()
+
+
+_FIRST_PARTY_ERRORS = _status_table([404, 403, 500, 503], [0.6, 0.15, 0.15, 0.1])
+_THIRD_PARTY_ERRORS = _status_table(
+    [404, 400, 403, 410, 429, 500, 502, 503],
+    [0.48, 0.12, 0.1, 0.05, 0.05, 0.1, 0.05, 0.05],
+)
+
+
+def _draw_statuses(
+    rng: np.random.Generator, n: int, error_rate: float, errors: _StatusTable
+) -> List[int]:
+    """The HTTP statuses of ``n`` subresources.
+
+    Each subresource rolls one double: below ``error_rate`` it fails
+    with a status drawn from ``errors`` (one more double), otherwise it
+    answers 200.  The doubles come in ``rng.random(k)`` blocks, where
+    ``k`` is the number of statuses still missing.  Each of those needs
+    at least one more double, so a block never draws past what rolling
+    one double at a time would: the stream is consumed double for
+    double as by ``rng.random()`` per roll and ``rng.choice`` per error.
+    """
+    statuses, cdf = errors
+    drawn: List[int] = []
+    failing = False
+    while len(drawn) < n:
+        for u in rng.random(n - len(drawn)).tolist():
+            if failing:
+                drawn.append(statuses[bisect_right(cdf, u)])
+                failing = False
+            elif u < error_rate:
+                failing = True
+            else:
+                drawn.append(200)
+    return drawn
 
 
 def _run_site_detector(
@@ -426,26 +480,19 @@ def simulate_visit(
 
     # Ordinary first-party subresources.
     if not (screenshot.blocked or screenshot.captcha):
-        for i in range(6):
-            status = 200
-            roll = rng.random()
-            if roll < site.first_party_error_rate:
-                status = int(rng.choice([404, 403, 500, 503], p=[0.6, 0.15, 0.15, 0.1]))
+        statuses = _draw_statuses(
+            rng, 6, site.first_party_error_rate, _FIRST_PARTY_ERRORS
+        )
+        for i, status in enumerate(statuses):
             responses.append(
                 HTTPResponse(f"https://{site.domain}/assets/{i}", status, first_party=True)
             )
 
         # Third parties (ads, trackers, CDNs) with web-dynamics noise.
-        for i in range(site.n_third_party):
-            status = 200
-            roll = rng.random()
-            if roll < site.third_party_error_rate:
-                status = int(
-                    rng.choice(
-                        [404, 400, 403, 410, 429, 500, 502, 503],
-                        p=[0.48, 0.12, 0.1, 0.05, 0.05, 0.1, 0.05, 0.05],
-                    )
-                )
+        statuses = _draw_statuses(
+            rng, site.n_third_party, site.third_party_error_rate, _THIRD_PARTY_ERRORS
+        )
+        for i, status in enumerate(statuses):
             responses.append(
                 HTTPResponse(f"https://tp-{i}.example/r", status, first_party=False)
             )

@@ -6,15 +6,19 @@ runs publish byte-identical streams, and a supervised crawl with every
 watchdog attached stays byte-identical across interrupt/resume.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.browser.session import BrowserSession
 from repro.bus import (
     AttemptFinished,
     AttemptStarted,
     BusEvent,
     EventBus,
     FaultObserved,
+    NavigateToUrl,
     OverlayDetected,
     PageStalled,
     Resolvable,
@@ -37,13 +41,22 @@ def make_bus(tracer=None):
 
 
 #: (class, constructor) pairs the property tests draw from.  Distinct
-#: MRO shapes on purpose: plain notifications, Resolvable subclasses.
+#: MRO shapes on purpose: plain notifications, Resolvable subclasses, a
+#: browser command.  The constructor takes the event's ``browser``;
+#: classes without a ``browser`` field ignore it.
 EVENT_MAKERS = [
-    (AttemptStarted, lambda: AttemptStarted("a.example", 0, 0, 0)),
-    (AttemptFinished, lambda: AttemptFinished("a.example", 0, 0, 0, True)),
-    (FaultObserved, lambda: FaultObserved("crash", "get", "a.example", 0, 0, True)),
-    (OverlayDetected, lambda: OverlayDetected("a.example", "modal")),
-    (PageStalled, lambda: PageStalled("a.example", 0, 0)),
+    (AttemptStarted, lambda browser: AttemptStarted("a.example", 0, 0, browser)),
+    (
+        AttemptFinished,
+        lambda browser: AttemptFinished("a.example", 0, 0, browser, True),
+    ),
+    (
+        FaultObserved,
+        lambda browser: FaultObserved("crash", "get", "a.example", 0, 0, True),
+    ),
+    (OverlayDetected, lambda browser: OverlayDetected("a.example", "modal")),
+    (PageStalled, lambda browser: PageStalled("a.example", 0, 0)),
+    (NavigateToUrl, lambda browser: NavigateToUrl("https://a.example/", browser)),
 ]
 
 
@@ -128,6 +141,21 @@ class TestDispatch:
         bus.publish(AttemptStarted("a.example", 0, 0, 0))
         assert log == ["kept"]
 
+    def test_subscribe_and_unsubscribe_reroute_the_next_publish(self):
+        # Routes are cached per (class, browser): each registry change
+        # between two publishes of one class must show in the second.
+        bus = make_bus()
+        log = []
+        early = bus.subscribe(
+            NavigateToUrl, lambda e: log.append(("early", e.seq)), browser=1
+        )
+        bus.publish(NavigateToUrl("https://a.example/", browser=1))
+        bus.subscribe(NavigateToUrl, lambda e: log.append(("late", e.seq)), browser=1)
+        bus.publish(NavigateToUrl("https://a.example/", browser=1))
+        bus.unsubscribe(early)
+        bus.publish(NavigateToUrl("https://a.example/", browser=1))
+        assert log == [("early", 1), ("early", 2), ("late", 2), ("late", 3)]
+
     def test_subscribe_rejects_non_event_types(self):
         bus = make_bus()
         with pytest.raises(TypeError):
@@ -191,17 +219,23 @@ class TestResolvable:
 # -- property tests: determinism ------------------------------------------
 
 
+#: An optional browser index: ``None`` for an unaddressed subscription
+#: or an event without one.
+browsers = st.none() | st.integers(min_value=0, max_value=2)
+
 #: A registration plan: which event class each of up to 8 handlers
-#: subscribes to (index into EVENT_MAKERS, -1 = the BusEvent base).
+#: subscribes to (index into EVENT_MAKERS, -1 = the BusEvent base), and
+#: the browser it is addressed to.
 registration_plans = st.lists(
-    st.integers(min_value=-1, max_value=len(EVENT_MAKERS) - 1),
+    st.tuples(st.integers(min_value=-1, max_value=len(EVENT_MAKERS) - 1), browsers),
     min_size=1,
     max_size=8,
 )
 
-#: A publish plan: which events get published, in order.
+#: A publish plan: which events get published, in order, and for which
+#: browser.
 publish_plans = st.lists(
-    st.integers(min_value=0, max_value=len(EVENT_MAKERS) - 1),
+    st.tuples(st.integers(min_value=0, max_value=len(EVENT_MAKERS) - 1), browsers),
     min_size=1,
     max_size=12,
 )
@@ -211,7 +245,7 @@ def run_plan(registrations, publishes):
     """Wire a bus from the plans; return (snapshot, dispatch_log)."""
     bus = make_bus()
     log = []
-    for handler_index, type_index in enumerate(registrations):
+    for handler_index, (type_index, browser) in enumerate(registrations):
         event_type = (
             BusEvent if type_index < 0 else EVENT_MAKERS[type_index][0]
         )
@@ -219,9 +253,11 @@ def run_plan(registrations, publishes):
         def handler(event, _index=handler_index):
             log.append((_index, event.name, event.seq))
 
-        bus.subscribe(event_type, handler, name=f"handler-{handler_index}")
-    for type_index in publishes:
-        bus.publish(EVENT_MAKERS[type_index][1]())
+        bus.subscribe(
+            event_type, handler, name=f"handler-{handler_index}", browser=browser
+        )
+    for type_index, browser in publishes:
+        bus.publish(EVENT_MAKERS[type_index][1](browser))
     return bus.registry_snapshot(), log
 
 
@@ -258,14 +294,21 @@ class TestBusProperties:
     def test_every_publish_reaches_exactly_the_matching_handlers(
         self, registrations, publishes
     ):
+        """Every unaddressed handler of a matching class, plus the
+        addressed ones whose browser is the event's, in global
+        registration order."""
         _, log = run_plan(registrations, publishes)
-        for seq, type_index in enumerate(publishes, start=1):
-            event_type = EVENT_MAKERS[type_index][0]
+        for seq, (type_index, browser) in enumerate(publishes, start=1):
+            event = EVENT_MAKERS[type_index][1](browser)
+            event_browser = getattr(event, "browser", None)
             expected = [
                 i
-                for i, registered in enumerate(registrations)
-                if registered < 0
-                or issubclass(event_type, EVENT_MAKERS[registered][0])
+                for i, (registered, wanted) in enumerate(registrations)
+                if (
+                    registered < 0
+                    or issubclass(type(event), EVENT_MAKERS[registered][0])
+                )
+                and (wanted is None or wanted == event_browser)
             ]
             assert [e[0] for e in log if e[2] == seq] == expected
 
@@ -299,6 +342,31 @@ def supervised(population, seed=7):
     crawler = OpenWPMCrawler("bus", instances=2, seed=seed)
     plan = FaultPlan.generate(population, 2, rate=0.25, seed=5)
     return CrawlSupervisor(crawler, config=SupervisorConfig(), plan=plan)
+
+
+class TestSessionRouting:
+    def test_each_command_runs_only_its_sessions_handler(self, monkeypatch):
+        """With 8 sessions on one bus, every command event runs exactly
+        one session handler: the ``on_*`` calls equal the
+        ``bus.events.*`` publish counts, faulted commands included."""
+        calls = Counter()
+        for handler in ("on_navigate", "on_query", "on_run_script"):
+            original = getattr(BrowserSession, handler)
+
+            def counted(self, event, _handler=handler, _original=original):
+                calls[_handler] += 1
+                return _original(self, event)
+
+            monkeypatch.setattr(BrowserSession, handler, counted)
+        population = hostile_tiny()
+        crawler = OpenWPMCrawler("routing", instances=8, seed=7)
+        plan = FaultPlan.generate(population, 8, rate=0.25, seed=5)
+        supervisor = CrawlSupervisor(crawler, config=SupervisorConfig(), plan=plan)
+        supervisor.crawl(population)
+        counters = supervisor.metrics.state_dict()["counters"]
+        assert calls["on_navigate"] == counters["bus.events.navigate_to_url"] > 0
+        assert calls["on_query"] == counters["bus.events.query_elements"] > 0
+        assert calls["on_run_script"] == counters["bus.events.run_script"] > 0
 
 
 class TestSupervisedResumeIdentity:

@@ -2,7 +2,9 @@
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.crawl import (
     CrawlSupervisor,
@@ -16,6 +18,11 @@ from repro.crawl import (
     evaluate_http_errors,
     evaluate_screenshots,
     generate_population,
+)
+from repro.crawl.visit import (
+    _FIRST_PARTY_ERRORS,
+    _THIRD_PARTY_ERRORS,
+    _draw_statuses,
 )
 from repro.obs.tracer import NULL_TRACER
 from repro.shard import run_sharded_crawl
@@ -164,6 +171,52 @@ class TestVisit:
         record = crawl_site(site)
         assert not record.screenshot.blocked
         assert record.first_party_errors() >= 1
+
+
+#: (table, statuses, weights): each visit error table next to the
+#: weighted ``rng.choice`` it must match.
+ERROR_DRAWS = [
+    (_FIRST_PARTY_ERRORS, [404, 403, 500, 503], [0.6, 0.15, 0.15, 0.1]),
+    (
+        _THIRD_PARTY_ERRORS,
+        [404, 400, 403, 410, 429, 500, 502, 503],
+        [0.48, 0.12, 0.1, 0.05, 0.05, 0.1, 0.05, 0.05],
+    ),
+]
+
+
+def scalar_statuses(rng, n, error_rate, statuses, p):
+    """The reference: one ``rng.random()`` roll per subresource and one
+    ``rng.choice`` per error."""
+    drawn = []
+    for _ in range(n):
+        status = 200
+        if rng.random() < error_rate:
+            status = int(rng.choice(statuses, p=p))
+        drawn.append(status)
+    return drawn
+
+
+class TestStatusDraws:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=60),
+        error_rate=st.sampled_from([0.0, 0.02, 0.5, 1.0]),
+        draw=st.sampled_from(ERROR_DRAWS),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_block_draws_consume_the_stream_like_the_scalar_loop(
+        self, n, error_rate, draw, seed
+    ):
+        table, statuses, p = draw
+        blocked = np.random.default_rng(seed)
+        reference = np.random.default_rng(seed)
+        assert _draw_statuses(blocked, n, error_rate, table) == scalar_statuses(
+            reference, n, error_rate, statuses, p
+        )
+        # An over-draw leaves the statuses alone but shifts every later
+        # draw; in a visit the next one is the rare ad-noise roll.
+        assert blocked.random() == reference.random()
 
 
 class TestReusedSessions:
