@@ -111,6 +111,10 @@ class InputPipeline:
         #: Current pointer position in *client* (viewport) coordinates.
         #: Starts at (0, 0) -- the tell-tale the paper's Appendix F notes.
         self.pointer = Point(0.0, 0.0)
+        #: ``(pointer, scroll_x, scroll_y, client_x, client_y, page_x,
+        #: page_y)`` of the last event built: the events of one pointer
+        #: sample share one rounding (see :meth:`_base_event`).
+        self._rounded: tuple = (None, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         self._buttons_mask = 0
         self._pressed_keys: set = set()
         self._modifiers = {attr: False for attr in _MODIFIERS.values()}
@@ -140,23 +144,42 @@ class InputPipeline:
     ) -> Event:
         """A trusted event reading the clock, pointer, scroll offset,
         buttons and modifiers now (each event takes its own snapshot: a
-        listener may scroll between the two events of a pointer twin).
-        Built positionally, in :class:`Event` field order: it runs once
-        per synthesised event."""
+        listener may move the pointer or scroll between the two events of
+        a pointer twin).  The four rounded coordinates are reused while
+        the pointer is the same object (``Point`` is immutable) and both
+        scroll offsets are equal, so the events of one pointer sample
+        round once.  Built positionally, in :class:`Event` field order:
+        it runs once per synthesised event."""
         self.events_dispatched += 1
         if self.metrics is not None:
             self.metrics.counter("events." + event_type).inc()
         window = self.window
-        x, y = self.pointer
+        pointer = self.pointer
+        scroll_x = window.scroll_x
+        scroll_y = window.scroll_y
+        rounded = self._rounded
+        if rounded[0] is not pointer or rounded[1] != scroll_x or rounded[2] != scroll_y:
+            x, y = pointer
+            # ``float(round(v))``, not ``round(v, 0)``: the latter keeps
+            # the sign of a small negative (``-0.0``).
+            rounded = self._rounded = (
+                pointer,
+                scroll_x,
+                scroll_y,
+                float(round(x)),
+                float(round(y)),
+                float(round(x + scroll_x)),
+                float(round(y + scroll_y)),
+            )
         modifiers = self._modifiers
         return Event(
             event_type,
             window.clock.event_timestamp(),
             target,
-            float(round(x)),
-            float(round(y)),
-            float(round(x + window.scroll_x)),
-            float(round(y + window.scroll_y)),
+            rounded[3],
+            rounded[4],
+            rounded[5],
+            rounded[6],
             button,
             self._buttons_mask,
             delta_x,

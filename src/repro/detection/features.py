@@ -86,8 +86,9 @@ class RecordingFeatures:
         return self.recorder.events
 
     def of_type(self, *event_types: str) -> List[Event]:
-        """Recorded events of the given types, in order (one recorder scan
-        per distinct query)."""
+        """Recorded events of the given types, in order: one recorder
+        query per distinct ``event_types`` tuple, answered from the
+        recorder's type index and cached here."""
         stream = self._streams.get(event_types)
         if stream is None:
             stream = self._streams[event_types] = self.recorder.of_type(*event_types)

@@ -123,8 +123,6 @@ class Document(EventTarget):
         The caller (input pipeline) dispatches the returned events so their
         timestamps come from the shared clock.
         """
-        from repro.events.event import Event
-
         transitions = []
         previous = self.active_element
         if previous is element:

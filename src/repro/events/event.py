@@ -7,13 +7,17 @@ how DOM event interfaces share a common base.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
 
-@dataclass
+@dataclass(slots=True)
 class Event:
     """A DOM-style interaction event.
+
+    Slotted: an input session builds thousands of these, so an instance
+    carries no ``__dict__`` and only the declared fields can be assigned.
+    The input pipeline builds events positionally, in field order.
 
     Attributes
     ----------
@@ -71,8 +75,9 @@ class Event:
     #: live ``target.box`` may change later (moving elements), so
     #: analysis code must use this snapshot.
     target_box: Any = None
-    #: Free-form extras (e.g. visibility state for ``visibilitychange``).
-    extra: dict = field(default_factory=dict)
+    #: Free-form extras (e.g. visibility state for ``visibilitychange``);
+    #: ``None`` for the events that carry none.
+    extra: Optional[dict] = None
 
     @property
     def client_point(self) -> Tuple[float, float]:
