@@ -949,3 +949,6 @@ class TestRepoInvariants:
             [REPO_ROOT / "src" / "repro"], root=REPO_ROOT, baseline=baseline
         )
         assert report.new_findings == [], render_text(report)
+        # No stale entries: every baselined fingerprint is still found.
+        found = {finding.fingerprint for finding in report.baselined}
+        assert set(baseline.entries) <= found, sorted(set(baseline.entries) - found)
