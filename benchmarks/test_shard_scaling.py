@@ -77,7 +77,7 @@ def test_shard_scaling_is_byte_identical_and_recorded(tmp_path):
     serial_s = time.perf_counter() - started
     canonical = dict(sort_keys=True, separators=(",", ":"))
     (serial_dir / "crawl.metrics.json").write_text(
-        json.dumps(supervisor.metrics.state_dict(), **canonical) + "\n"
+        json.dumps(supervisor.metrics_state(), **canonical) + "\n"
     )
     (serial_dir / "crawl.records.json").write_text(
         json.dumps([r.to_dict() for r in result.records], **canonical) + "\n"

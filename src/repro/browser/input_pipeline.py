@@ -104,10 +104,6 @@ class InputPipeline:
         #: Running count of synthesised events (always on; one int add).
         #: The observability layer reads deltas around action batches.
         self.events_dispatched = 0
-        #: Optional :class:`repro.obs.MetricsRegistry`; when set, every
-        #: synthesised event increments an ``events.<type>`` counter.
-        #: Wired by ``WebDriver.tracer``; ``None`` costs nothing.
-        self.metrics = None
         #: Current pointer position in *client* (viewport) coordinates.
         #: Starts at (0, 0) -- the tell-tale the paper's Appendix F notes.
         self.pointer = Point(0.0, 0.0)
@@ -151,8 +147,6 @@ class InputPipeline:
         round once.  Built positionally, in :class:`Event` field order:
         it runs once per synthesised event."""
         self.events_dispatched += 1
-        if self.metrics is not None:
-            self.metrics.counter("events." + event_type).inc()
         window = self.window
         pointer = self.pointer
         scroll_x = window.scroll_x

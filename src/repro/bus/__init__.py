@@ -2,8 +2,9 @@
 
 A trimmed-down, fully deterministic take on browser-use's bubus: typed
 events, ordered synchronous dispatch stamped from the shared virtual
-clock, subscriber registry, and obs integration (``bus.events.*``
-counters, ``bus.*`` trace events).  The crawl layers --
+clock, subscriber registry, and obs integration (``bus.*`` trace
+events, from which the metrics export folds ``bus.events.*``
+counters).  The crawl layers --
 :class:`~repro.crawl.supervisor.CrawlSupervisor`, the
 :class:`~repro.browser.session.BrowserSession` adapters and the
 :mod:`~repro.crawl.watchdogs` -- communicate through it instead of
@@ -12,8 +13,6 @@ calling each other directly.  See docs/EVENT_BUS.md.
 
 from repro.bus.bus import EventBus, Handler, Subscription
 from repro.bus.events import (
-    AttemptFinished,
-    AttemptStarted,
     BrowserRecycleRequested,
     BrowserRecycled,
     BusEvent,
@@ -37,8 +36,6 @@ __all__ = [
     "BusEvent",
     "Resolvable",
     "event_name",
-    "AttemptStarted",
-    "AttemptFinished",
     "FaultObserved",
     "BrowserRecycleRequested",
     "BrowserRecycled",

@@ -13,10 +13,11 @@ Design constraints, in order:
    A handler that raises aborts the publish and the error propagates to
    the publisher with its type intact (lint rule FLT004 holds handlers
    to the same discipline).
-3. **Observability** -- every publish increments a ``bus.events.<name>``
-   metric counter and, when a tracer is attached, records a
-   ``bus.<name>`` trace event on the innermost open span, so bus
-   traffic lands in checkpoints and in ``repro.obs report``.
+3. **Observability** -- when a tracer is attached, every publish
+   records a ``bus.<name>`` trace event on the innermost open span, so
+   bus traffic lands in checkpoints, in ``repro.obs report`` and in the
+   ``bus.events.<name>`` counters the metrics export folds from the
+   trace.
 
 Subscribers match by event *class*: a handler subscribed to a base
 class receives subclasses too (dispatch walks the event's MRO).  Within
@@ -77,8 +78,7 @@ class EventBus:
         The one shared :class:`VirtualClock` events are stamped from.
     tracer:
         Optional :class:`repro.obs.Tracer`; defaults to the inert
-        :data:`~repro.obs.tracer.NULL_TRACER`.  The bus reads the
-        tracer's metrics registry for its ``bus.events.*`` counters.
+        :data:`~repro.obs.tracer.NULL_TRACER`.
     """
 
     def __init__(self, clock: VirtualClock, tracer=None) -> None:
@@ -93,10 +93,6 @@ class EventBus:
         ] = {}
         self._next_order = 0
         self._published = 0
-
-    @property
-    def metrics(self):
-        return self.tracer.metrics
 
     # -- registry --------------------------------------------------------
 
@@ -182,15 +178,13 @@ class EventBus:
         self._published += 1
         event.seq = self._published
         event_type = type(event)
-        name = event_name(event_type)
         tracer = self.tracer
-        tracer.metrics.counter("bus.events." + name).inc()
         if tracer.enabled:
             # No ``seq`` attr on the trace event: the per-bus counter
             # restarts on checkpoint resume (completed visits are skipped,
             # not replayed), so carrying it would break the resumed
             # trace's byte-identity with an uninterrupted run.
-            tracer.event("bus." + name)
+            tracer.event("bus." + event_name(event_type))
         for subscription in self.subscribers(
             event_type, getattr(event, "browser", None)
         ):

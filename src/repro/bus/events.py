@@ -3,7 +3,7 @@
 Two families of events travel the bus (docs/EVENT_BUS.md):
 
 - **notifications** describe something that already happened
-  (:class:`FaultObserved`, :class:`AttemptFinished`).  Subscribers react
+  (:class:`FaultObserved`, :class:`BrowserRecycled`).  Subscribers react
   but cannot veto.
 - **requests** ask a capable subscriber to act.  Command requests
   (:class:`NavigateToUrl`, :class:`QueryElements`, ...) are executed by
@@ -33,10 +33,10 @@ _CAMEL_BOUNDARY = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
 def event_name(event_type: type) -> str:
     """The canonical snake-case name of an event class.
 
-    ``NavigateToUrl`` -> ``navigate_to_url``.  Used for ``bus.events.*``
-    metric counters and ``bus.*`` trace events, so the name must be a
-    pure function of the class name -- which is also why it is
-    memoised per class.
+    ``NavigateToUrl`` -> ``navigate_to_url``.  Used for ``bus.*`` trace
+    events (and so the ``bus.events.*`` counters folded from them), so
+    the name must be a pure function of the class name -- which is also
+    why it is memoised per class.
     """
     return _CAMEL_BOUNDARY.sub("_", event_type.__name__).lower()
 
@@ -83,28 +83,6 @@ class Resolvable(BusEvent):
 
 
 # -- crawl lifecycle notifications ---------------------------------------
-
-
-@dataclass
-class AttemptStarted(BusEvent):
-    """One visit attempt is about to run."""
-
-    domain: str
-    visit_index: int
-    attempt: int
-    browser: int
-
-
-@dataclass
-class AttemptFinished(BusEvent):
-    """One visit attempt ended (successfully or not)."""
-
-    domain: str
-    visit_index: int
-    attempt: int
-    browser: int
-    reached: bool
-    failure_reason: Optional[str] = None
 
 
 @dataclass

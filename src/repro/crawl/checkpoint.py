@@ -1,4 +1,4 @@
-"""Supervisor checkpoints: the version-2 layout and its encoding.
+"""Supervisor checkpoints: the version-3 layout and its encoding.
 
 A checkpoint file is exactly ``json.dumps(payload)`` of the dict
 :func:`checkpoint_payload` lays out (default separators, key order as
@@ -12,7 +12,7 @@ list, except that a span stays open until it ends.  An
 :class:`EncodedList` therefore keeps each item's JSON text and hands it
 back as an :class:`EncodedArray`, which :func:`dumps` splices verbatim:
 a write re-encodes only what is new, the spans still open, and the small
-parts (clock, stats, browsers, ids, metrics), yet produces the same
+parts (clock, stats, browsers, ids, probe sizes), yet produces the same
 bytes as encoding the whole payload.
 
 :func:`split_checkpoint` reads that layout back: the parsed document
@@ -26,11 +26,12 @@ import json
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-#: Version 2 adds the ``trace`` and ``metrics`` fields that carry the
-#: observability state across interruptions.  The optional ``ledger``
-#: field (present only when the supervisor was built with a probe
-#: ledger) rides within version 2: default-off checkpoints are unchanged.
-CHECKPOINT_VERSION = 2
+#: Version 2 added the ``trace`` field that carries the observability
+#: state across interruptions, and the optional ``ledger`` field (present
+#: only when the supervisor was built with a probe ledger).  Version 3
+#: drops the ``metrics`` field, which the metrics export now folds from
+#: the trace and the ledger, and adds the ledger's ``probe_sizes``.
+CHECKPOINT_VERSION = 3
 
 
 class EncodedArray:
@@ -176,15 +177,13 @@ def checkpoint_payload(
     stats: Dict[str, int],
     browsers: List[Dict[str, int]],
     trace: Optional[Dict[str, Any]],
-    metrics: Optional[Dict[str, Any]],
     records: Any,
     ledger: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """The version-2 checkpoint document.
+    """The version-3 checkpoint document.
 
-    ``trace`` and ``metrics`` are ``None`` for an untraced crawl.  Only
-    a ledger-enabled crawl writes the ``ledger`` key, so default-off
-    checkpoints stay byte-identical to pre-ledger ones.
+    ``trace`` is ``None`` for an untraced crawl.  Only a ledger-enabled
+    crawl writes the ``ledger`` key.
     """
     payload = {
         "version": CHECKPOINT_VERSION,
@@ -195,7 +194,6 @@ def checkpoint_payload(
         "stats": stats,
         "browsers": browsers,
         "trace": trace,
-        "metrics": metrics,
         "records": records,
     }
     if ledger is not None:

@@ -24,9 +24,11 @@ fault plan, no watchdogs and no tracing.  What it adds:
   byte-identical to an uninterrupted run;
 - **observability** -- every crawl builds a :mod:`repro.obs` span tree
   (crawl -> visit -> attempt -> WebDriver commands) with fault,
-  backoff, recycle and breaker decisions as span events, plus a
-  metrics registry; both are carried through checkpoints, so a resumed
-  crawl's exported trace is byte-identical to an uninterrupted one's.
+  backoff, recycle and breaker decisions as span events.  The trace is
+  carried through checkpoints, so a resumed crawl's exported trace is
+  byte-identical to an uninterrupted one's; the metrics export is
+  folded from the trace and the probe ledger
+  (:meth:`CrawlSupervisor.metrics_state`), never stored.
 
 Determinism is the design constraint throughout: every visit attempt
 draws from its own rng stream derived from ``(seed, rank, visit_index,
@@ -39,14 +41,12 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.browser.session import SimulatedBrowserSession
 from repro.bus import (
-    AttemptFinished,
-    AttemptStarted,
     BrowserRecycled,
     BrowserRecycleRequested,
     EventBus,
@@ -67,7 +67,7 @@ from repro.detection.fingerprint import _reference_navigator
 from repro.faults.plan import FaultInjector, FaultPlan
 from repro.faults.recovery import BackoffPolicy, BreakerState, CircuitBreaker
 from repro.faults.types import FaultError
-from repro.obs import CrawlReport, Tracer, build_report, write_trace
+from repro.obs import CrawlReport, Tracer, build_report, crawl_metrics, write_trace
 from repro.obs.probes import ProbeLedger, write_ledger
 from repro.obs.tracer import NULL_TRACER
 
@@ -221,9 +221,10 @@ class CrawlSupervisor:
         advances in place.
     probe_ledger:
         Optional :class:`repro.obs.probes.ProbeLedger` (off by default).
-        When given it is re-wired onto the supervisor's clock and metrics
-        registry, attached to every browser window, carried through
-        checkpoints, and exportable via ``crawl(ledger_path=...)``.
+        When given it is re-wired onto the supervisor's clock, attached
+        to every browser window, carried through checkpoints, folded into
+        :meth:`metrics_state`, and exportable via
+        ``crawl(ledger_path=...)``.
     watchdogs:
         The pluggable recovery subscribers (see :mod:`repro.crawl.
         watchdogs`).  ``None`` (the default) attaches
@@ -250,15 +251,12 @@ class CrawlSupervisor:
         elif tracer.enabled and tracer.clock is not self.clock:
             tracer.clock = self.clock
         self.tracer = tracer
-        self.metrics = tracer.metrics
         # Opt-in probe ledger (off by default): re-wired onto the one
-        # shared clock and the tracer's metrics registry, so ledger
-        # timestamps live on the checkpointed timeline and per-trap
-        # counters land next to the crawl's other metrics.
+        # shared clock, so ledger timestamps live on the checkpointed
+        # timeline.
         self.ledger = probe_ledger
         if probe_ledger is not None:
             probe_ledger.clock = self.clock
-            probe_ledger.metrics = self.metrics
         self.stats = SupervisorStats()
         self._instances: Optional[List[BrowserInstance]] = None
         self._restored_browsers: Optional[List[Dict[str, int]]] = None
@@ -408,7 +406,6 @@ class CrawlSupervisor:
 
     def _breaker_listener(self, domain: str):
         tracer = self.tracer
-        metrics = self.metrics
 
         def on_transition(old_state: BreakerState, new_state: BreakerState) -> None:
             tracer.event(
@@ -416,7 +413,6 @@ class CrawlSupervisor:
                 domain=domain,
                 previous=old_state.value,
             )
-            metrics.counter("breaker." + new_state.value).inc()
 
         return on_transition
 
@@ -424,9 +420,20 @@ class CrawlSupervisor:
         """Write the crawl's span tree as canonical JSONL."""
         return write_trace(path, self.tracer.spans)
 
+    def metrics_state(self) -> Optional[Dict[str, Any]]:
+        """The crawl's counters and histograms, folded from its trace and
+        probe ledger by :func:`~repro.obs.metrics.crawl_metrics`
+        (``None`` when tracing is off)."""
+        if not self.tracer.enabled:
+            return None
+        return crawl_metrics(
+            [span.to_dict() for span in self.tracer.spans],
+            None if self.ledger is None else self.ledger.state_dict(),
+        )
+
     def report(self) -> CrawlReport:
         """Aggregate the crawl's trace and metrics into a report."""
-        return build_report(self.tracer.spans, metrics=self.metrics.state_dict())
+        return build_report(self.tracer.spans, metrics=self.metrics_state())
 
     # -- one visit, with recovery ---------------------------------------
 
@@ -469,7 +476,6 @@ class CrawlSupervisor:
             if not breaker.allow(self.clock.now()):
                 self.stats.breaker_skips += 1
                 tracer.event("breaker.skip", domain=site.domain, attempt=attempt)
-                self.metrics.counter("breaker.skips").inc()
                 return VisitRecord(
                     domain=site.domain,
                     rank=site.rank,
@@ -486,17 +492,7 @@ class CrawlSupervisor:
             if self.injector is not None:
                 self.injector.arm(site.domain, visit_index, attempt)
             span = tracer.start("attempt", attempt=attempt)
-            reached = False
-            failure_reason: Optional[str] = None
             try:
-                self.bus.publish(
-                    AttemptStarted(
-                        domain=site.domain,
-                        visit_index=visit_index,
-                        attempt=attempt,
-                        browser=instance.index,
-                    )
-                )
                 try:
                     record = simulate_visit(
                         site,
@@ -514,10 +510,8 @@ class CrawlSupervisor:
                 except FaultError as fault:
                     self.stats.faults_seen += 1
                     last_reason = fault.fault_type.value
-                    failure_reason = last_reason
                     span.status = "fault:" + last_reason
                     tracer.event("fault", fault_type=last_reason, hook=fault.hook)
-                    self.metrics.counter("faults." + last_reason).inc()
                     cost = (
                         config.visit_budget_ms
                         if fault.fault_type.exhausts_budget
@@ -546,9 +540,7 @@ class CrawlSupervisor:
                         self.injector.disarm()
 
                 record.attempts = attempts_made
-                failure_reason = record.failure_reason
                 if record.reached:
-                    reached = True
                     record.recovered = attempts_made > 1
                     self.clock.advance(config.visit_cost_ms)
                     breaker.record_success()
@@ -575,16 +567,6 @@ class CrawlSupervisor:
                 span.status = "failed:" + last_reason
                 self._backoff(site, visit_index, attempt)
             finally:
-                self.bus.publish(
-                    AttemptFinished(
-                        domain=site.domain,
-                        visit_index=visit_index,
-                        attempt=attempt,
-                        browser=instance.index,
-                        reached=reached,
-                        failure_reason=failure_reason,
-                    )
-                )
                 tracer.end(span)
 
         return VisitRecord(
@@ -600,7 +582,6 @@ class CrawlSupervisor:
         instance.recycle()
         self.stats.recycles += 1
         self.tracer.event("browser.recycle", browser=instance.index, reason=reason)
-        self.metrics.counter("recycles").inc()
 
     def _backoff(self, site: SiteConfig, visit_index: int, attempt: int) -> None:
         """Advance the simulated clock by the jittered retry delay."""
@@ -653,9 +634,6 @@ class CrawlSupervisor:
         trace_state = data.get("trace")
         if trace_state is not None:
             self.tracer.load_state(trace_state)
-        metrics_state = data.get("metrics")
-        if metrics_state is not None:
-            self.metrics.load_state(metrics_state)
         ledger_state = data.get("ledger")
         if ledger_state is not None and self.ledger is not None:
             self.ledger.load_state(ledger_state)
@@ -675,7 +653,6 @@ class CrawlSupervisor:
             stats=asdict(self.stats),
             browsers=[instance.state_dict() for instance in self._instances or []],
             trace=tracer.state_dict(spans=texts.spans.array(tracer.spans)),
-            metrics=self.metrics.state_dict(),
             records=texts.records.array(records),
             ledger=None
             if ledger is None

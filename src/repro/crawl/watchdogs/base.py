@@ -7,8 +7,9 @@ The contract, enforced by convention and by lint rule FLT004:
   exceptions with a broad ``except`` and never raise untyped errors --
   a watchdog that cannot recover *leaves the event unresolved* so the
   publisher degrades gracefully into a typed failure;
-- every intervention is observable: :meth:`Watchdog.note` emits a
-  ``watchdog.<name>.<action>`` metrics counter and trace event;
+- every intervention is observable: :meth:`Watchdog.note` records a
+  ``watchdog.<name>.<action>`` trace event, which the metrics export
+  counts under the same name;
 - simulated work (waiting out a challenge, dismissing an overlay) is
   paid on the shared virtual clock, so recovery cost lands on the same
   checkpointed timeline as everything else;
@@ -27,7 +28,7 @@ class Watchdog:
 
     Subclasses override :meth:`subscriptions` to register their
     ``on_*`` handlers; :meth:`attach` wires the supervisor's bus,
-    clock, tracer, metrics and config onto the instance first.
+    clock, tracer and config onto the instance first.
     """
 
     #: Short name used in ``watchdog.<name>.*`` metrics and as
@@ -39,7 +40,6 @@ class Watchdog:
         self.bus = None
         self.clock = None
         self.tracer = None
-        self.metrics = None
         self.config = None
         self._subscriptions: List = []
 
@@ -49,7 +49,6 @@ class Watchdog:
         self.bus = supervisor.bus
         self.clock = supervisor.clock
         self.tracer = supervisor.tracer
-        self.metrics = supervisor.metrics
         self.config = supervisor.config
         self._subscriptions = self.subscriptions()
 
@@ -64,7 +63,6 @@ class Watchdog:
         return []
 
     def note(self, action: str, **attrs) -> None:
-        """Record one intervention: counter + trace event."""
-        self.metrics.counter(f"watchdog.{self.name}.{action}").inc()
+        """Record one intervention as a trace event."""
         if self.tracer.enabled:
             self.tracer.event(f"watchdog.{self.name}.{action}", **attrs)

@@ -1,9 +1,9 @@
 """``repro.obs``: deterministic observability for the crawl stack.
 
-Spans (a per-visit tree over the virtual clock), a metrics registry
-(counters + fixed-bucket histograms), byte-stable JSONL trace export,
-an aggregate crawl report, the probe ledger (detection-surface tracing
-in the JS object model), diff/attribution tooling over the exports, a
+Spans (a per-visit tree over the virtual clock), a metrics export
+folded from the trace and the probe ledger, byte-stable JSONL trace
+export, an aggregate crawl report, the probe ledger (detection-surface
+tracing in the JS object model), diff/attribution tooling over the exports, a
 deterministic profiler (self/total time, exact per-visit percentiles,
 critical paths, speedscope/chrome-trace flame exports; the crawl
 report embeds its profile rather than folding spans again), and the
@@ -57,7 +57,6 @@ from repro.obs.diff import ExportDiff, diff_exports
 from repro.obs.merge import (
     MergeError,
     merge_ledger_entries,
-    merge_metrics_states,
     merge_spans,
     shard_durations,
 )
@@ -68,14 +67,7 @@ from repro.obs.export import (
     trace_to_jsonl,
     write_trace,
 )
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS_MS,
-    Counter,
-    Histogram,
-    MetricsRegistry,
-    NullMetrics,
-    NULL_METRICS,
-)
+from repro.obs.metrics import Histogram, crawl_metrics
 from repro.obs.probes import (
     LedgerEntry,
     ProbeLedger,
@@ -96,12 +88,8 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
-    "Counter",
     "Histogram",
-    "MetricsRegistry",
-    "NullMetrics",
-    "NULL_METRICS",
-    "DEFAULT_LATENCY_BUCKETS_MS",
+    "crawl_metrics",
     "span_to_json",
     "trace_to_jsonl",
     "write_trace",
@@ -121,7 +109,6 @@ __all__ = [
     "diff_exports",
     "MergeError",
     "merge_spans",
-    "merge_metrics_states",
     "merge_ledger_entries",
     "shard_durations",
     "AttributionReport",

@@ -1,8 +1,8 @@
 """Recombining per-shard observability state into one serial timeline.
 
 A sharded crawl (:mod:`repro.shard`) runs one supervisor -- with its own
-virtual clock, tracer, metrics registry and probe ledger -- per
-contiguous block of the population.  Each shard's checkpoint therefore
+virtual clock, tracer and probe ledger -- per contiguous block of the
+population.  Each shard's checkpoint therefore
 holds a clean *segment*: span ids count from 1, timestamps count from 0.
 The shard merge (:mod:`repro.shard.merge`) splices the segments back
 together with the functions here, so the result is byte-identical to
@@ -17,9 +17,10 @@ what a single serial supervisor would have exported:
   the merge reads them from checkpoints and writes them to a checkpoint
   and a JSONL trace, so a :class:`~repro.obs.span.Span` would only be
   built to be taken apart again.
-- **metrics**: counters sum; histograms (same frozen bucket layout) sum
-  bucket-wise.
 - **ledger entries**: renumbered sequentially, timestamps shifted.
+
+The merged metrics export needs no merge of its own: it is
+:func:`~repro.obs.metrics.crawl_metrics` of the merged trace and ledger.
 
 ``python -m repro.obs report|profile`` also uses :func:`merge_spans` to
 splice a plain directory of trace files end to end, on the files'
@@ -35,7 +36,7 @@ in ``tests/test_shard.py`` assert the resulting bytes literally.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.obs.probes import LedgerEntry
 from repro.obs.span import SpanDict
@@ -125,44 +126,6 @@ def merge_spans(shard_spans: Sequence[Sequence[SpanDict]]) -> List[SpanDict]:
         base += len(spans) - 1
         offset += duration
     return merged
-
-
-def merge_metrics_states(
-    states: Sequence[Dict[str, Any]],
-) -> Dict[str, Any]:
-    """Sum per-shard :meth:`MetricsRegistry.state_dict` exports.
-
-    Histogram bucket layouts are frozen at import time, so two shards
-    disagreeing on bounds means the runs are not mergeable.
-    """
-    counters: Dict[str, int] = {}
-    histograms: Dict[str, Dict[str, Any]] = {}
-    for state in states:
-        for name, value in (state.get("counters") or {}).items():
-            counters[name] = counters.get(name, 0) + int(value)
-        for name, data in (state.get("histograms") or {}).items():
-            merged = histograms.get(name)
-            if merged is None:
-                histograms[name] = {
-                    "bounds": list(data["bounds"]),
-                    "buckets": list(data["buckets"]),
-                    "total": float(data["total"]),
-                    "count": int(data["count"]),
-                }
-                continue
-            if merged["bounds"] != list(data["bounds"]):
-                raise MergeError(
-                    f"histogram {name!r}: bucket bounds differ across shards"
-                )
-            merged["buckets"] = [
-                a + b for a, b in zip(merged["buckets"], data["buckets"])
-            ]
-            merged["total"] += float(data["total"])
-            merged["count"] += int(data["count"])
-    return {
-        "counters": {name: counters[name] for name in sorted(counters)},
-        "histograms": {name: histograms[name] for name in sorted(histograms)},
-    }
 
 
 def merge_ledger_entries(

@@ -77,7 +77,8 @@ class CrawlReport:
     #: ``(attempts, visits)`` pairs, sorted by attempt count.
     attempts_per_visit: List[Tuple[int, int]] = field(default_factory=list)
     event_counts: Dict[str, int] = field(default_factory=dict)
-    #: Optional metrics-registry snapshot (``MetricsRegistry.state_dict``).
+    #: Optional metrics export: :func:`repro.obs.metrics.crawl_metrics`
+    #: of the same trace and the crawl's probe ledger.
     metrics: Optional[Dict[str, Any]] = None
     #: ``build_report(top=N)``: the N slowest sites by total visit
     #: time, each ``{"count", "total_ms", "max_ms"}``.

@@ -25,10 +25,9 @@ it, or the tracer would keep stamping spans from a stale timeline.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List
 
 from repro.clock import VirtualClock
-from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.span import Span
 
 
@@ -43,13 +42,8 @@ class Tracer:
     #: Real tracers record; the shared :data:`NULL_TRACER` does not.
     enabled = True
 
-    def __init__(
-        self,
-        clock: VirtualClock,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, clock: VirtualClock) -> None:
         self.clock = clock
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._spans: List[Span] = []
         self._stack: List[Span] = []
         self._next_id = 1
@@ -172,7 +166,6 @@ class NullTracer:
     """
 
     enabled = False
-    metrics = NULL_METRICS
     clock = None
 
     _NULL_SPAN = Span(0, 0, "null", 0.0, {})

@@ -159,7 +159,7 @@ def _verify(
         ledger_path=out_dir / "serial.ledger.jsonl" if spec.ledger else None,
     )
     write_canonical_json(
-        out_dir / "serial.metrics.json", supervisor.metrics.state_dict()
+        out_dir / "serial.metrics.json", supervisor.metrics_state()
     )
     write_canonical_json(
         out_dir / "serial.records.json",

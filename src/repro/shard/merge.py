@@ -1,8 +1,8 @@
 """Recombining per-shard checkpoints into serial-identical output.
 
 The merge is a pure function of the per-shard supervisor checkpoints
-(which carry each shard's records, trace, metrics, stats, and optional
-ledger) and the manifest's fault logs; it reads every ``shard-*`` file
+(which carry each shard's records, trace, stats, and optional ledger)
+and the manifest's fault logs; it reads every ``shard-*`` file
 and writes only ``crawl.*`` files.  Each shard checkpoint is parsed
 once, by :func:`~repro.crawl.checkpoint.split_checkpoint`, and each
 output file is encoded once.  The observability splice lives in
@@ -10,9 +10,9 @@ output file is encoded once.  The observability splice lives in
 
 - **recycles**: shards run from fresh browser states, so the merge folds
   the fault logs in plan order and, in every shard whose recorded budget
-  triggers differ from the fold's, moves the recycle trace events,
-  counters and ``stats.recycles`` in memory, before the splice.
-  Merging twice gives the same bytes;
+  triggers differ from the fold's, moves the recycle trace events and
+  ``stats.recycles`` in memory, before the splice.  Merging twice gives
+  the same bytes;
 - **records**: shards are contiguous population blocks, so plain
   concatenation in shard order *is* the serial visit order.  Records
   carry no id or time the merge rebases, so the merged checkpoint
@@ -21,7 +21,12 @@ output file is encoded once.  The observability splice lives in
   then encoded once into the checkpoint and once into the trace;
 - **stats**: work counters sum; result counters are reconciled from the
   merged records exactly as the serial supervisor reconciles its own;
-- **checkpoint**: a version-2 supervisor checkpoint is assembled from
+- **ledger**: entries are renumbered and shifted; probe-scope sizes
+  concatenate in shard order;
+- **metrics**: :func:`~repro.obs.metrics.crawl_metrics` of the merged
+  trace and ledger -- the fold the serial supervisor's
+  :meth:`~repro.crawl.supervisor.CrawlSupervisor.metrics_state` runs;
+- **checkpoint**: a version-3 supervisor checkpoint is assembled from
   the merged parts -- loadable by a serial
   :class:`~repro.crawl.supervisor.CrawlSupervisor` to extend the crawl,
   and byte-identical to the final checkpoint the serial run writes;
@@ -56,15 +61,14 @@ from repro.obs.export import span_dicts_to_jsonl
 from repro.obs.merge import (
     MergeError,
     merge_ledger_entries,
-    merge_metrics_states,
     merge_spans,
     shard_durations,
 )
+from repro.obs.metrics import crawl_metrics
 from repro.obs.probes import LedgerEntry, ledger_to_jsonl
 from repro.shard.manifest import ShardManifest
 from repro.shard.plan import ShardPlan
 from repro.shard.state import (
-    RECYCLE_COUNTERS,
     fold_fault_log,
     fresh_browser_states,
     observed_triggers,
@@ -114,18 +118,6 @@ def _exact_sum(values: Sequence[float]) -> float:
     for value in values:
         total += value
     return total
-
-
-def _shift_recycles(payload: Dict[str, Any], delta: int) -> None:
-    """Add ``delta`` fault-budget recycles to one shard payload's
-    ``stats.recycles`` and recycle counters."""
-    payload["stats"]["recycles"] += delta
-    counters = payload["metrics"]["counters"]
-    for name in RECYCLE_COUNTERS:
-        counters[name] = counters.get(name, 0) + delta
-        if not counters[name]:
-            # The serial registry never creates a counter nothing bumped.
-            del counters[name]
 
 
 def _read_shard(index: int, path: Path) -> Tuple[Dict[str, Any], str]:
@@ -187,13 +179,10 @@ def merge_shards(
         recorded = observed_triggers(log)
         if triggers != recorded:
             place_recycles(spans, triggers, budget)
-            _shift_recycles(payload, len(triggers) - len(recorded))
+            payload["stats"]["recycles"] += len(triggers) - len(recorded)
     durations = shard_durations(shard_spans)
     merged_spans = merge_spans(shard_spans)
     clock_ms = _exact_sum(durations)
-    metrics_state = merge_metrics_states(
-        [payload["metrics"] for payload in payloads]
-    )
     record_dicts: List[Dict[str, Any]] = []
     for payload in payloads:
         record_dicts.extend(payload["records"])
@@ -227,6 +216,11 @@ def merge_shards(
         ledger_state = {
             "next_id": len(merged_ledger) + 1,
             "scopes": [],
+            "probe_sizes": [
+                size
+                for payload in payloads
+                for size in payload["ledger"]["probe_sizes"]
+            ],
             "entries": [entry.to_dict() for entry in merged_ledger],
         }
     checkpoint_path = out_dir / "crawl.ckpt.json"
@@ -246,7 +240,6 @@ def merge_shards(
                 "open": [],
                 "spans": merged_spans,
             },
-            metrics=metrics_state,
             records=EncodedArray(record_texts),
             ledger=ledger_state,
         ),
@@ -255,7 +248,7 @@ def merge_shards(
     trace_path = out_dir / "crawl.trace.jsonl"
     trace_path.write_text(span_dicts_to_jsonl(merged_spans))
     metrics_path = write_canonical_json(
-        out_dir / "crawl.metrics.json", metrics_state
+        out_dir / "crawl.metrics.json", crawl_metrics(merged_spans, ledger_state)
     )
     records_path = write_canonical_json(
         out_dir / "crawl.records.json", record_dicts

@@ -58,15 +58,6 @@ FAULT_OBSERVED_EVENT = "bus.fault_observed"
 #: triggers -- the one entry-state-dependent observable.
 RECYCLE_TRIGGER_EVENT = "watchdog.recycle.recycle_requested"
 
-#: Counters one fault-budget recycle increments (crash recycles share
-#: the last three).
-RECYCLE_COUNTERS = (
-    RECYCLE_TRIGGER_EVENT,
-    "bus.events.browser_recycle_requested",
-    "recycles",
-    "bus.events.browser_recycled",
-)
-
 #: Trace events per fault-budget recycle (see :func:`_recycle_events`).
 _RECYCLE_GROUP_SIZE = 4
 

@@ -4,17 +4,17 @@ A :class:`ShardTask` is a plain picklable description of one shard run;
 :func:`run_shard` is the process-pool entry point that executes it.
 Every shard builds its *own* :class:`~repro.crawl.supervisor.
 CrawlSupervisor` -- and with it its own :class:`~repro.clock.
-VirtualClock`, :class:`~repro.bus.EventBus`, :class:`~repro.obs.Tracer`,
-metrics registry and (optionally) probe ledger -- so shards share no
-mutable state whatsoever: bus isolation is by construction, not by
-locking.
+VirtualClock`, :class:`~repro.bus.EventBus`, :class:`~repro.obs.Tracer`
+and (optionally) probe ledger -- so shards share no mutable state
+whatsoever: bus isolation is by construction, not by locking.
 
 The supervisor's own site-boundary checkpointing gives mid-shard
 interrupt/resume for free: ``run_shard`` passes a per-shard checkpoint
 path, and a re-run of the same task resumes from it byte-identically.
 That checkpoint is the only file a shard writes, and the merge layer's
-only per-shard input -- it already carries the records, trace, metrics,
-stats, browser states and ledger of the completed shard.
+only per-shard input -- it already carries the records, trace, stats,
+browser states and ledger of the completed shard, from which the merge
+also folds the metrics.
 """
 
 from __future__ import annotations
@@ -109,8 +109,8 @@ def run_shard(task: ShardTask) -> Dict[str, Any]:
 
     The meta record carries the shard's duration and its fault log --
     read back off the trace, so a resumed shard reports its complete
-    history.  Everything else (records, trace, metrics, ledger) stays in
-    the checkpoint at :func:`shard_checkpoint`.
+    history.  Everything else (records, trace, ledger) stays in the
+    checkpoint at :func:`shard_checkpoint`.
     """
     supervisor = build_supervisor(task.spec)
     supervisor.crawl(

@@ -65,8 +65,7 @@ class WebDriver:
         #: (or a disarmed injector) leaves the driver fault-free.
         self.fault_injector = fault_injector
         #: Optional :class:`repro.obs.Tracer`; commands become
-        #: ``webdriver.*`` spans.  Assigning also wires the tracer's
-        #: metrics into the input pipeline (event-type counters).
+        #: ``webdriver.*`` spans.
         self.tracer = tracer
 
     @property
@@ -76,9 +75,6 @@ class WebDriver:
     @tracer.setter
     def tracer(self, tracer) -> None:
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        self.pipeline.metrics = (
-            self._tracer.metrics if self._tracer.enabled else None
-        )
 
     def _fault_check(self, hook: str) -> None:
         """Give the fault injector a chance to fail this command."""

@@ -7,14 +7,13 @@ watchdog attached stays byte-identical across interrupt/resume.
 """
 
 from collections import Counter
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.browser.session import BrowserSession
 from repro.bus import (
-    AttemptFinished,
-    AttemptStarted,
     BusEvent,
     EventBus,
     FaultObserved,
@@ -33,11 +32,27 @@ from repro.crawl import (
     generate_population,
 )
 from repro.faults import FaultPlan
-from repro.obs import Tracer
+from repro.obs import Tracer, crawl_metrics
 
 
 def make_bus(tracer=None):
     return EventBus(VirtualClock(), tracer)
+
+
+@dataclass
+class SiteVisited(BusEvent):
+    """A plain notification no production code publishes."""
+
+    domain: str
+    browser: int = 0
+
+
+@dataclass
+class SiteLeft(BusEvent):
+    """A second plain notification, for nested publishes."""
+
+    domain: str
+    browser: int = 0
 
 
 #: (class, constructor) pairs the property tests draw from.  Distinct
@@ -45,11 +60,8 @@ def make_bus(tracer=None):
 #: browser command.  The constructor takes the event's ``browser``;
 #: classes without a ``browser`` field ignore it.
 EVENT_MAKERS = [
-    (AttemptStarted, lambda browser: AttemptStarted("a.example", 0, 0, browser)),
-    (
-        AttemptFinished,
-        lambda browser: AttemptFinished("a.example", 0, 0, browser, True),
-    ),
+    (SiteVisited, lambda browser: SiteVisited("a.example", browser)),
+    (SiteLeft, lambda browser: SiteLeft("a.example", browser)),
     (
         FaultObserved,
         lambda browser: FaultObserved("crash", "get", "a.example", 0, 0, True),
@@ -62,7 +74,7 @@ EVENT_MAKERS = [
 
 class TestEventNames:
     def test_camel_to_snake(self):
-        assert event_name(AttemptStarted) == "attempt_started"
+        assert event_name(SiteVisited) == "site_visited"
         assert event_name(OverlayDetected) == "overlay_detected"
         assert event_name(BusEvent) == "bus_event"
 
@@ -75,9 +87,9 @@ class TestDispatch:
     def test_publish_stamps_clock_time_and_sequence(self):
         bus = make_bus()
         bus.clock.advance(250.0)
-        first = bus.publish(AttemptStarted("a.example", 0, 0, 0))
+        first = bus.publish(SiteVisited("a.example"))
         bus.clock.advance(10.0)
-        second = bus.publish(AttemptFinished("a.example", 0, 0, 0, True))
+        second = bus.publish(SiteLeft("a.example"))
         assert (first.ts_ms, first.seq) == (250.0, 1)
         assert (second.ts_ms, second.seq) == (260.0, 2)
         assert bus.events_published == 2
@@ -85,10 +97,10 @@ class TestDispatch:
     def test_handlers_fire_in_registration_order(self):
         bus = make_bus()
         log = []
-        bus.subscribe(AttemptStarted, lambda e: log.append("first"))
-        bus.subscribe(AttemptStarted, lambda e: log.append("second"))
-        bus.subscribe(AttemptStarted, lambda e: log.append("third"))
-        bus.publish(AttemptStarted("a.example", 0, 0, 0))
+        bus.subscribe(SiteVisited, lambda e: log.append("first"))
+        bus.subscribe(SiteVisited, lambda e: log.append("second"))
+        bus.subscribe(SiteVisited, lambda e: log.append("third"))
+        bus.publish(SiteVisited("a.example"))
         assert log == ["first", "second", "third"]
 
     def test_base_class_subscription_sees_subclasses(self):
@@ -98,12 +110,12 @@ class TestDispatch:
         bus.subscribe(BusEvent, lambda e: log.append(("any", e.name)))
         bus.subscribe(OverlayDetected, lambda e: log.append(("exact", e.name)))
         bus.publish(OverlayDetected("a.example", "modal"))
-        bus.publish(AttemptStarted("a.example", 0, 0, 0))
+        bus.publish(SiteVisited("a.example"))
         assert log == [
             ("resolvable", "overlay_detected"),
             ("any", "overlay_detected"),
             ("exact", "overlay_detected"),
-            ("any", "attempt_started"),
+            ("any", "site_visited"),
         ]
 
     def test_mro_match_keeps_global_registration_order(self):
@@ -123,22 +135,22 @@ class TestDispatch:
 
         def chain(event):
             log.append("outer-start")
-            bus.publish(AttemptFinished("a.example", 0, 0, 0, True))
+            bus.publish(SiteLeft("a.example"))
             log.append("outer-end")
 
-        bus.subscribe(AttemptStarted, chain)
-        bus.subscribe(AttemptFinished, lambda e: log.append("inner"))
-        bus.publish(AttemptStarted("a.example", 0, 0, 0))
+        bus.subscribe(SiteVisited, chain)
+        bus.subscribe(SiteLeft, lambda e: log.append("inner"))
+        bus.publish(SiteVisited("a.example"))
         assert log == ["outer-start", "inner", "outer-end"]
 
     def test_unsubscribe_stops_delivery_and_is_idempotent(self):
         bus = make_bus()
         log = []
-        token = bus.subscribe(AttemptStarted, lambda e: log.append("gone"))
-        bus.subscribe(AttemptStarted, lambda e: log.append("kept"))
+        token = bus.subscribe(SiteVisited, lambda e: log.append("gone"))
+        bus.subscribe(SiteVisited, lambda e: log.append("kept"))
         bus.unsubscribe(token)
         bus.unsubscribe(token)  # no-op
-        bus.publish(AttemptStarted("a.example", 0, 0, 0))
+        bus.publish(SiteVisited("a.example"))
         assert log == ["kept"]
 
     def test_subscribe_and_unsubscribe_reroute_the_next_publish(self):
@@ -171,10 +183,10 @@ class TestDispatch:
             raise WatchdogBug("handler exploded")
 
         reached = []
-        bus.subscribe(AttemptStarted, bad_handler)
-        bus.subscribe(AttemptStarted, lambda e: reached.append(True))
+        bus.subscribe(SiteVisited, bad_handler)
+        bus.subscribe(SiteVisited, lambda e: reached.append(True))
         with pytest.raises(WatchdogBug):
-            bus.publish(AttemptStarted("a.example", 0, 0, 0))
+            bus.publish(SiteVisited("a.example"))
         # The publish aborted: later handlers never ran.
         assert reached == []
 
@@ -182,16 +194,16 @@ class TestDispatch:
         tracer = Tracer(VirtualClock())
         bus = EventBus(tracer.clock, tracer)
         span = tracer.start("crawl")
-        bus.publish(AttemptStarted("a.example", 0, 0, 0))
-        bus.publish(AttemptStarted("b.example", 1, 0, 0))
+        bus.publish(SiteVisited("a.example"))
+        bus.publish(SiteVisited("b.example"))
         bus.publish(OverlayDetected("a.example", "modal"))
         tracer.end(span)
-        counters = tracer.metrics.state_dict()["counters"]
-        assert counters["bus.events.attempt_started"] == 2
+        counters = crawl_metrics([span.to_dict()])["counters"]
+        assert counters["bus.events.site_visited"] == 2
         assert counters["bus.events.overlay_detected"] == 1
         assert [e.name for e in span.events] == [
-            "bus.attempt_started",
-            "bus.attempt_started",
+            "bus.site_visited",
+            "bus.site_visited",
             "bus.overlay_detected",
         ]
 
@@ -363,7 +375,7 @@ class TestSessionRouting:
         plan = FaultPlan.generate(population, 8, rate=0.25, seed=5)
         supervisor = CrawlSupervisor(crawler, config=SupervisorConfig(), plan=plan)
         supervisor.crawl(population)
-        counters = supervisor.metrics.state_dict()["counters"]
+        counters = supervisor.metrics_state()["counters"]
         assert calls["on_navigate"] == counters["bus.events.navigate_to_url"] > 0
         assert calls["on_query"] == counters["bus.events.query_elements"] > 0
         assert calls["on_run_script"] == counters["bus.events.run_script"] > 0
@@ -409,6 +421,6 @@ class TestSupervisedResumeIdentity:
         supervised(population).crawl(population[:6], checkpoint_path=checkpoint)
         resumed = supervised(population)
         resumed.crawl(population, checkpoint_path=checkpoint)
-        assert resumed.metrics.state_dict() == full.metrics.state_dict()
-        counters = full.metrics.state_dict()["counters"]
+        assert resumed.metrics_state() == full.metrics_state()
+        counters = full.metrics_state()["counters"]
         assert any(k.startswith("bus.events.") for k in counters)

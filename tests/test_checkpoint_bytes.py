@@ -5,7 +5,7 @@ and the serial-vs-sharded oracle's subject, so its bytes are pinned
 here: the sha256 of every file each scenario writes, intermediate and
 final.  Each write is also compared with ``json.dumps`` of the payload
 the supervisor's state describes at that moment
-(:func:`reference_payload`, the plain version-2 builder), so a writer
+(:func:`reference_payload`, the plain version-3 builder), so a writer
 that encodes less than everything on each write must still produce
 exactly that document.
 
@@ -85,10 +85,10 @@ def make_supervisor(every_sites, tracer=None):
 
 
 def reference_payload(supervisor, records):
-    """The version-2 checkpoint payload, built in full from the
+    """The version-3 checkpoint payload, built in full from the
     supervisor's state: the document every write must encode."""
     payload = {
-        "version": 2,
+        "version": 3,
         "crawler_name": supervisor.crawler.name,
         "seed": supervisor.crawler.seed,
         "instances": supervisor.crawler.instances,
@@ -98,7 +98,6 @@ def reference_payload(supervisor, records):
             instance.state_dict() for instance in supervisor._instances or []
         ],
         "trace": supervisor.tracer.state_dict(),
-        "metrics": supervisor.metrics.state_dict(),
         "records": [r.to_dict() for r in records],
     }
     if supervisor.ledger is not None:
@@ -141,50 +140,50 @@ def interrupt_after(supervisor, visits):
 
 DIGESTS = {
     "traced-every-1": [
-        "233a51daf713a2d84a6d682d6fddf98727b171bdd1d851d3d13e78c46b575363",
-        "697757b0c1feaffaf88a2aa0499dc3f645d36ec9204eccbd3f2c0312b11af59a",
-        "d711241351de8d7805d7af02c77b301a579032a5be1f44e0ba0f4cc840e228b6",
-        "fb51f9a8a59c08284d6ae4861606e8fa8a7b207a336773ee3e5c6d02a86af5de",
-        "cd5240abcf16fd44c71da9f7967554f5ae7475c9e2ff72b0c820f978c0362d44",
-        "829a2132c7e9df83bc3e21684ffc936f516c15c302a760fd6665a5fd03c8b4ae",
-        "80a983a829fca962ba7e9faba65690078de7800e7209f776c2efe3d9210f4c73",
-        "cd54a29b6e0613722de03ab5f133b14e37392a157b93a3752c95a78d029a67da",
-        "84c4ef6712d9686cc41cf1a5e3a75983b53c755d310181e6c89ba022116b5afb",
-        "48415d82178f8b027faa146d1ef7030fc298c3232a42f4638f6fa21948ed1a2f",
-        "89c73cc7d304e1e7295deb259de44c7121d546b50267498710306b42cd75a7a0",
-        "2bd3b46acbe083c18a76f9ed4375f06665d72154cfee321f192be7b810d6cfca",
-        "7ba766a1b9bed56d30db28d7f7df42f03101d66b86d9e77832ec56347c65574b",
-        "e931116eab64b89b269027482707396790d0e9b2ccee57fa38c64a9421e012e8",
-        "ce82740039ef86b0b142bb9c153269bbce39c7ce42d658be7d8e2a9d0271bfc4",
+        "e112f28af2a33d444475fbbe007cfa39d3fb058cf8f4da4c83abf69c31c3d1fb",
+        "7add72bbbe833ec9b6c4d98baee7c7d2257573f610097b5a4179ec40a46000d1",
+        "4379e753e800f8f579fd33969aaa590ce06719fcafa4ddf2273fd0b17d3de6b6",
+        "65059b714e856c0e8edc9954ebc553643858acd191bc8bec4a54bd2af4c1830e",
+        "7f723c176f766e0c21a474facc6b2964a6fdedc94cbbe8cbff02e72b2eb6630b",
+        "fe8006e8715cda0099b7deb8977c9b20789b8d7a9af51f0c073b54b6f54fd036",
+        "791b613cc94c39f3d633b0e6b81dd214f779a421ea194d8e19c23e5577acd733",
+        "2bd9028f7e47d8a49873596660aeb6db460ca9983f7c6903536ea47b0d5c0a78",
+        "9033575dcb002404fa095a32b3c4d59df644e26720d077f0bb5feaac6dc5e207",
+        "5e801d382045600d147d9a39d7dd11cff9b51dd45ce5a83854cc50764d6c3b67",
+        "e016a63eb3417d495c38f3c0db709c7c84ac67068e4e74f10806608d4605eb69",
+        "6942d7c9abb3746ad366df857e0c63c6d4ea3175c8f59cc2b5e89ff873c5d63f",
+        "e0f2f7ad6e106992f6f1653b64770d3cdb433d317c4f7dfb01b11895ce02eb3b",
+        "97a113db6ed9988bb4a5892fd31109089d2b56d5587dc85f1142e3d6b3375689",
+        "c2a12b966c5624e7ab17bae02dc1efa7c294b22eb46e3bc2622771eb00b4632d",
     ],
     "traced-every-3": [
-        "d711241351de8d7805d7af02c77b301a579032a5be1f44e0ba0f4cc840e228b6",
-        "829a2132c7e9df83bc3e21684ffc936f516c15c302a760fd6665a5fd03c8b4ae",
-        "84c4ef6712d9686cc41cf1a5e3a75983b53c755d310181e6c89ba022116b5afb",
-        "2bd3b46acbe083c18a76f9ed4375f06665d72154cfee321f192be7b810d6cfca",
-        "ce82740039ef86b0b142bb9c153269bbce39c7ce42d658be7d8e2a9d0271bfc4",
+        "4379e753e800f8f579fd33969aaa590ce06719fcafa4ddf2273fd0b17d3de6b6",
+        "fe8006e8715cda0099b7deb8977c9b20789b8d7a9af51f0c073b54b6f54fd036",
+        "9033575dcb002404fa095a32b3c4d59df644e26720d077f0bb5feaac6dc5e207",
+        "6942d7c9abb3746ad366df857e0c63c6d4ea3175c8f59cc2b5e89ff873c5d63f",
+        "c2a12b966c5624e7ab17bae02dc1efa7c294b22eb46e3bc2622771eb00b4632d",
     ],
     "untraced-every-3": [
-        "aa08750b9c9207b08c452c3ad2e7a7befd68315c3220ed3506b1892384a056ff",
-        "fcc8d4d08448b11341b9341c8d201b1c6fed7b1075607dad0092ef5399d540f9",
-        "1af0e22277c9b719157d8fff8c1462a64c437658f984799a5d9349ad3add7118",
-        "4ca71362122a9e5b398b865486c0e3c20f62a33e16f6fe1b9dfaabaed01e8925",
-        "b5b54c4f4ac62b38f0c629c9b0d698ae7d35600cfad2da061d956518903ac2e6",
+        "fcca5d0ff31a3d959c72e2d4c159838614764de5bd25b7a83706f0a89ff3917c",
+        "a9b6cc10f3e12f703f62adb6fbdabf08a6a393c26538f861abc68ca67e920978",
+        "8b4ea9bba1501af36d30b9ff5897c7777bccb25e5c95c73d1682ae401693ea97",
+        "bf9881907bedf328eec6d47e334000bbde7022ae8742c4147638ed7451a51e95",
+        "84d3f059ba9bb161b9bb0b5f12b0cb8d917897af15e309afcd3ea7154f3ac9de",
     ],
     "interrupted-resumed": [
-        "d711241351de8d7805d7af02c77b301a579032a5be1f44e0ba0f4cc840e228b6",
-        "829a2132c7e9df83bc3e21684ffc936f516c15c302a760fd6665a5fd03c8b4ae",
-        "00a6e3eaa92b800b7473fcc3ec8b32095fcc372ce100288785f354c09194f017",
-        "6f59939c057e50bd3763c390bbad3d6d3213918b3b7b9496bd78ffa360ab9c5a",
-        "f4cfe848e7aad8eb4114dab8de6403000ecfa7995816a96b7d9b26efc016022f",
+        "4379e753e800f8f579fd33969aaa590ce06719fcafa4ddf2273fd0b17d3de6b6",
+        "fe8006e8715cda0099b7deb8977c9b20789b8d7a9af51f0c073b54b6f54fd036",
+        "e084f6d23ae1b9970746418ba206e135e98bf2d1b58c8f0d989ca6f73e54666e",
+        "5cfad273e109be1583d74a428ae866d8072ae89e1bc9e06d9206ab36fd72a8d7",
+        "37da388e561e0c21767e703b914fbad89605e1b728622a070dbc5db3fa5662bb",
     ],
     "second-crawl-grown": [
-        "d711241351de8d7805d7af02c77b301a579032a5be1f44e0ba0f4cc840e228b6",
-        "277576834d1535e66914dbff87fabbbb3a12898135a0eca4c983fc46ed50101c",
-        "374621ff9d10c061b5994f43a7f11b8c73aa429579cb882e42fd91062e52da10",
-        "20b101cadf0d96a5e62a16d3ce10be3033c0ea8970d23095e7588ed2387b3daf",
-        "61fca356948a610859de53157fda4fbd33bcdfb74745a26a3c706c82380b9e32",
-        "15915d7892f7b6693d1d520af2b7d0650e5c8436cf885a1f255dc05dbe78c06a",
+        "4379e753e800f8f579fd33969aaa590ce06719fcafa4ddf2273fd0b17d3de6b6",
+        "d9e3acfcc9e0dba887d40082286c5dc358f114ceca346a6de412d51a7ee467f1",
+        "0b637c510784a2036b17a1213ab68b5356b82425bcc463928707217d0fff9c61",
+        "4a6d70d85682757ab677106fce0dca7218ae1c2901d8f6dce29bc73f4f827b7a",
+        "3def0e39dc7de8452aff85abb35eff2eac4389dc0e7ef984c7ef8362bff21163",
+        "1cfbc3e0e1a73746029d0140803a9134a54ef354d1a54791a399a6d4f5bd29f5",
     ],
 }
 

@@ -71,17 +71,16 @@ def payloads(draw):
             if traced
             else None
         ),
-        metrics=(
-            {"counters": draw(st.dictionaries(TEXT, st.integers(), max_size=3))}
-            if traced
-            else None
-        ),
         records=draw(st.lists(RECORD, max_size=4)),
         ledger=draw(
             st.one_of(
                 st.none(),
                 st.fixed_dictionaries(
-                    {"next_id": st.integers(1, 9), "entries": st.lists(TEXT, max_size=2)}
+                    {
+                        "next_id": st.integers(1, 9),
+                        "probe_sizes": st.lists(st.integers(0, 9), max_size=3),
+                        "entries": st.lists(TEXT, max_size=2),
+                    }
                 ),
             )
         ),

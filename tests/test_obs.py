@@ -16,11 +16,12 @@ from repro.faults import FaultPlan
 from repro.faults.types import FaultError, FaultType, NetworkResetFault
 from repro.obs import (
     NULL_TRACER,
-    MetricsRegistry,
+    Histogram,
     ProbeLedger,
     Span,
     Tracer,
     build_report,
+    crawl_metrics,
     parse_trace,
     read_trace,
     trace_to_jsonl,
@@ -140,13 +141,13 @@ class TestSpans:
         assert not NULL_TRACER.enabled
 
 
+def span_with_events(*events):
+    return {"events": [{"ts_ms": 0.0, "name": n, "attrs": a} for n, a in events]}
+
+
 class TestMetrics:
-    def test_counter_and_histogram_accumulate(self):
-        metrics = MetricsRegistry()
-        metrics.counter("faults").inc()
-        metrics.counter("faults").inc(2)
-        assert metrics.counter_value("faults") == 3
-        hist = metrics.histogram("latency", bounds=(10.0, 100.0))
+    def test_histogram_accumulates(self):
+        hist = Histogram("latency", bounds=(10.0, 100.0))
         for value in (5.0, 10.0, 11.0, 250.0):
             hist.observe(value)
         # Inclusive upper bounds plus one overflow bucket.
@@ -154,29 +155,47 @@ class TestMetrics:
         assert hist.count == 4
         assert hist.mean == pytest.approx((5 + 10 + 11 + 250) / 4.0)
 
-    def test_counters_reject_negative_increments(self):
-        with pytest.raises(ValueError):
-            MetricsRegistry().counter("c").inc(-1)
+    def test_fold_is_sorted_and_event_order_independent(self):
+        a = crawl_metrics([span_with_events(("watchdog.z.x", {}), ("bus.a", {}))])
+        b = crawl_metrics([span_with_events(("bus.a", {}), ("watchdog.z.x", {}))])
+        assert json.dumps(a) == json.dumps(b)
+        assert list(a["counters"]) == ["bus.events.a", "watchdog.z.x"]
 
-    def test_state_dict_sorted_and_creation_order_independent(self):
-        a = MetricsRegistry()
-        a.counter("zeta").inc()
-        a.counter("alpha").inc()
-        b = MetricsRegistry()
-        b.counter("alpha").inc()
-        b.counter("zeta").inc()
-        assert json.dumps(a.state_dict()) == json.dumps(b.state_dict())
-        assert list(a.state_dict()["counters"]) == ["alpha", "zeta"]
+    def test_fold_maps_each_event_kind_to_its_counter(self):
+        spans = [
+            span_with_events(
+                ("bus.fault_observed", {}),
+                ("fault", {"fault_type": "driver-crash", "hook": "get"}),
+                ("breaker.open", {"domain": "a", "previous": "closed"}),
+                ("breaker.skip", {"domain": "a", "attempt": 0}),
+                ("browser.recycle", {"browser": 0, "reason": "crash"}),
+                ("watchdog.crash.recycle_requested", {"browser": 0}),
+                ("backoff", {"delay_ms": 500.0, "attempt": 0}),
+                ("probe.ledger", {"entries": 3}),
+            ),
+            {"events": None},
+        ]
+        ledger = {"entries": [{"op": "get"}, {"op": "get"}], "probe_sizes": []}
+        assert crawl_metrics(spans, ledger) == {
+            "counters": {
+                "breaker.open": 1,
+                "breaker.skips": 1,
+                "bus.events.fault_observed": 1,
+                "faults.driver-crash": 1,
+                "probe.ops.get": 2,
+                "recycles": 1,
+                "watchdog.crash.recycle_requested": 1,
+            },
+            "histograms": {},
+        }
 
-    def test_state_roundtrip(self):
-        metrics = MetricsRegistry()
-        metrics.counter("visits").inc(4)
-        metrics.histogram("ms").observe(42.0)
-        restored = MetricsRegistry()
-        restored.load_state(json.loads(json.dumps(metrics.state_dict())))
-        assert restored.state_dict() == metrics.state_dict()
-        restored.histogram("ms").observe(42.0)
-        assert restored.histogram("ms").count == 2
+    def test_histogram_state_roundtrip(self):
+        hist = Histogram("ms", bounds=(10.0, 100.0))
+        hist.observe(42.0)
+        restored = Histogram.from_dict("ms", json.loads(json.dumps(hist.to_dict())))
+        assert restored.to_dict() == hist.to_dict()
+        restored.observe(42.0)
+        assert restored.count == 2
 
 
 class TestExport:
@@ -257,18 +276,17 @@ class TestReport:
         assert report.retries == sup.stats.retries
         assert report.recycles == sup.stats.recycles
         assert sum(report.faults.values()) == sup.stats.faults_seen
-        assert report.metrics == sup.metrics.state_dict()
+        assert report.metrics == sup.metrics_state()
 
     def test_report_surfaces_bus_and_watchdog_events(self):
         population = tiny_population()
         sup = make_supervisor(population)
         sup.crawl(population)
         report = sup.report()
-        # Every attempt publishes a start/finish pair on the bus; the
-        # trace-derived counts must match the metrics counters.
-        counters = sup.metrics.state_dict()["counters"]
-        assert report.bus_events["attempt_started"] == sup.stats.attempts
-        assert report.bus_events["attempt_finished"] == sup.stats.attempts
+        # Every bus publish lands in the trace, and the report and the
+        # metrics export count it alike.
+        counters = sup.metrics_state()["counters"]
+        assert sum(report.bus_events.values()) == sup.bus.events_published
         for name, count in report.bus_events.items():
             assert counters["bus.events." + name] == count
         # The crash watchdog drove every recycle this crawl performed.
@@ -362,15 +380,11 @@ class TestInstrumentation:
         assert spans[0].attrs["actions"] == 1
         assert spans[0].attrs["events"] > 0
         assert spans[0].duration_ms > 0
-        # The pipeline counted per-event-type metrics through the tracer.
-        state = driver.tracer.metrics.state_dict()
-        assert state["counters"].get("events.mousemove", 0) > 0
 
     def test_untraced_driver_costs_no_spans_or_metrics(self):
         driver = make_browser_driver()
         driver.get("https://a.example/")
         assert driver.tracer is NULL_TRACER
-        assert driver.pipeline.metrics is None
         assert driver.tracer.spans == []
 
 
@@ -415,7 +429,7 @@ class TestCrawlTraceDeterminism:
         )
         resumed = make_supervisor(population)
         resumed.crawl(population, checkpoint_path=checkpoint)
-        assert resumed.metrics.state_dict() == full.metrics.state_dict()
+        assert resumed.metrics_state() == full.metrics_state()
 
     def test_span_tree_covers_the_stack(self):
         population = tiny_population()
@@ -454,13 +468,30 @@ class TestCrawlTraceDeterminism:
         assert untraced_sup.tracer.spans == []
 
 
+#: The bucket bounds the histogram percentile tests observe into.
+LATENCY_BOUNDS = (
+    1.0,
+    5.0,
+    10.0,
+    50.0,
+    100.0,
+    500.0,
+    1_000.0,
+    2_000.0,
+    5_000.0,
+    10_000.0,
+    30_000.0,
+    60_000.0,
+    120_000.0,
+)
+
+
 class TestPercentiles:
     """Bucketed metrics interpolate; the report's span quantiles are the
     profile's exact ones."""
 
     def test_histogram_percentile(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("latency")
+        histogram = Histogram("latency", LATENCY_BOUNDS)
         for value in [8.0] * 9 + [450.0]:
             histogram.observe(value)
         # interpolated within the (5, 10] bucket: rank 5 of the 9
@@ -473,8 +504,7 @@ class TestPercentiles:
     def test_histogram_percentile_interpolates_within_bucket(self):
         # 4 observations in the (10, 50] bucket: quartile ranks split the
         # bucket span linearly instead of all reporting the upper bound.
-        registry = MetricsRegistry()
-        histogram = registry.histogram("latency")
+        histogram = Histogram("latency", LATENCY_BOUNDS)
         for value in [20.0, 30.0, 40.0, 50.0]:
             histogram.observe(value)
         assert histogram.percentile(0.25) == 20.0
@@ -483,14 +513,12 @@ class TestPercentiles:
         assert histogram.percentile(1.00) == 50.0
 
     def test_histogram_percentile_overflow_reports_last_bound(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("latency")
+        histogram = Histogram("latency", LATENCY_BOUNDS)
         histogram.observe(999_999.0)
         assert histogram.percentile(0.5) == 120_000.0
 
     def test_histogram_percentile_empty_and_invalid_q(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("latency")
+        histogram = Histogram("latency", LATENCY_BOUNDS)
         assert histogram.percentile(0.5) == 0.0
         with pytest.raises(ValueError):
             histogram.percentile(0.0)

@@ -36,7 +36,7 @@ from repro.obs.attribute import (
 )
 from repro.obs.cli import main as obs_main
 from repro.obs.diff import ExportKindError, diff_exports
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import crawl_metrics
 from repro.obs.probes import (
     PROBE_SCOPE_PREFIX,
     SPOOF_SCOPE_PREFIX,
@@ -100,28 +100,35 @@ class TestProbeLedger:
         assert ledger.entries[-1].scope == ""
 
     def test_metrics_folding(self):
-        metrics = MetricsRegistry()
-        ledger = ProbeLedger(metrics=metrics)
+        ledger = ProbeLedger()
         with ledger.scope(PROBE_SCOPE_PREFIX + "NEW_OBJECT_KEYS"):
             ledger.record("ownKeys", "navigator")
             ledger.record("get", "navigator", key="webdriver")
         with ledger.scope("not-a-probe"):
             ledger.record("get", "navigator")
-        assert metrics.counter_value("probe.ops.ownKeys") == 1
-        assert metrics.counter_value("probe.ops.get") == 2
-        histogram = metrics.histogram("probe_accesses_per_probe")
-        assert histogram.count == 1  # only the detector.probe scope
-        assert histogram.total == 2.0
+        with ledger.scope(PROBE_SCOPE_PREFIX + "READS_NOTHING"):
+            pass
+        # Only detector.probe scopes have a size; an empty one counts 0.
+        assert ledger.probe_sizes == [2, 0]
+        metrics = crawl_metrics([], ledger.state_dict())
+        assert metrics["counters"] == {"probe.ops.get": 2, "probe.ops.ownKeys": 1}
+        histogram = metrics["histograms"]["probe_accesses_per_probe"]
+        assert histogram["count"] == 2
+        assert histogram["total"] == 2.0
+        assert histogram["buckets"][0] == 1  # the empty probe
 
     def test_state_roundtrip(self):
         ledger = ProbeLedger()
         with ledger.scope("a"):
             ledger.record("get", "navigator", key="x", detail={"n": 1})
+        with ledger.scope(PROBE_SCOPE_PREFIX + "P"):
+            ledger.record("get", "navigator", key="y")
         other = ProbeLedger()
-        other.load_state(ledger.state_dict())
+        other.load_state(json.loads(json.dumps(ledger.state_dict())))
         assert other.entries == ledger.entries
+        assert other.probe_sizes == ledger.probe_sizes == [1]
         other.record("set", "navigator")
-        assert other.entries[-1].entry_id == 2
+        assert other.entries[-1].entry_id == 3
 
     def test_jsonl_roundtrip_is_canonical(self):
         ledger = ProbeLedger()
@@ -805,9 +812,9 @@ class TestSupervisedLedger:
     @pytest.mark.parametrize(
         "crawls", [1, 2], ids=["one-crawl", "two-crawls"]
     )
-    def test_ledger_metrics_folded_into_registry(self, tmp_path, crawls):
-        # The second crawl() reloads the registry from the checkpoint;
-        # the per-op counters must keep counting into the reloaded one.
+    def test_ledger_metrics_folded_from_the_ledger(self, tmp_path, crawls):
+        # The second crawl() reloads the ledger from the checkpoint; the
+        # fold must count its restored entries and probe sizes too.
         population = ledger_population()
         ledger = ProbeLedger()
         sup = ledger_supervisor(ledger=ledger)
@@ -820,7 +827,7 @@ class TestSupervisedLedger:
         else:
             sup.crawl(population)
         assert len(ledger) > 0
-        state = sup.metrics.state_dict()
+        state = sup.metrics_state()
         op_counters = {
             name[len("probe.ops."):]: value
             for name, value in state["counters"].items()
@@ -828,7 +835,7 @@ class TestSupervisedLedger:
         }
         assert op_counters == dict(Counter(e.op for e in ledger.entries))
         histogram = state["histograms"]["probe_accesses_per_probe"]
-        assert histogram["count"] > 0
+        assert histogram["count"] == len(ledger.probe_sizes) > 0
 
     def test_crawl_ledger_scopes_are_probe_scopes(self):
         ledger = ProbeLedger()

@@ -22,7 +22,7 @@ from repro.crawl import (
 )
 from repro.crawl.visit import VisitRecord
 from repro.faults import DELAY_GRID_MS, BackoffPolicy, FaultPlan
-from repro.obs.merge import MergeError, merge_metrics_states, merge_spans
+from repro.obs.merge import MergeError, merge_spans
 from repro.obs.span import Span
 from repro.shard import (
     FaultLogEntry,
@@ -95,7 +95,7 @@ def run_serial(spec, out_dir):
     )
     canonical = dict(sort_keys=True, separators=(",", ":"))
     (out_dir / "crawl.metrics.json").write_text(
-        json.dumps(supervisor.metrics.state_dict(), **canonical) + "\n"
+        json.dumps(supervisor.metrics_state(), **canonical) + "\n"
     )
     (out_dir / "crawl.records.json").write_text(
         json.dumps([r.to_dict() for r in result.records], **canonical) + "\n"
@@ -287,7 +287,7 @@ def crawl_with_budget(budget, out_dir):
     )
     supervisor = build_supervisor(spec)
     result = supervisor.crawl(POPULATION, ledger_path=out_dir / "ledger.jsonl")
-    metrics = supervisor.metrics.state_dict()
+    metrics = supervisor.metrics_state()
     trace, groups = strip_recycle_groups(supervisor.tracer.spans, budget)
     observed = {
         "records": [record.to_dict() for record in result.records],
@@ -377,54 +377,6 @@ class TestSpanMerge:
             )
         with pytest.raises(MergeError):
             merge_spans([[_span(1, 0, "crawl", 5, 9)]])
-
-
-class TestMetricsMerge:
-    def test_counters_and_histograms_sum(self):
-        a = {
-            "counters": {"visits": 2},
-            "histograms": {
-                "visit_ms": {
-                    "bounds": [1.0, 2.0],
-                    "buckets": [1, 0, 0],
-                    "total": 0.5,
-                    "count": 1,
-                }
-            },
-        }
-        b = {
-            "counters": {"visits": 3, "faults.crash": 1},
-            "histograms": {
-                "visit_ms": {
-                    "bounds": [1.0, 2.0],
-                    "buckets": [0, 2, 0],
-                    "total": 3.0,
-                    "count": 2,
-                }
-            },
-        }
-        merged = merge_metrics_states([a, b])
-        assert merged["counters"] == {"faults.crash": 1, "visits": 5}
-        assert merged["histograms"]["visit_ms"] == {
-            "bounds": [1.0, 2.0],
-            "buckets": [1, 2, 0],
-            "total": 3.5,
-            "count": 3,
-        }
-
-    def test_bound_mismatch_is_an_error(self):
-        a = {
-            "histograms": {
-                "h": {"bounds": [1.0], "buckets": [0, 0], "total": 0.0, "count": 0}
-            }
-        }
-        b = {
-            "histograms": {
-                "h": {"bounds": [2.0], "buckets": [0, 0], "total": 0.0, "count": 0}
-            }
-        }
-        with pytest.raises(MergeError):
-            merge_metrics_states([a, b])
 
 
 def run_sharded(out_dir, *, shard_size=7, jobs=1, watchdogs="default",
@@ -571,16 +523,16 @@ def _compact(text):
     return json.dumps(json.loads(text), separators=(",", ":"))
 
 
-def _version_1(text):
-    assert text.startswith('{"version": 2, ')
-    return text.replace('{"version": 2, ', '{"version": 1, ', 1)
+def _version_2(text):
+    assert text.startswith('{"version": 3, ')
+    return text.replace('{"version": 3, ', '{"version": 2, ', 1)
 
 
 class TestUnreadableShard:
     """A shard checkpoint the merge cannot read is a ``MergeError`` that
     names the shard and its file."""
 
-    @pytest.mark.parametrize("rewrite", [_truncate, _compact, _version_1])
+    @pytest.mark.parametrize("rewrite", [_truncate, _compact, _version_2])
     def test_merge_names_the_shard(self, tmp_path, rewrite):
         out = tmp_path / "sharded"
         assert run_sharded(out).complete

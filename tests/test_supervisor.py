@@ -17,6 +17,7 @@ from repro.crawl import (
     visit_coverage,
 )
 from repro.faults import BackoffPolicy, FaultPlan, FaultType
+from repro.obs import crawl_metrics
 from repro.spoofing import SpoofingExtension
 
 
@@ -191,10 +192,24 @@ class TestCheckpointResume:
         sup = make_supervisor(FaultPlan.generate(population, 4, rate=0.1, seed=2))
         sup.crawl(population, checkpoint_path=checkpoint)
         data = json.loads(checkpoint.read_text())
-        assert data["version"] == 2
+        assert data["version"] == 3
         assert len(data["trace"]["spans"]) == len(sup.tracer.spans)
-        assert data["metrics"] == sup.metrics.state_dict()
+        # The metrics are not stored: they fold from what is.
+        assert "metrics" not in data
+        assert crawl_metrics(data["trace"]["spans"]) == sup.metrics_state()
         assert len(data["browsers"]) == 4
+
+    def test_older_checkpoint_version_is_refused_untouched(self, tmp_path):
+        population = small_population(n=12)
+        checkpoint = tmp_path / "crawl.json"
+        make_supervisor().crawl(population[:3], checkpoint_path=checkpoint)
+        text = checkpoint.read_text()
+        assert text.startswith('{"version": 3, ')
+        checkpoint.write_text(text.replace('"version": 3', '"version": 2', 1))
+        before = checkpoint.read_bytes()
+        with pytest.raises(ValueError, match="unsupported checkpoint version"):
+            make_supervisor().crawl(population, checkpoint_path=checkpoint)
+        assert checkpoint.read_bytes() == before
 
 
 class TestFailureTaxonomy:

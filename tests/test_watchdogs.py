@@ -63,7 +63,7 @@ def supervised(plan=None, *, instances=1, watchdogs=None, **config):
 
 
 def counters(supervisor):
-    return supervisor.metrics.state_dict()["counters"]
+    return supervisor.metrics_state()["counters"]
 
 
 class TestCrashRecycleParity:
