@@ -1,53 +1,77 @@
-"""Supervisor checkpoints: the version-3 layout and its encoding.
+"""Supervisor checkpoints: the version-4 layout, its encoding and its reader.
 
-A checkpoint file is exactly ``json.dumps(payload)`` of the dict
-:func:`checkpoint_payload` lays out (default separators, key order as
-listed there).  The supervisor writes one at site boundaries and at
-crawl end; the shard merge writes one from its merged parts; both go
-through :func:`write_checkpoint`, so the layout is written down once.
+A checkpoint is one JSON object with its keys in the order
+:func:`checkpoint_payload` lists them.  Every value but three arrays is
+encoded as ``json.dumps`` encodes it (``", "`` and ``": "``
+separators).  The three arrays hold their items in export encoding --
+:func:`~repro.obs.export.canonical_json`, items joined by ``,``:
 
-A checkpoint grows only through three lists -- visit records, spans and
-probe-ledger entries -- and an item never changes once it is in its
-list, except that a span stays open until it ends.  An
-:class:`EncodedList` therefore keeps each item's JSON text and hands it
-back as an :class:`EncodedArray`, which :func:`dumps` splices verbatim:
-a write re-encodes only what is new, the spans still open, and the small
-parts (clock, stats, browsers, ids, probe sizes), yet produces the same
-bytes as encoding the whole payload.
+- the trace's ``spans``: each item is its ``crawl.trace.jsonl`` line;
+- the ledger's ``entries``: each item is its ``crawl.ledger.jsonl`` line;
+- ``records``, the last key: each item is its element of
+  ``crawl.records.json``.  ``records_sha256``, just before it, is the
+  sha256 of the array's text, brackets included.
 
-:func:`split_checkpoint` reads that layout back: the parsed document
-plus where each top-level value's text lies, so the shard merge can
-splice the shards' record arrays into its own checkpoint verbatim.
+The supervisor writes a checkpoint at site boundaries and at crawl end;
+the shard merge writes one from its merged parts; both go through
+:func:`write_checkpoint`, so the layout is written down once.
+
+A checkpoint grows only through those three lists, and an item never
+changes once it is in its list, except that a span stays open until it
+ends.  An :class:`EncodedList` therefore keeps each item's text and
+hands it back as an :class:`EncodedArray`, which :func:`dumps` splices
+verbatim: a write encodes only what is new, the spans still open, and
+the small values (clock, stats, browsers, ids, probe sizes).  The record
+list also keeps a running sha256 of its text, so no write hashes the
+whole array.
+
+:func:`read_checkpoint` is the one reader, for resume and for the shard
+merge.  It checks the layout, the version and the record digest, decodes
+every other value, and hands the record array back as text -- located,
+never decoded -- so the merge can join the shards' record texts into
+its own files.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.export import canonical_json
+
 #: Version 2 added the ``trace`` field that carries the observability
 #: state across interruptions, and the optional ``ledger`` field (present
 #: only when the supervisor was built with a probe ledger).  Version 3
-#: drops the ``metrics`` field, which the metrics export now folds from
-#: the trace and the ledger, and adds the ledger's ``probe_sizes``.
-CHECKPOINT_VERSION = 3
+#: dropped the ``metrics`` field, which the metrics export folds from
+#: the trace and the ledger, and added the ledger's ``probe_sizes``.
+#: Version 4 encodes spans, ledger entries and records in their export
+#: encoding, and puts the records last, behind ``records_sha256``.
+CHECKPOINT_VERSION = 4
 
 
 class EncodedArray:
     """A JSON array whose items are already encoded, spliced by :func:`dumps`.
 
-    ``texts`` are joined verbatim between the brackets: the items' JSON
-    texts with their ``", "`` separators, as ``json.dumps`` lays them
-    out.  An :class:`EncodedList` keeps one item per text (each later one
-    behind its separator); the shard merge splices one shard's record
-    array per text, with a ``", "`` text between two shards.
+    ``texts`` are joined verbatim between the brackets: the items'
+    canonical texts, each but the first behind its ``,``.  An
+    :class:`EncodedList` keeps one item per text; the shard merge passes
+    a whole array's items as one text.
     """
 
     __slots__ = ("texts",)
 
     def __init__(self, texts: List[str]) -> None:
         self.texts = texts
+
+    def sha256(self) -> str:
+        """The sha256 of the array's JSON text, brackets included."""
+        digest = hashlib.sha256(b"[")
+        for text in self.texts:
+            digest.update(text.encode())
+        digest.update(b"]")
+        return digest.hexdigest()
 
 
 def dumps(value: Any) -> str:
@@ -84,43 +108,70 @@ _DECODER = json.JSONDecoder()
 
 def split_checkpoint(
     text: str,
-) -> Tuple[Dict[str, Any], Dict[str, Tuple[int, int]]]:
-    """Parse a checkpoint :func:`dumps` wrote, and locate its top-level
-    values.
+) -> Tuple[Dict[str, Any], Tuple[int, int]]:
+    """Check a checkpoint :func:`dumps` wrote, and decode all of it but
+    its records.
 
-    Returns ``(json.loads(text), offsets)``: ``text[start:end]`` is the
-    JSON text of the value at ``key`` for ``offsets[key] == (start,
-    end)``.  The top level must be laid out exactly as :func:`dumps`
-    lays out a dict -- ``{``, ``"key": value`` items joined by ``", "``,
-    ``}`` and nothing after it -- or :class:`ValueError` is raised.
+    Returns ``(head, (start, end))``: ``head`` maps every key but
+    ``records`` to ``json.loads`` of its value, and ``text[start:end]``
+    is the record array's text, which is located but never decoded.
+    Raises :class:`ValueError` unless ``version`` comes first and is
+    :data:`CHECKPOINT_VERSION`; the top level is laid out exactly as
+    :func:`dumps` lays out a dict -- ``{``, ``"key": value`` items
+    joined by ``", "``, ``}`` and nothing after it; ``records`` is the
+    last key, after ``records_sha256``; and the record text's sha256 is
+    ``records_sha256``.
     """
-    payload: Dict[str, Any] = {}
-    offsets: Dict[str, Tuple[int, int]] = {}
-    position = _expect(text, 0, "{")
-    last = len(text) - 1
-    while position < last:
-        if payload:
-            position = _expect(text, position, ", ")
+    position = _expect(text, 0, '{"version": ')
+    version, position = _DECODER.raw_decode(text, position)
+    if version != CHECKPOINT_VERSION:
+        raise ValueError("unsupported checkpoint version")
+    head: Dict[str, Any] = {"version": version}
+    while True:
+        position = _expect(text, position, ", ")
         key, end = _DECODER.raw_decode(text, position)
         if (
             not isinstance(key, str)
-            or key in payload
+            or key in head
             or text[position:end] != json.dumps(key)
         ):
             raise ValueError(f"checkpoint layout: bad key at char {position}")
         position = _expect(text, end, ": ")
-        payload[key], end = _DECODER.raw_decode(text, position)
-        offsets[key] = (position, end)
-        position = end
-    if position != last or not text.endswith("}"):
-        raise ValueError(f"checkpoint layout: no closing brace at char {position}")
-    return payload, offsets
+        if key == "records":
+            break
+        head[key], position = _DECODER.raw_decode(text, position)
+    start, end = position, len(text) - 1
+    if not (text.startswith("[", start) and text.endswith("]}")):
+        raise ValueError(
+            f"checkpoint layout: records at char {start} are not the last value"
+        )
+    if "records_sha256" not in head:
+        raise ValueError("checkpoint layout: no records_sha256 before the records")
+    if hashlib.sha256(text[start:end].encode()).hexdigest() != head["records_sha256"]:
+        raise ValueError("checkpoint records do not match their records_sha256")
+    return head, (start, end)
 
 
 def _expect(text: str, position: int, token: str) -> int:
     if not text.startswith(token, position):
         raise ValueError(f"checkpoint layout: expected {token!r} at char {position}")
     return position + len(token)
+
+
+def read_checkpoint(path: Path) -> Tuple[Dict[str, Any], str]:
+    """The checkpoint at ``path``: its decoded values but ``records``,
+    and the record array's text.
+
+    The one reader for resume and for the shard merge.  A file
+    :func:`split_checkpoint` refuses raises :class:`ValueError` naming
+    ``path``; nothing is written, so a refused file stays as it was.
+    """
+    try:
+        text = path.read_text()
+        head, (start, end) = split_checkpoint(text)
+    except ValueError as error:
+        raise ValueError(f"{error} in {path}") from None
+    return head, text[start:end]
 
 
 class EncodedList:
@@ -153,8 +204,30 @@ class EncodedList:
         item = items[index]
         if not self._final(item):
             self._unfinal.append(index)
-        text = json.dumps(item.to_dict())
-        return ", " + text if index else text
+        text = canonical_json(item.to_dict())
+        return "," + text if index else text
+
+
+class HashedList(EncodedList):
+    """An :class:`EncodedList` of items that never change, which also
+    keeps the sha256 of its array's text as the text grows."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._digest = hashlib.sha256(b"[")
+
+    def _encode(self, items: Sequence[Any], index: int) -> str:
+        # Every item is final, so each index is encoded exactly once,
+        # in order: the running digest sees the array's text as written.
+        text = super()._encode(items, index)
+        self._digest.update(text.encode())
+        return text
+
+    def sha256(self) -> str:
+        """The sha256 of the array :meth:`array` last returned."""
+        digest = self._digest.copy()
+        digest.update(b"]")
+        return digest.hexdigest()
 
 
 class CheckpointTexts:
@@ -163,7 +236,7 @@ class CheckpointTexts:
     what changed since the last."""
 
     def __init__(self) -> None:
-        self.records = EncodedList()
+        self.records = HashedList()
         self.spans = EncodedList(final=lambda span: not span.open)
         self.entries = EncodedList()
 
@@ -177,13 +250,15 @@ def checkpoint_payload(
     stats: Dict[str, int],
     browsers: List[Dict[str, int]],
     trace: Optional[Dict[str, Any]],
-    records: Any,
+    records: EncodedArray,
+    records_sha256: str,
     ledger: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """The version-3 checkpoint document.
+    """The version-4 checkpoint document.
 
     ``trace`` is ``None`` for an untraced crawl.  Only a ledger-enabled
-    crawl writes the ``ledger`` key.
+    crawl writes the ``ledger`` key.  ``records_sha256`` is
+    ``records``'s digest (:meth:`EncodedArray.sha256`).
     """
     payload = {
         "version": CHECKPOINT_VERSION,
@@ -194,10 +269,11 @@ def checkpoint_payload(
         "stats": stats,
         "browsers": browsers,
         "trace": trace,
-        "records": records,
     }
     if ledger is not None:
         payload["ledger"] = ledger
+    payload["records_sha256"] = records_sha256
+    payload["records"] = records
     return payload
 
 

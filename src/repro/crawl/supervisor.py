@@ -54,9 +54,9 @@ from repro.bus import (
 )
 from repro.clock import VirtualClock
 from repro.crawl.checkpoint import (
-    CHECKPOINT_VERSION,
     CheckpointTexts,
     checkpoint_payload,
+    read_checkpoint,
     write_checkpoint,
 )
 from repro.crawl.crawler import CrawlResult, OpenWPMCrawler
@@ -601,9 +601,7 @@ class CrawlSupervisor:
         completed: Dict[Tuple[str, int], VisitRecord] = {}
         if path is None or not path.exists():
             return completed
-        data = json.loads(path.read_text())
-        if data.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version in {path}")
+        data, records_text = read_checkpoint(path)
         if (
             data.get("crawler_name") != self.crawler.name
             or data.get("seed") != self.crawler.seed
@@ -612,7 +610,7 @@ class CrawlSupervisor:
             raise ValueError(
                 f"checkpoint {path} belongs to a different crawl configuration"
             )
-        for record_data in data["records"]:
+        for record_data in json.loads(records_text):
             record = VisitRecord.from_dict(record_data)
             completed[(record.domain, record.visit_index)] = record
         # Advance the one shared clock in place.  The tracer, breakers
@@ -645,6 +643,7 @@ class CrawlSupervisor:
         texts = self._checkpoint_texts
         tracer = self.tracer
         ledger = self.ledger
+        record_array = texts.records.array(records)
         payload = checkpoint_payload(
             crawler_name=self.crawler.name,
             seed=self.crawler.seed,
@@ -653,7 +652,8 @@ class CrawlSupervisor:
             stats=asdict(self.stats),
             browsers=[instance.state_dict() for instance in self._instances or []],
             trace=tracer.state_dict(spans=texts.spans.array(tracer.spans)),
-            records=texts.records.array(records),
+            records=record_array,
+            records_sha256=texts.records.sha256(),
             ledger=None
             if ledger is None
             else ledger.state_dict(entries=texts.entries.array(ledger.entries)),

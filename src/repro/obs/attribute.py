@@ -25,14 +25,13 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from repro.obs.export import canonical_json
 from repro.obs.probes import (
     PROBE_SCOPE_PREFIX,
     REFERENCE_LABEL_PREFIX,
     LedgerEntry,
     ProbeLedger,
 )
-
-_SEPARATORS = (",", ":")
 
 #: Scope-component prefix the grouping keys on.
 METHOD_GROUP_PREFIX = "method:"
@@ -212,7 +211,7 @@ def _culprit_line(culprit: Culprit) -> str:
 
 
 def _fmt(value: Any) -> str:
-    return json.dumps(value, sort_keys=True, separators=_SEPARATORS)
+    return canonical_json(value)
 
 
 # -- building the attribution -------------------------------------------------

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-_SEPARATORS = (",", ":")
+from repro.obs.export import canonical_json
 
 #: The benchmark files the gate knows about, in check order.
 DEFAULT_BENCH_FILES: Tuple[str, ...] = (
@@ -195,10 +195,7 @@ def append_history(
             )
     with history_path.open("a") as fh:
         for record in records:
-            fh.write(
-                json.dumps(record, sort_keys=True, separators=_SEPARATORS)
-                + "\n"
-            )
+            fh.write(canonical_json(record) + "\n")
     return records
 
 

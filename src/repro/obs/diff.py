@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Tuple, Union
 
-_SEPARATORS = (",", ":")
+from repro.obs.export import canonical_json
 
 #: id key per export kind; doubles as the kind detector.
 _ID_KEYS = {"trace": "span_id", "ledger": "entry_id"}
@@ -132,7 +132,7 @@ def _overflow(items: List[Any], limit: int) -> List[str]:
 
 
 def _fmt(value: Any) -> str:
-    return json.dumps(value, sort_keys=True, separators=_SEPARATORS)
+    return canonical_json(value)
 
 
 # -- loading ------------------------------------------------------------------

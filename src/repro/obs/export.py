@@ -9,37 +9,42 @@ twin -- serialise to the same bytes, which the tests assert literally.
 A line encodes a span's :meth:`~repro.obs.span.Span.to_dict` form, so
 the shard merge, which splices spans as parsed JSON, writes its trace
 without building :class:`~repro.obs.span.Span` objects.
+
+:func:`canonical_json` is the one canonical JSON encoding in
+``repro``: every trace line, ledger line, canonical export file and
+checkpoint item is its text.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, List, Union
+from typing import Iterable, List, Sequence, Union
 
 from repro.obs.span import Span, SpanDict
 
-#: The line encoder, built once: a merged trace has tens of thousands of
-#: lines, and ``json.dumps`` with options builds an encoder per call.
-_LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+#: ``value`` as canonical JSON: sorted keys, ``,`` and ``:`` separators,
+#: no whitespace.  One encoder, built once: a crawl encodes tens of
+#: thousands of spans and records, and ``json.dumps`` with options
+#: builds an encoder per call.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def span_to_json(data: SpanDict) -> str:
     """One span, in its :meth:`Span.to_dict` form, as a canonical
     single-line JSON object."""
-    return _LINE_ENCODER.encode(data)
+    return canonical_json(data)
 
 
-def span_dicts_to_jsonl(spans: Iterable[SpanDict]) -> str:
-    """Spans in their :meth:`Span.to_dict` form as canonical JSONL
-    (trailing newline included)."""
-    lines = [span_to_json(data) for data in spans]
+def lines_to_jsonl(lines: Sequence[str]) -> str:
+    """Single-line JSON texts as a JSONL file: one per line, trailing
+    newline included; no lines make an empty file."""
     return "\n".join(lines) + "\n" if lines else ""
 
 
 def trace_to_jsonl(spans: Iterable[Span]) -> str:
     """The whole trace as canonical JSONL (trailing newline included)."""
-    return span_dicts_to_jsonl(span.to_dict() for span in spans)
+    return lines_to_jsonl([span_to_json(span.to_dict()) for span in spans])
 
 
 def write_trace(path: Union[str, Path], spans: Iterable[Span]) -> Path:
@@ -51,7 +56,7 @@ def write_trace(path: Union[str, Path], spans: Iterable[Span]) -> Path:
 
 def parse_span_dicts(text: str) -> List[SpanDict]:
     """Parse a JSONL trace into its lines' span dicts (inverse of
-    :func:`span_dicts_to_jsonl`)."""
+    :func:`trace_to_jsonl`, building no :class:`Span`)."""
     return [json.loads(line) for line in text.splitlines() if line.strip()]
 
 

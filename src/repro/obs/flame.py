@@ -16,13 +16,11 @@ shares a boundary timestamp with its parent.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Dict, List, Sequence, Union
 
+from repro.obs.export import canonical_json
 from repro.obs.span import Span
-
-_SEPARATORS = (",", ":")
 
 SPEEDSCOPE_SCHEMA = "https://www.speedscope.app/file-format-schema.json"
 
@@ -103,14 +101,7 @@ def write_speedscope(
 ) -> Path:
     """Write a speedscope JSON file; returns the path written."""
     path = Path(path)
-    path.write_text(
-        json.dumps(
-            speedscope_document(spans, name=name),
-            sort_keys=True,
-            separators=_SEPARATORS,
-        )
-        + "\n"
-    )
+    path.write_text(canonical_json(speedscope_document(spans, name=name)) + "\n")
     return path
 
 
@@ -142,12 +133,5 @@ def write_chrome_trace(
 ) -> Path:
     """Write a chrome-trace JSON file; returns the path written."""
     path = Path(path)
-    path.write_text(
-        json.dumps(
-            chrome_trace_document(spans),
-            sort_keys=True,
-            separators=_SEPARATORS,
-        )
-        + "\n"
-    )
+    path.write_text(canonical_json(chrome_trace_document(spans)) + "\n")
     return path

@@ -36,8 +36,7 @@ from repro.clock import VirtualClock
 from repro.jsobject.functions import JSFunction, NativeAccessor
 from repro.jsobject.jsobject import JSObject
 from repro.jsobject.proxy import JSProxy
-
-_SEPARATORS = (",", ":")
+from repro.obs.export import canonical_json, lines_to_jsonl
 
 #: Scope-label prefix marking one detector probe's accesses; the
 #: attribution tooling keys on it.
@@ -229,13 +228,12 @@ class ProbeLedger:
 
 def entry_to_json(entry: LedgerEntry) -> str:
     """One entry as a canonical single-line JSON object."""
-    return json.dumps(entry.to_dict(), sort_keys=True, separators=_SEPARATORS)
+    return canonical_json(entry.to_dict())
 
 
 def ledger_to_jsonl(entries: Iterable[LedgerEntry]) -> str:
     """The whole ledger as canonical JSONL (trailing newline included)."""
-    lines = [entry_to_json(entry) for entry in entries]
-    return "\n".join(lines) + "\n" if lines else ""
+    return lines_to_jsonl([entry_to_json(entry) for entry in entries])
 
 
 def write_ledger(

@@ -28,14 +28,12 @@ Tracer` built on a wall-clock clock (``benchmarks/e2e/layers.py``'s
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
+from repro.obs.export import canonical_json
 from repro.obs.span import Span
-
-_SEPARATORS = (",", ":")
 
 #: The span the supervisor opens per visit; per-visit percentiles and
 #: the critical path are taken over these subtrees.
@@ -173,9 +171,7 @@ def _critical_path(
 
 def profile_to_json(profile: Dict[str, Any]) -> str:
     """The profile as canonical JSON (sorted keys, fixed separators)."""
-    return (
-        json.dumps(profile, sort_keys=True, separators=_SEPARATORS) + "\n"
-    )
+    return canonical_json(profile) + "\n"
 
 
 def write_profile(path: Union[str, Path], profile: Dict[str, Any]) -> Path:

@@ -3,10 +3,12 @@
 The merge is a pure function of the per-shard supervisor checkpoints
 (which carry each shard's records, trace, stats, and optional ledger)
 and the manifest's fault logs; it reads every ``shard-*`` file
-and writes only ``crawl.*`` files.  Each shard checkpoint is parsed
-once, by :func:`~repro.crawl.checkpoint.split_checkpoint`, and each
-output file is encoded once.  The observability splice lives in
-:mod:`repro.obs.merge`.  This module adds the crawl-level assembly:
+and writes only ``crawl.*`` files.  Each shard checkpoint is read once,
+by :func:`~repro.crawl.checkpoint.read_checkpoint`, which decodes all
+of it but the record array.  A version-4 checkpoint holds every record,
+span and ledger entry as the text its export file uses, so no record is
+parsed and no item is encoded twice.  The observability splice lives
+in :mod:`repro.obs.merge`.  This module adds the crawl-level assembly:
 
 - **recycles**: shards run from fresh browser states, so the merge folds
   the fault logs in plan order and, in every shard whose recorded budget
@@ -15,18 +17,22 @@ output file is encoded once.  The observability splice lives in
   the same bytes;
 - **records**: shards are contiguous population blocks, so plain
   concatenation in shard order *is* the serial visit order.  Records
-  carry no id or time the merge rebases, so the merged checkpoint
-  splices the shards' record-array texts verbatim;
+  carry no id or time the merge rebases, so the shards' record texts,
+  joined by ``,``, are the merged checkpoint's record array and, in
+  brackets, ``crawl.records.json``.  Each shard's record array is
+  located and checked against its ``records_sha256``, never decoded;
 - **spans**: spliced as the parsed JSON the shard checkpoints hold,
-  then encoded once into the checkpoint and once into the trace;
-- **stats**: work counters sum; result counters are reconciled from the
-  merged records exactly as the serial supervisor reconciles its own;
-- **ledger**: entries are renumbered and shifted; probe-scope sizes
-  concatenate in shard order;
+  then each encoded once; the texts are joined by newlines for the
+  trace and by ``,`` for the checkpoint;
+- **stats**: counters sum; ``visits`` and ``reached`` too, because each
+  shard reconciles them from its own records at crawl end;
+- **ledger**: entries are renumbered and shifted, then each encoded
+  once for both the checkpoint and ``crawl.ledger.jsonl``; probe-scope
+  sizes concatenate in shard order;
 - **metrics**: :func:`~repro.obs.metrics.crawl_metrics` of the merged
   trace and ledger -- the fold the serial supervisor's
   :meth:`~repro.crawl.supervisor.CrawlSupervisor.metrics_state` runs;
-- **checkpoint**: a version-3 supervisor checkpoint is assembled from
+- **checkpoint**: a version-4 supervisor checkpoint is assembled from
   the merged parts -- loadable by a serial
   :class:`~repro.crawl.supervisor.CrawlSupervisor` to extend the crawl,
   and byte-identical to the final checkpoint the serial run writes;
@@ -35,7 +41,7 @@ output file is encoded once.  The observability splice lives in
   checkpoint, each in the byte-stable form the oracle tests diff
   against a serial run;
 - **result**: the merged :class:`~repro.crawl.crawler.CrawlResult` is
-  built from the record dicts on first read, since the CLI and a
+  parsed from the record text on first read, since the CLI and a
   sharded pass that only writes files never read it.
 """
 
@@ -48,16 +54,15 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.crawl.checkpoint import (
-    CHECKPOINT_VERSION,
     EncodedArray,
     checkpoint_payload,
-    split_checkpoint,
+    read_checkpoint,
     write_checkpoint,
 )
 from repro.crawl.crawler import CrawlResult
 from repro.crawl.supervisor import SupervisorStats
 from repro.crawl.visit import VisitRecord
-from repro.obs.export import span_dicts_to_jsonl
+from repro.obs.export import canonical_json, lines_to_jsonl, span_to_json
 from repro.obs.merge import (
     MergeError,
     merge_ledger_entries,
@@ -65,7 +70,7 @@ from repro.obs.merge import (
     shard_durations,
 )
 from repro.obs.metrics import crawl_metrics
-from repro.obs.probes import LedgerEntry, ledger_to_jsonl
+from repro.obs.probes import LedgerEntry
 from repro.shard.manifest import ShardManifest
 from repro.shard.plan import ShardPlan
 from repro.shard.state import (
@@ -76,11 +81,12 @@ from repro.shard.state import (
 )
 from repro.shard.worker import ShardRunSpec, shard_checkpoint
 
-_SEPARATORS = (",", ":")
-
-#: Work counters summed across shards verbatim (result counters --
-#: visits/reached/failed/resumed -- are reconciled from records).
+#: Counters summed across shards.  Each shard reconciles ``visits`` and
+#: ``reached`` from its own records at crawl end, so their sums count the
+#: merged records; ``failed`` and ``resumed`` follow from them.
 _SUMMED_STATS = (
+    "visits",
+    "reached",
     "attempts",
     "retries",
     "recovered",
@@ -104,9 +110,7 @@ class MergedArtifacts:
 def write_canonical_json(path: Union[str, Path], payload: Any) -> Path:
     """Byte-stable JSON: sorted keys, minimal separators, one newline."""
     path = Path(path)
-    path.write_text(
-        json.dumps(payload, sort_keys=True, separators=_SEPARATORS) + "\n"
-    )
+    path.write_text(canonical_json(payload) + "\n")
     return path
 
 
@@ -120,27 +124,28 @@ def _exact_sum(values: Sequence[float]) -> float:
     return total
 
 
-def _read_shard(index: int, path: Path) -> Tuple[Dict[str, Any], str]:
-    """One shard checkpoint's payload, and its record array's text
-    between the brackets."""
-    if not path.exists():
-        raise MergeError(
-            f"shard {index}: no checkpoint at {path}; "
-            "merge requires a fully-executed plan"
-        )
-    try:
-        text = path.read_text()
-        payload, offsets = split_checkpoint(text)
-    except ValueError as error:
-        raise MergeError(f"shard {index}: cannot read {path}: {error}") from None
-    version = payload.get("version")
-    if version != CHECKPOINT_VERSION:
-        raise MergeError(
-            f"shard {index}: checkpoint version {version!r} in {path}, "
-            f"expected {CHECKPOINT_VERSION}"
-        )
-    start, end = offsets["records"]
-    return payload, text[start + 1 : end - 1]
+def _read_shards(
+    out_dir: Path, plan: ShardPlan
+) -> Tuple[List[Dict[str, Any]], str]:
+    """Every shard checkpoint's values but its records, and the shards'
+    record texts joined: the merged record array between its brackets."""
+    heads = []
+    record_texts = []
+    for shard in plan.shards:
+        path = shard_checkpoint(out_dir, shard.index)
+        if not path.exists():
+            raise MergeError(
+                f"shard {shard.index}: no checkpoint at {path}; "
+                "merge requires a fully-executed plan"
+            )
+        try:
+            head, records_text = read_checkpoint(path)
+        except ValueError as error:
+            raise MergeError(f"shard {shard.index}: {error}") from None
+        heads.append(head)
+        if records_text != "[]":
+            record_texts.append(records_text[1:-1])
+    return heads, ",".join(record_texts)
 
 
 def merge_shards(
@@ -156,22 +161,12 @@ def merge_shards(
     supervisor's browsers would hold at crawl end.
     """
     out_dir = Path(out_dir)
-    payloads = []
-    record_texts: List[str] = []
-    for shard in plan.shards:
-        payload, records_text = _read_shard(
-            shard.index, shard_checkpoint(out_dir, shard.index)
-        )
-        payloads.append(payload)
-        if records_text:
-            if record_texts:
-                record_texts.append(", ")
-            record_texts.append(records_text)
+    heads, records_text = _read_shards(out_dir, plan)
 
-    shard_spans = [payload["trace"]["spans"] for payload in payloads]
+    shard_spans = [head["trace"]["spans"] for head in heads]
     budget = spec.config.recycle_after_faults
     browser_states = fresh_browser_states(spec.instances)
-    for shard, payload, spans in zip(plan.shards, payloads, shard_spans):
+    for shard, head, spans in zip(plan.shards, heads, shard_spans):
         log = manifest.fault_log(shard.index)
         browser_states, triggers = fold_fault_log(
             browser_states, log, budget, spec.recycling
@@ -179,53 +174,44 @@ def merge_shards(
         recorded = observed_triggers(log)
         if triggers != recorded:
             place_recycles(spans, triggers, budget)
-            payload["stats"]["recycles"] += len(triggers) - len(recorded)
+            head["stats"]["recycles"] += len(triggers) - len(recorded)
     durations = shard_durations(shard_spans)
     merged_spans = merge_spans(shard_spans)
+    span_texts = [span_to_json(span) for span in merged_spans]
     clock_ms = _exact_sum(durations)
-    record_dicts: List[Dict[str, Any]] = []
-    for payload in payloads:
-        record_dicts.extend(payload["records"])
 
     stats = SupervisorStats()
-    for payload in payloads:
+    for head in heads:
         for name in _SUMMED_STATS:
-            setattr(
-                stats, name, getattr(stats, name) + int(payload["stats"][name])
-            )
-    stats.visits = len(record_dicts)
-    stats.reached = sum(1 for record in record_dicts if record["reached"])
+            setattr(stats, name, getattr(stats, name) + int(head["stats"][name]))
     stats.failed = stats.visits - stats.reached
     stats.resumed = 0
 
-    merged_ledger: Optional[List[LedgerEntry]] = None
+    ledger_state: Optional[Dict[str, Any]] = None
+    entry_texts: List[str] = []
     if spec.ledger:
         merged_ledger = merge_ledger_entries(
             [
-                [
-                    LedgerEntry.from_dict(data)
-                    for data in payload["ledger"]["entries"]
-                ]
-                for payload in payloads
+                [LedgerEntry.from_dict(data) for data in head["ledger"]["entries"]]
+                for head in heads
             ],
             durations,
         )
-
-    ledger_state: Optional[Dict[str, Any]] = None
-    if merged_ledger is not None:
+        entry_dicts = [entry.to_dict() for entry in merged_ledger]
+        entry_texts = [canonical_json(data) for data in entry_dicts]
         ledger_state = {
             "next_id": len(merged_ledger) + 1,
             "scopes": [],
             "probe_sizes": [
-                size
-                for payload in payloads
-                for size in payload["ledger"]["probe_sizes"]
+                size for head in heads for size in head["ledger"]["probe_sizes"]
             ],
-            "entries": [entry.to_dict() for entry in merged_ledger],
+            "entries": entry_dicts,
         }
+    records = EncodedArray([records_text])
     checkpoint_path = out_dir / "crawl.ckpt.json"
     # The serial supervisor's layout and encoding, so the two checkpoint
-    # files are byte-comparable.
+    # files are byte-comparable.  Every item is spliced as the text the
+    # exports below write.
     write_checkpoint(
         checkpoint_path,
         checkpoint_payload(
@@ -238,25 +224,27 @@ def merge_shards(
             trace={
                 "next_id": len(merged_spans) + 1,
                 "open": [],
-                "spans": merged_spans,
+                "spans": EncodedArray([",".join(span_texts)]),
             },
-            records=EncodedArray(record_texts),
-            ledger=ledger_state,
+            ledger=None
+            if ledger_state is None
+            else dict(ledger_state, entries=EncodedArray([",".join(entry_texts)])),
+            records=records,
+            records_sha256=records.sha256(),
         ),
     )
 
     trace_path = out_dir / "crawl.trace.jsonl"
-    trace_path.write_text(span_dicts_to_jsonl(merged_spans))
+    trace_path.write_text(lines_to_jsonl(span_texts))
     metrics_path = write_canonical_json(
         out_dir / "crawl.metrics.json", crawl_metrics(merged_spans, ledger_state)
     )
-    records_path = write_canonical_json(
-        out_dir / "crawl.records.json", record_dicts
-    )
+    records_path = out_dir / "crawl.records.json"
+    records_path.write_text(f"[{records_text}]\n")
     ledger_path: Optional[Path] = None
-    if merged_ledger is not None:
+    if ledger_state is not None:
         ledger_path = out_dir / "crawl.ledger.jsonl"
-        ledger_path.write_text(ledger_to_jsonl(merged_ledger))
+        ledger_path.write_text(lines_to_jsonl(entry_texts))
 
     return MergedCrawl(
         stats=stats,
@@ -269,7 +257,7 @@ def merge_shards(
             ledger=ledger_path,
         ),
         crawler_name=spec.crawler_name,
-        record_dicts=record_dicts,
+        records_text=records_text,
     )
 
 
@@ -281,13 +269,17 @@ class MergedCrawl:
     clock_ms: float
     artifacts: MergedArtifacts
     crawler_name: str
-    #: The merged records in their JSON form, as the shards wrote them.
-    record_dicts: List[Dict[str, Any]] = field(repr=False)
+    #: The merged record array's text between its brackets: the shards'
+    #: record texts, joined.
+    records_text: str = field(repr=False)
 
     @cached_property
     def result(self) -> CrawlResult:
-        """The merged :class:`CrawlResult`, built on first read."""
+        """The merged :class:`CrawlResult`, parsed on first read."""
         return CrawlResult(
             crawler_name=self.crawler_name,
-            records=[VisitRecord.from_dict(data) for data in self.record_dicts],
+            records=[
+                VisitRecord.from_dict(data)
+                for data in json.loads(f"[{self.records_text}]")
+            ],
         )

@@ -3,11 +3,11 @@
 A supervisor checkpoint is the resume contract, the shard merge's input
 and the serial-vs-sharded oracle's subject, so its bytes are pinned
 here: the sha256 of every file each scenario writes, intermediate and
-final.  Each write is also compared with ``json.dumps`` of the payload
-the supervisor's state describes at that moment
-(:func:`reference_payload`, the plain version-3 builder), so a writer
-that encodes less than everything on each write must still produce
-exactly that document.
+final.  Each write is also compared with the version-4 document the
+supervisor's state describes at that moment (:func:`reference_payload`,
+built in full with plain ``json.dumps``), so a writer that encodes less
+than everything on each write must still produce exactly that
+document.
 
 Scenarios cover the paths through which a checkpoint grows: a traced
 crawl with a fault plan, hostile sites and the probe ledger (written at
@@ -84,25 +84,59 @@ def make_supervisor(every_sites, tracer=None):
     )
 
 
+def canonical(value):
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def item_array(values):
+    """A JSON array of export-encoded items, joined by ``,``."""
+    return "[" + ",".join(canonical(value) for value in values) + "]"
+
+
+def with_item_array(state, key):
+    """``json.dumps(state)``, with ``state[key]`` -- its last key -- an
+    :func:`item_array`."""
+    assert list(state)[-1] == key
+    rest = json.dumps({name: state[name] for name in list(state)[:-1]})
+    return f'{rest[:-1]}, "{key}": {item_array(state[key])}}}'
+
+
 def reference_payload(supervisor, records):
-    """The version-3 checkpoint payload, built in full from the
-    supervisor's state: the document every write must encode."""
-    payload = {
-        "version": 3,
-        "crawler_name": supervisor.crawler.name,
-        "seed": supervisor.crawler.seed,
-        "instances": supervisor.crawler.instances,
-        "clock_ms": supervisor.clock.now(),
-        "stats": asdict(supervisor.stats),
-        "browsers": [
-            instance.state_dict() for instance in supervisor._instances or []
-        ],
-        "trace": supervisor.tracer.state_dict(),
-        "records": [r.to_dict() for r in records],
-    }
+    """The version-4 checkpoint, built in full from the supervisor's
+    state: the document every write must be.
+
+    Every value is ``json.dumps`` of it, except that spans, ledger
+    entries and records are canonical JSON items, and the records come
+    last, behind the sha256 of their array's text.
+    """
+    tracer_state = supervisor.tracer.state_dict()
+    fields = [
+        ("version", 4),
+        ("crawler_name", supervisor.crawler.name),
+        ("seed", supervisor.crawler.seed),
+        ("instances", supervisor.crawler.instances),
+        ("clock_ms", supervisor.clock.now()),
+        ("stats", asdict(supervisor.stats)),
+        (
+            "browsers",
+            [instance.state_dict() for instance in supervisor._instances or []],
+        ),
+    ]
+    texts = [(key, json.dumps(value)) for key, value in fields]
+    texts.append(
+        (
+            "trace",
+            "null" if tracer_state is None else with_item_array(tracer_state, "spans"),
+        )
+    )
     if supervisor.ledger is not None:
-        payload["ledger"] = supervisor.ledger.state_dict()
-    return payload
+        texts.append(
+            ("ledger", with_item_array(supervisor.ledger.state_dict(), "entries"))
+        )
+    records_text = item_array(r.to_dict() for r in records)
+    digest = hashlib.sha256(records_text.encode()).hexdigest()
+    texts += [("records_sha256", json.dumps(digest)), ("records", records_text)]
+    return "{" + ", ".join(f"{json.dumps(key)}: {text}" for key, text in texts) + "}"
 
 
 @pytest.fixture
@@ -115,7 +149,7 @@ def writes(monkeypatch):
     def spy(self, path, records):
         original(self, path, records)
         written = path.read_bytes()
-        expected = json.dumps(reference_payload(self, records)).encode()
+        expected = reference_payload(self, records).encode()
         assert written == expected, f"write {len(digests) + 1} differs"
         digests.append(hashlib.sha256(written).hexdigest())
 
@@ -140,50 +174,50 @@ def interrupt_after(supervisor, visits):
 
 DIGESTS = {
     "traced-every-1": [
-        "e112f28af2a33d444475fbbe007cfa39d3fb058cf8f4da4c83abf69c31c3d1fb",
-        "7add72bbbe833ec9b6c4d98baee7c7d2257573f610097b5a4179ec40a46000d1",
-        "4379e753e800f8f579fd33969aaa590ce06719fcafa4ddf2273fd0b17d3de6b6",
-        "65059b714e856c0e8edc9954ebc553643858acd191bc8bec4a54bd2af4c1830e",
-        "7f723c176f766e0c21a474facc6b2964a6fdedc94cbbe8cbff02e72b2eb6630b",
-        "fe8006e8715cda0099b7deb8977c9b20789b8d7a9af51f0c073b54b6f54fd036",
-        "791b613cc94c39f3d633b0e6b81dd214f779a421ea194d8e19c23e5577acd733",
-        "2bd9028f7e47d8a49873596660aeb6db460ca9983f7c6903536ea47b0d5c0a78",
-        "9033575dcb002404fa095a32b3c4d59df644e26720d077f0bb5feaac6dc5e207",
-        "5e801d382045600d147d9a39d7dd11cff9b51dd45ce5a83854cc50764d6c3b67",
-        "e016a63eb3417d495c38f3c0db709c7c84ac67068e4e74f10806608d4605eb69",
-        "6942d7c9abb3746ad366df857e0c63c6d4ea3175c8f59cc2b5e89ff873c5d63f",
-        "e0f2f7ad6e106992f6f1653b64770d3cdb433d317c4f7dfb01b11895ce02eb3b",
-        "97a113db6ed9988bb4a5892fd31109089d2b56d5587dc85f1142e3d6b3375689",
-        "c2a12b966c5624e7ab17bae02dc1efa7c294b22eb46e3bc2622771eb00b4632d",
+        "cd23569efae51d8671acad84f74d64622372bd1a02b59e81c3e95ff8943fe4fe",
+        "0d350e67439459ac3e837ec41745a36d0397ef96bed0c771e2ef8b3401bf4d58",
+        "4e9787a72230cee4276accff44cc287714172bab65abb0ee53bcb8f96e239580",
+        "d796184f02f163de4c0d2c0905e4505e3ccbfac298d143146158c9d1159f928d",
+        "22591512ecaf7b2cf36c59281f38f69856918089ce54c97d4e154e720a6a4fda",
+        "d7e28536f04765fcdab2eb1f75980d05d322fa75d04ffb047f2effe05a0f4edf",
+        "1f1ff8022c6a184fb3bd9db3473538f6ba2fba3f8ade0cf27ae4aa2806d70cc7",
+        "ad9f74d26445cc7a69bd8be2b854dff59f6e7b8cee1eb427986e424ec2ef4c42",
+        "3a4969fe1b7c0c5487090dba45cab5a61449fbd0a7106f3ff5c6a65fd12bf56a",
+        "fb223fa45e1b9017c7c339a50d09fe40d9fe9e0901e9ac6cfe6f899a2ba2dc5e",
+        "34c49c8c28d849162809a98f9879d4c4ff50ee4c0a0a101b2738969fa312fa70",
+        "3330395c5d093a251946ed5ae3e81ed5619d30c1840ff856df0e487399268cb7",
+        "385daace2b1a703238e62d3c23de7212fece6e7a1d322f18aaff81e756b4dc7d",
+        "11c5812a6a595ac83c5c8124e1882ab06eec592623d09629475cbf8384836d49",
+        "934bf06df7fe4d7c78a6c12d1286542d8e7457a835858a4305140b8f75e748e1",
     ],
     "traced-every-3": [
-        "4379e753e800f8f579fd33969aaa590ce06719fcafa4ddf2273fd0b17d3de6b6",
-        "fe8006e8715cda0099b7deb8977c9b20789b8d7a9af51f0c073b54b6f54fd036",
-        "9033575dcb002404fa095a32b3c4d59df644e26720d077f0bb5feaac6dc5e207",
-        "6942d7c9abb3746ad366df857e0c63c6d4ea3175c8f59cc2b5e89ff873c5d63f",
-        "c2a12b966c5624e7ab17bae02dc1efa7c294b22eb46e3bc2622771eb00b4632d",
+        "4e9787a72230cee4276accff44cc287714172bab65abb0ee53bcb8f96e239580",
+        "d7e28536f04765fcdab2eb1f75980d05d322fa75d04ffb047f2effe05a0f4edf",
+        "3a4969fe1b7c0c5487090dba45cab5a61449fbd0a7106f3ff5c6a65fd12bf56a",
+        "3330395c5d093a251946ed5ae3e81ed5619d30c1840ff856df0e487399268cb7",
+        "934bf06df7fe4d7c78a6c12d1286542d8e7457a835858a4305140b8f75e748e1",
     ],
     "untraced-every-3": [
-        "fcca5d0ff31a3d959c72e2d4c159838614764de5bd25b7a83706f0a89ff3917c",
-        "a9b6cc10f3e12f703f62adb6fbdabf08a6a393c26538f861abc68ca67e920978",
-        "8b4ea9bba1501af36d30b9ff5897c7777bccb25e5c95c73d1682ae401693ea97",
-        "bf9881907bedf328eec6d47e334000bbde7022ae8742c4147638ed7451a51e95",
-        "84d3f059ba9bb161b9bb0b5f12b0cb8d917897af15e309afcd3ea7154f3ac9de",
+        "401a5ab9f2871c9afe511e827a6d3e7fdca75336499ff60bebcb28b2372f2a82",
+        "4e89fb30adb838da5e65a60f042569069e76e2c71e370050953c8c243fe48871",
+        "1012d9cc3757bea7934d86c1a53f1ca43d5ad5a8d8023a1ae6c6767719efa5d8",
+        "975947cad0315debfadf11994bc01194be3b169df34bf921359ee19dffa2b674",
+        "db14387a814478c38e34fb0c6dae017f8049ba8757c3b58e6b11800d9d6a5e24",
     ],
     "interrupted-resumed": [
-        "4379e753e800f8f579fd33969aaa590ce06719fcafa4ddf2273fd0b17d3de6b6",
-        "fe8006e8715cda0099b7deb8977c9b20789b8d7a9af51f0c073b54b6f54fd036",
-        "e084f6d23ae1b9970746418ba206e135e98bf2d1b58c8f0d989ca6f73e54666e",
-        "5cfad273e109be1583d74a428ae866d8072ae89e1bc9e06d9206ab36fd72a8d7",
-        "37da388e561e0c21767e703b914fbad89605e1b728622a070dbc5db3fa5662bb",
+        "4e9787a72230cee4276accff44cc287714172bab65abb0ee53bcb8f96e239580",
+        "d7e28536f04765fcdab2eb1f75980d05d322fa75d04ffb047f2effe05a0f4edf",
+        "3006a1d166ca4bba2088723eab5884a8d23f2beaf87556560cebebc2dab180df",
+        "bce528e0c8db80bb7bc56388f0f1c2095698f2e0f9a07d2805ec655e5d813734",
+        "ba358e75f77dd46f912c85da39738bcd6b40d9ae0b11d053260982f3af162b81",
     ],
     "second-crawl-grown": [
-        "4379e753e800f8f579fd33969aaa590ce06719fcafa4ddf2273fd0b17d3de6b6",
-        "d9e3acfcc9e0dba887d40082286c5dc358f114ceca346a6de412d51a7ee467f1",
-        "0b637c510784a2036b17a1213ab68b5356b82425bcc463928707217d0fff9c61",
-        "4a6d70d85682757ab677106fce0dca7218ae1c2901d8f6dce29bc73f4f827b7a",
-        "3def0e39dc7de8452aff85abb35eff2eac4389dc0e7ef984c7ef8362bff21163",
-        "1cfbc3e0e1a73746029d0140803a9134a54ef354d1a54791a399a6d4f5bd29f5",
+        "4e9787a72230cee4276accff44cc287714172bab65abb0ee53bcb8f96e239580",
+        "ef51d252b411b7b7f24678e691df97835643ca666bbf1741a31bf0e131c4d3ec",
+        "bf9806d77ee7a6fe5bf0a8407be62cb6b5650c9792a5869c9305085e766a7c59",
+        "6d45a95dfab064a1311986ec43320639eeede3fd473ddee7f80404fad10defaa",
+        "1ef0d6556a96fe7f3811b7622037d9a37ed0048a68ce8581006987be68fff4f9",
+        "2a48009407fc2e1207b6f2550f1a4e5d29b0dbd5b21e1dd8879ffcdfec9d1201",
     ],
 }
 

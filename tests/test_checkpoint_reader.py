@@ -1,12 +1,14 @@
-"""``split_checkpoint``: the checkpoint layout read back, value by value.
+"""``split_checkpoint``: the version-4 checkpoint layout read back.
 
-The shard merge splices each shard checkpoint's record-array text into
-its own checkpoint verbatim, so the reader must return exactly what
-``json.loads`` returns, locate every top-level value's text exactly, and
-refuse any layout other than the one ``repro.crawl.checkpoint.dumps``
-writes -- whatever the record strings contain.
+The shard merge joins each shard checkpoint's record-array text into
+its own files without decoding it, so the reader must return exactly
+what ``json.loads`` returns for every other value, locate the record
+array exactly, and refuse any layout other than the one
+``repro.crawl.checkpoint.dumps`` writes -- whatever the record strings
+contain -- and any record array that does not match its digest.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -18,10 +20,22 @@ from repro.crawl.checkpoint import (
     dumps,
     split_checkpoint,
 )
+from repro.obs.export import canonical_json
 
 #: Strings that look like the layout the reader walks, plus non-ASCII.
 TRICKY = st.sampled_from(
-    ['", "records": [', "]}", '"}, {"', ", ", ": ", "\\", "é", "日本語", " "]
+    [
+        '", "records": [',
+        '"records_sha256": "',
+        "]}",
+        '"}, {"',
+        ", ",
+        ": ",
+        "\\",
+        "é",
+        "日本語",
+        " ",
+    ]
 )
 TEXT = st.one_of(TRICKY, st.text(max_size=12))
 SCALAR = st.one_of(
@@ -49,10 +63,18 @@ SPAN = st.fixed_dictionaries(
 )
 
 
+def items(values):
+    """Values as a checkpoint item array: canonical texts joined by ``,``."""
+    return EncodedArray([",".join(canonical_json(value) for value in values)])
+
+
 @st.composite
-def payloads(draw):
+def checkpoints(draw):
+    """A version-4 payload, and the records its array encodes."""
+    records = draw(st.lists(RECORD, max_size=4))
+    record_array = items(records)
     traced = draw(st.booleans())
-    return checkpoint_payload(
+    payload = checkpoint_payload(
         crawler_name=draw(TEXT),
         seed=draw(st.integers()),
         instances=draw(st.integers(1, 8)),
@@ -67,11 +89,16 @@ def payloads(draw):
             )
         ),
         trace=(
-            {"next_id": 1, "open": [], "spans": draw(st.lists(SPAN, max_size=3))}
+            {
+                "next_id": 1,
+                "open": [],
+                "spans": items(draw(st.lists(SPAN, max_size=3))),
+            }
             if traced
             else None
         ),
-        records=draw(st.lists(RECORD, max_size=4)),
+        records=record_array,
+        records_sha256=record_array.sha256(),
         ledger=draw(
             st.one_of(
                 st.none(),
@@ -79,50 +106,90 @@ def payloads(draw):
                     {
                         "next_id": st.integers(1, 9),
                         "probe_sizes": st.lists(st.integers(0, 9), max_size=3),
-                        "entries": st.lists(TEXT, max_size=2),
+                        "entries": st.lists(TEXT, max_size=2).map(items),
                     }
                 ),
             )
         ),
     )
+    return payload, records
 
 
 class TestSplitCheckpoint:
     @settings(max_examples=120, deadline=None)
-    @given(payloads())
-    def test_returns_loads_and_each_value_text(self, payload):
+    @given(checkpoints())
+    def test_returns_each_head_value_and_the_record_offsets(self, drawn):
+        payload, records = drawn
         text = dumps(payload)
-        parsed, offsets = split_checkpoint(text)
-        assert parsed == json.loads(text)
-        assert list(offsets) == list(payload)
-        for key, (start, end) in offsets.items():
-            assert json.loads(text[start:end]) == parsed[key]
+        head, (start, end) = split_checkpoint(text)
+        expected = json.loads(text)
+        assert expected.pop("records") == records
+        assert head == expected
+        assert list(head) == list(payload)[:-1]
+        assert text[start:end] == "[" + "".join(payload["records"].texts) + "]"
+        assert text[end:] == "}"
+        assert head["records_sha256"] == (
+            hashlib.sha256(text[start:end].encode()).hexdigest()
+        )
 
     @settings(max_examples=60, deadline=None)
-    @given(payloads())
-    def test_record_text_splices_back_verbatim(self, payload):
+    @given(checkpoints())
+    def test_record_text_splices_back_verbatim(self, drawn):
+        payload, _ = drawn
         text = dumps(payload)
-        _, offsets = split_checkpoint(text)
-        start, end = offsets["records"]
-        inner = text[start + 1 : end - 1]
-        spliced = dict(payload, records=EncodedArray([inner] if inner else []))
+        _, (start, end) = split_checkpoint(text)
+        spliced = dict(payload, records=EncodedArray([text[start + 1 : end - 1]]))
         assert dumps(spliced) == text
 
     @settings(max_examples=60, deadline=None)
-    @given(payloads())
-    def test_any_other_layout_raises(self, payload):
+    @given(checkpoints())
+    def test_any_other_layout_raises(self, drawn):
+        payload, _ = drawn
+        text = dumps(payload)
+        parsed = json.loads(text)
+        records_first = {
+            key: payload[key] for key in ("version", "records_sha256", "records")
+        }
+        records_first.update(payload)
         for other in (
-            json.dumps(payload, indent=1),
-            json.dumps(payload, separators=(",", ":")),
-            " " + dumps(payload),
-            dumps(payload) + "\n",
-            dumps(payload)[:-1],
+            json.dumps(parsed, indent=1),
+            json.dumps(parsed, separators=(",", ":")),
+            " " + text,
+            text + "\n",
+            text[:-1],
+            # Records not last.
+            dumps(records_first),
+            # No digest, or another one.
+            dumps({k: v for k, v in payload.items() if k != "records_sha256"}),
+            dumps(dict(payload, records_sha256="0" * 64)),
         ):
             with pytest.raises(ValueError):
                 split_checkpoint(other)
 
-    def test_non_object_and_repeated_keys_raise(self):
-        for text in ("[]", '"records"', '{"a": 1, "a": 2}', "{1: 2}", ""):
-            with pytest.raises(ValueError):
+    def test_bad_heads_and_versions_raise(self):
+        empty = hashlib.sha256(b"[]").hexdigest()
+        minimal = f'{{"version": 4, "records_sha256": "{empty}", "records": []}}'
+        head, (start, end) = split_checkpoint(minimal)
+        assert head == {"version": 4, "records_sha256": empty}
+        assert minimal[start:end] == "[]"
+        for text in (
+            "[]",
+            '"records"',
+            "{}",
+            "",
+            '{"version": 4, "a": 1, "a": 2, ' + minimal[15:],
+            '{"version": 4, 1: 2, ' + minimal[15:],
+            '{"seed": 1, ' + minimal[1:],
+        ):
+            with pytest.raises(ValueError, match="checkpoint layout"):
                 split_checkpoint(text)
-        assert split_checkpoint("{}") == ({}, {})
+        for version in ("3", "5", '"4"', "null"):
+            with pytest.raises(ValueError, match="unsupported checkpoint version"):
+                split_checkpoint(minimal.replace("4", version, 1))
+
+    def test_records_not_last_raise_whatever_the_digest(self):
+        tail = '[], "seed": 1'
+        digest = hashlib.sha256(tail.encode()).hexdigest()
+        text = f'{{"version": 4, "records_sha256": "{digest}", "records": {tail}}}'
+        with pytest.raises(ValueError, match="not the last value"):
+            split_checkpoint(text)

@@ -471,8 +471,7 @@ class TestShardedOracle:
         )
 
     def test_no_ledger_matches_its_serial(self, tmp_path):
-        # Without a ledger the records are the checkpoint's last key: the
-        # layout the benchmark and the default CLI run write.
+        # The layout the benchmark and the default CLI run write.
         serial = tmp_path / "serial"
         run_serial(replace(make_spec(), ledger=False), serial)
         out = tmp_path / "sharded"
@@ -486,7 +485,8 @@ class TestShardedOracle:
 
 
 class TestLazyResult:
-    """The merge builds the merged ``CrawlResult`` only when it is read."""
+    """The merge builds the merged ``CrawlResult`` only when it is read,
+    and never decodes a record array."""
 
     def test_merge_builds_no_visit_record(self, tmp_path, monkeypatch):
         built = []
@@ -496,12 +496,34 @@ class TestLazyResult:
             built.append(data)
             return from_dict(cls, data)
 
+        decoded = []
+        raw_decode = json.JSONDecoder.raw_decode
+
+        def decoding(self, text, *args, **kwargs):
+            value, end = raw_decode(self, text, *args, **kwargs)
+            decoded.append(value)
+            return value, end
+
+        def is_record_array(value):
+            return (
+                isinstance(value, list)
+                and bool(value)
+                and isinstance(value[0], dict)
+                and "visit_index" in value[0]
+            )
+
         monkeypatch.setattr(VisitRecord, "from_dict", classmethod(counting))
+        # Every decoder the checkpoint reader and json.loads use.
+        monkeypatch.setattr(json.JSONDecoder, "raw_decode", decoding)
         outcome = run_sharded(tmp_path / "sharded", jobs=1)
         assert outcome.complete
         assert built == []
+        # The shard checkpoints' other values went through the decoder.
+        assert any(isinstance(value, dict) and "spans" in value for value in decoded)
+        assert not any(is_record_array(value) for value in decoded)
         assert len(outcome.result.records) == len(POPULATION) * 3
         assert len(built) == len(POPULATION) * 3
+        assert is_record_array(decoded[-1])
 
     def test_result_outlives_the_output_directory(self, tmp_path, serial_dir):
         out = tmp_path / "sharded"
@@ -523,16 +545,38 @@ def _compact(text):
     return json.dumps(json.loads(text), separators=(",", ":"))
 
 
-def _version_2(text):
-    assert text.startswith('{"version": 3, ')
-    return text.replace('{"version": 3, ', '{"version": 2, ', 1)
+def _version_3(text):
+    assert text.startswith('{"version": 4, ')
+    return text.replace('{"version": 4, ', '{"version": 3, ', 1)
+
+
+def _split_records(text):
+    start = text.rindex('"records": [') + len('"records": [')
+    return text[:start], text[start:]
+
+
+def _invalid_record_byte(text):
+    head, records = _split_records(text)
+    assert records.startswith("{")
+    return head + "(" + records[1:]
+
+
+def _edited_record(text):
+    head, records = _split_records(text)
+    edited = records.replace('"reached":true', '"reached":false', 1)
+    assert edited != records
+    return head + edited
 
 
 class TestUnreadableShard:
-    """A shard checkpoint the merge cannot read is a ``MergeError`` that
-    names the shard and its file."""
+    """A shard checkpoint the merge cannot read, or whose records do not
+    match their digest, is a ``MergeError`` that names the shard and its
+    file."""
 
-    @pytest.mark.parametrize("rewrite", [_truncate, _compact, _version_2])
+    @pytest.mark.parametrize(
+        "rewrite",
+        [_truncate, _compact, _version_3, _invalid_record_byte, _edited_record],
+    )
     def test_merge_names_the_shard(self, tmp_path, rewrite):
         out = tmp_path / "sharded"
         assert run_sharded(out).complete
@@ -737,6 +781,21 @@ class TestShardCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert "different run spec" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_edited_shard_records_fail_the_merge(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = ["--out", str(out), "--sites", "60", "--instances", "2",
+                "--shard-size", "17"]
+        assert shard_main(args) == 0
+        capsys.readouterr()
+        path = shard_checkpoint(out, 1)
+        path.write_text(_edited_record(path.read_text()))
+        assert shard_main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: shard 1: ")
+        assert str(path) in captured.err
         assert "Traceback" not in captured.err
 
 

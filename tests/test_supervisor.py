@@ -192,7 +192,8 @@ class TestCheckpointResume:
         sup = make_supervisor(FaultPlan.generate(population, 4, rate=0.1, seed=2))
         sup.crawl(population, checkpoint_path=checkpoint)
         data = json.loads(checkpoint.read_text())
-        assert data["version"] == 3
+        assert data["version"] == 4
+        assert list(data)[-2:] == ["records_sha256", "records"]
         assert len(data["trace"]["spans"]) == len(sup.tracer.spans)
         # The metrics are not stored: they fold from what is.
         assert "metrics" not in data
@@ -204,10 +205,25 @@ class TestCheckpointResume:
         checkpoint = tmp_path / "crawl.json"
         make_supervisor().crawl(population[:3], checkpoint_path=checkpoint)
         text = checkpoint.read_text()
-        assert text.startswith('{"version": 3, ')
-        checkpoint.write_text(text.replace('"version": 3', '"version": 2', 1))
+        assert text.startswith('{"version": 4, ')
+        checkpoint.write_text(text.replace('"version": 4', '"version": 3', 1))
         before = checkpoint.read_bytes()
-        with pytest.raises(ValueError, match="unsupported checkpoint version"):
+        with pytest.raises(ValueError, match="unsupported checkpoint version in"):
+            make_supervisor().crawl(population, checkpoint_path=checkpoint)
+        assert checkpoint.read_bytes() == before
+
+    def test_edited_records_are_refused_untouched(self, tmp_path):
+        population = small_population(n=12)
+        checkpoint = tmp_path / "crawl.json"
+        make_supervisor().crawl(population[:3], checkpoint_path=checkpoint)
+        text = checkpoint.read_text()
+        start = text.rindex('"records": [')
+        edited = text[start:].replace('"reached":true', '"reached":false', 1)
+        assert edited != text[start:]
+        checkpoint.write_text(text[:start] + edited)
+        json.loads(checkpoint.read_text())  # still valid JSON
+        before = checkpoint.read_bytes()
+        with pytest.raises(ValueError, match="records_sha256 in"):
             make_supervisor().crawl(population, checkpoint_path=checkpoint)
         assert checkpoint.read_bytes() == before
 
