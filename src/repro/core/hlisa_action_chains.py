@@ -108,7 +108,7 @@ class HLISA_ActionChains:
                 thunk()
             self._queue = []
         finally:
-            span.attrs["events"] = pipeline.events_dispatched - events_before
+            span["attrs"]["events"] = pipeline.events_dispatched - events_before
             tracer.end(span)
 
     def reset_actions(self) -> "HLISA_ActionChains":

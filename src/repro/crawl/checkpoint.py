@@ -174,17 +174,27 @@ def read_checkpoint(path: Path) -> Tuple[Dict[str, Any], str]:
     return head, text[start:end]
 
 
+def _to_json(item: Any) -> str:
+    return canonical_json(item.to_dict())
+
+
 class EncodedList:
     """The JSON array of one append-only list, each item encoded once.
 
-    ``final`` tells whether an item can still change (a span is final
-    once it ends); items that were not final when last encoded are
-    encoded again on the next call.  Nothing else is: the list passed to
-    :meth:`array` must be the one list the kept texts were encoded from,
-    grown only at its end.
+    ``to_json`` encodes one item (by default, its ``to_dict()`` as
+    canonical JSON).  ``final`` tells whether an item can still change
+    (a span is final once it ends); items that were not final when last
+    encoded are encoded again on the next call.  Nothing else is: the
+    list passed to :meth:`array` must be the one list the kept texts
+    were encoded from, grown only at its end.
     """
 
-    def __init__(self, final: Callable[[Any], bool] = lambda item: True) -> None:
+    def __init__(
+        self,
+        to_json: Callable[[Any], str] = _to_json,
+        final: Callable[[Any], bool] = lambda item: True,
+    ) -> None:
+        self._to_json = to_json
         self._final = final
         self._texts: List[str] = []
         self._unfinal: List[int] = []
@@ -204,7 +214,7 @@ class EncodedList:
         item = items[index]
         if not self._final(item):
             self._unfinal.append(index)
-        text = canonical_json(item.to_dict())
+        text = self._to_json(item)
         return "," + text if index else text
 
 
@@ -237,7 +247,9 @@ class CheckpointTexts:
 
     def __init__(self) -> None:
         self.records = HashedList()
-        self.spans = EncodedList(final=lambda span: not span.open)
+        self.spans = EncodedList(
+            canonical_json, final=lambda span: span["end_ms"] is not None
+        )
         self.entries = EncodedList()
 
 

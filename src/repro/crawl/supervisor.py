@@ -427,7 +427,7 @@ class CrawlSupervisor:
         if not self.tracer.enabled:
             return None
         return crawl_metrics(
-            [span.to_dict() for span in self.tracer.spans],
+            self.tracer.spans,
             None if self.ledger is None else self.ledger.state_dict(),
         )
 
@@ -453,9 +453,9 @@ class CrawlSupervisor:
             record = self._run_attempts(
                 site, visit_index, instance, breaker, reference
             )
-            span.attrs["attempts"] = record.attempts
+            span["attrs"]["attempts"] = record.attempts
             if not record.reached:
-                span.status = "failed:" + (record.failure_reason or "unknown")
+                span["status"] = "failed:" + (record.failure_reason or "unknown")
             return record
         finally:
             tracer.end(span)
@@ -510,7 +510,7 @@ class CrawlSupervisor:
                 except FaultError as fault:
                     self.stats.faults_seen += 1
                     last_reason = fault.fault_type.value
-                    span.status = "fault:" + last_reason
+                    span["status"] = "fault:" + last_reason
                     tracer.event("fault", fault_type=last_reason, hook=fault.hook)
                     cost = (
                         config.visit_budget_ms
@@ -561,10 +561,10 @@ class CrawlSupervisor:
                     self.clock.advance(config.visit_cost_ms)
                 breaker.record_failure(self.clock.now())
                 if FailureReason.is_permanent(record.failure_reason):
-                    span.status = "failed:" + record.failure_reason
+                    span["status"] = "failed:" + record.failure_reason
                     return record
                 last_reason = record.failure_reason or last_reason
-                span.status = "failed:" + last_reason
+                span["status"] = "failed:" + last_reason
                 self._backoff(site, visit_index, attempt)
             finally:
                 tracer.end(span)

@@ -79,12 +79,11 @@ from repro.obs.probes import (
     write_ledger,
 )
 from repro.obs.report import CrawlReport, build_report
-from repro.obs.span import Span, SpanEvent
+from repro.obs.span import SpanDict
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 
 __all__ = [
-    "Span",
-    "SpanEvent",
+    "SpanDict",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",

@@ -55,7 +55,7 @@ from repro.obs.bench import (
     check_bench_files,
 )
 from repro.obs.diff import ExportKindError, diff_exports
-from repro.obs.export import parse_span_dicts, read_trace
+from repro.obs.export import parse_trace, read_trace
 from repro.obs.flame import write_chrome_trace, write_speedscope
 from repro.obs.merge import merge_spans
 from repro.obs.probes import read_ledger
@@ -67,7 +67,6 @@ from repro.obs.profile import (
     render_profile_text,
 )
 from repro.obs.report import build_report
-from repro.obs.span import Span
 
 
 def _add_output_arguments(parser: argparse.ArgumentParser) -> None:
@@ -252,8 +251,8 @@ def _load_spans(trace_path: Path):
     A ``repro.shard`` output directory (it holds the manifest) is read
     through its merged ``crawl.trace.jsonl``, which exists once every
     shard is done.  Any other directory (e.g. ``examples/field_study.py``
-    output) has its ``*.trace.jsonl`` files' parsed lines spliced end to
-    end in sorted-name order.
+    output) has its ``*.trace.jsonl`` files spliced end to end in
+    sorted-name order.
     """
     if not trace_path.is_dir():
         return read_trace(trace_path)
@@ -271,8 +270,7 @@ def _load_spans(trace_path: Path):
     files = sorted(trace_path.glob("*.trace.jsonl"))
     if not files:
         raise ValueError(f"{trace_path}: no *.trace.jsonl files")
-    spans = merge_spans([parse_span_dicts(path.read_text()) for path in files])
-    return [Span.from_dict(data) for data in spans]
+    return merge_spans([parse_trace(path.read_text()) for path in files])
 
 
 def _run_report(args: argparse.Namespace) -> int:

@@ -6,9 +6,9 @@ a span derives from the seed and the virtual clock, two crawls with the
 same seed -- or one interrupted-and-resumed crawl and its uninterrupted
 twin -- serialise to the same bytes, which the tests assert literally.
 
-A line encodes a span's :meth:`~repro.obs.span.Span.to_dict` form, so
-the shard merge, which splices spans as parsed JSON, writes its trace
-without building :class:`~repro.obs.span.Span` objects.
+A line encodes one span dict (:mod:`repro.obs.span`) and parses back
+to an equal dict: the tracer, the checkpoint, the shard merge and every
+reader share that one form.
 
 :func:`canonical_json` is the one canonical JSON encoding in
 ``repro``: every trace line, ledger line, canonical export file and
@@ -21,7 +21,7 @@ import json
 from pathlib import Path
 from typing import Iterable, List, Sequence, Union
 
-from repro.obs.span import Span, SpanDict
+from repro.obs.span import SpanDict
 
 #: ``value`` as canonical JSON: sorted keys, ``,`` and ``:`` separators,
 #: no whitespace.  One encoder, built once: a crawl encodes tens of
@@ -30,10 +30,9 @@ from repro.obs.span import Span, SpanDict
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def span_to_json(data: SpanDict) -> str:
-    """One span, in its :meth:`Span.to_dict` form, as a canonical
-    single-line JSON object."""
-    return canonical_json(data)
+def span_to_json(span: SpanDict) -> str:
+    """One span as a canonical single-line JSON object."""
+    return canonical_json(span)
 
 
 def lines_to_jsonl(lines: Sequence[str]) -> str:
@@ -42,30 +41,24 @@ def lines_to_jsonl(lines: Sequence[str]) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def trace_to_jsonl(spans: Iterable[Span]) -> str:
+def trace_to_jsonl(spans: Iterable[SpanDict]) -> str:
     """The whole trace as canonical JSONL (trailing newline included)."""
-    return lines_to_jsonl([span_to_json(span.to_dict()) for span in spans])
+    return lines_to_jsonl([span_to_json(span) for span in spans])
 
 
-def write_trace(path: Union[str, Path], spans: Iterable[Span]) -> Path:
+def write_trace(path: Union[str, Path], spans: Iterable[SpanDict]) -> Path:
     """Write a JSONL trace file; returns the path written."""
     path = Path(path)
     path.write_text(trace_to_jsonl(spans))
     return path
 
 
-def parse_span_dicts(text: str) -> List[SpanDict]:
-    """Parse a JSONL trace into its lines' span dicts (inverse of
-    :func:`trace_to_jsonl`, building no :class:`Span`)."""
+def parse_trace(text: str) -> List[SpanDict]:
+    """Parse a JSONL trace back into spans (inverse of
+    :func:`trace_to_jsonl`)."""
     return [json.loads(line) for line in text.splitlines() if line.strip()]
 
 
-def parse_trace(text: str) -> List[Span]:
-    """Parse a JSONL trace back into spans (inverse of
-    :func:`trace_to_jsonl`)."""
-    return [Span.from_dict(data) for data in parse_span_dicts(text)]
-
-
-def read_trace(path: Union[str, Path]) -> List[Span]:
+def read_trace(path: Union[str, Path]) -> List[SpanDict]:
     """Read a JSONL trace file written by :func:`write_trace`."""
     return parse_trace(Path(path).read_text())

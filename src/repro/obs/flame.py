@@ -20,61 +20,49 @@ from pathlib import Path
 from typing import Any, Dict, List, Sequence, Union
 
 from repro.obs.export import canonical_json
-from repro.obs.span import Span
+from repro.obs.span import SpanDict, duration_ms
 
 SPEEDSCOPE_SCHEMA = "https://www.speedscope.app/file-format-schema.json"
 
 
-def _duration(span: Span) -> float:
-    return 0.0 if span.end_ms is None else span.end_ms - span.start_ms
+def _end_ms(span: SpanDict, fallback: float) -> float:
+    return fallback if span["end_ms"] is None else span["end_ms"]
 
 
-def _end_ms(span: Span, fallback: float) -> float:
-    return fallback if span.end_ms is None else span.end_ms
+def _start_order(span: SpanDict):
+    return span["start_ms"], span["span_id"]
 
 
 def speedscope_document(
-    spans: Sequence[Span], name: str = "crawl"
+    spans: Sequence[SpanDict], name: str = "crawl"
 ) -> Dict[str, Any]:
     """The trace as a speedscope *evented* profile document.
 
     Frames are the sorted unique span names; events are well-nested
     open/close pairs on the virtual-clock timeline in milliseconds.
     """
-    frame_names = sorted({span.name for span in spans})
+    frame_names = sorted({span["name"] for span in spans})
     frame_index = {name: i for i, name in enumerate(frame_names)}
-    children: Dict[int, List[Span]] = {}
+    children: Dict[int, List[SpanDict]] = {}
     for span in spans:
-        children.setdefault(span.parent_id, []).append(span)
+        children.setdefault(span["parent_id"], []).append(span)
 
     end_value = 0.0
     for span in children.get(0, ()):
-        end = _end_ms(span, span.start_ms)
+        end = _end_ms(span, span["start_ms"])
         if end > end_value:
             end_value = end
 
     events: List[Dict[str, Any]] = []
 
-    def walk(span: Span) -> None:
-        events.append(
-            {"type": "O", "frame": frame_index[span.name], "at": span.start_ms}
-        )
-        for child in sorted(
-            children.get(span.span_id, ()),
-            key=lambda s: (s.start_ms, s.span_id),
-        ):
+    def walk(span: SpanDict) -> None:
+        frame = frame_index[span["name"]]
+        events.append({"type": "O", "frame": frame, "at": span["start_ms"]})
+        for child in sorted(children.get(span["span_id"], ()), key=_start_order):
             walk(child)
-        events.append(
-            {
-                "type": "C",
-                "frame": frame_index[span.name],
-                "at": _end_ms(span, end_value),
-            }
-        )
+        events.append({"type": "C", "frame": frame, "at": _end_ms(span, end_value)})
 
-    for root in sorted(
-        children.get(0, ()), key=lambda s: (s.start_ms, s.span_id)
-    ):
+    for root in sorted(children.get(0, ()), key=_start_order):
         walk(root)
 
     return {
@@ -97,7 +85,7 @@ def speedscope_document(
 
 
 def write_speedscope(
-    path: Union[str, Path], spans: Sequence[Span], name: str = "crawl"
+    path: Union[str, Path], spans: Sequence[SpanDict], name: str = "crawl"
 ) -> Path:
     """Write a speedscope JSON file; returns the path written."""
     path = Path(path)
@@ -105,7 +93,7 @@ def write_speedscope(
     return path
 
 
-def chrome_trace_document(spans: Sequence[Span]) -> Dict[str, Any]:
+def chrome_trace_document(spans: Sequence[SpanDict]) -> Dict[str, Any]:
     """The trace as chrome-trace *complete* (``ph: X``) events.
 
     Timestamps and durations are microseconds per the format; every
@@ -116,20 +104,20 @@ def chrome_trace_document(spans: Sequence[Span]) -> Dict[str, Any]:
     for span in spans:
         events.append(
             {
-                "name": span.name,
+                "name": span["name"],
                 "ph": "X",
-                "ts": span.start_ms * 1_000.0,
-                "dur": _duration(span) * 1_000.0,
+                "ts": span["start_ms"] * 1_000.0,
+                "dur": duration_ms(span) * 1_000.0,
                 "pid": 1,
                 "tid": 1,
-                "args": {"span_id": span.span_id, "status": span.status},
+                "args": {"span_id": span["span_id"], "status": span["status"]},
             }
         )
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
 def write_chrome_trace(
-    path: Union[str, Path], spans: Sequence[Span]
+    path: Union[str, Path], spans: Sequence[SpanDict]
 ) -> Path:
     """Write a chrome-trace JSON file; returns the path written."""
     path = Path(path)

@@ -12,19 +12,17 @@ what a single serial supervisor would have exported:
   serial timeline, so shard 0's root survives (re-ended at the total
   duration) and the other roots are dropped; non-root spans are
   renumbered sequentially across shards and their timestamps shifted by
-  the preceding shards' total duration.  Spans stay in their parsed
-  JSON form (:meth:`~repro.obs.span.Span.to_dict` dicts) throughout:
-  the merge reads them from checkpoints and writes them to a checkpoint
-  and a JSONL trace, so a :class:`~repro.obs.span.Span` would only be
-  built to be taken apart again.
-- **ledger entries**: renumbered sequentially, timestamps shifted.
+  the preceding shards' total duration.  Spans are the dicts
+  :mod:`repro.obs.span` describes, as the merge reads them from the
+  shard checkpoints.
+- **ledger entries**: renumbered sequentially, timestamps shifted; they
+  too stay the parsed JSON dicts the checkpoints hold.
 
 The merged metrics export needs no merge of its own: it is
 :func:`~repro.obs.metrics.crawl_metrics` of the merged trace and ledger.
 
 ``python -m repro.obs report|profile`` also uses :func:`merge_spans` to
-splice a plain directory of trace files end to end, on the files'
-parsed lines.
+splice a plain directory of trace files end to end.
 
 Exactness contract: every supervisor-clock advance lies on a dyadic
 grid (config constants plus :data:`repro.faults.recovery.DELAY_GRID_MS`-
@@ -36,9 +34,8 @@ in ``tests/test_shard.py`` assert the resulting bytes literally.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Any, Dict, List, Sequence
 
-from repro.obs.probes import LedgerEntry
 from repro.obs.span import SpanDict
 
 
@@ -129,30 +126,25 @@ def merge_spans(shard_spans: Sequence[Sequence[SpanDict]]) -> List[SpanDict]:
 
 
 def merge_ledger_entries(
-    shard_entries: Sequence[Sequence[LedgerEntry]],
+    shard_entries: Sequence[Sequence[Dict[str, Any]]],
     durations: Sequence[float],
-) -> List[LedgerEntry]:
-    """Concatenate per-shard ledgers, renumbering ids and shifting
-    timestamps by the preceding shards' durations."""
+) -> List[Dict[str, Any]]:
+    """Concatenate per-shard ledger entry dicts (the parsed
+    ``crawl.ledger.jsonl`` lines a checkpoint holds), renumbering ids
+    and shifting timestamps by the preceding shards' durations.  Inputs
+    are not mutated."""
     if len(shard_entries) != len(durations):
         raise MergeError("one duration per shard ledger required")
-    merged: List[LedgerEntry] = []
-    next_id = 1
+    merged: List[Dict[str, Any]] = []
     offset = 0.0
     for entries, duration in zip(shard_entries, durations):
         for entry in entries:
             merged.append(
-                LedgerEntry(
-                    next_id,
-                    entry.ts_ms + offset,
-                    entry.scope,
-                    entry.obj,
-                    entry.op,
-                    key=entry.key,
-                    via=entry.via,
-                    detail=entry.detail,
-                )
+                {
+                    **entry,
+                    "entry_id": len(merged) + 1,
+                    "ts_ms": entry["ts_ms"] + offset,
+                }
             )
-            next_id += 1
         offset += duration
     return merged

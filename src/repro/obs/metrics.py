@@ -132,10 +132,10 @@ def crawl_metrics(
 ) -> Dict[str, Any]:
     """A crawl's counters and histograms, folded from its trace and ledger.
 
-    ``spans`` are span dicts (:meth:`~repro.obs.span.Span.to_dict`, a
-    checkpoint's ``trace.spans``, or parsed ``crawl.trace.jsonl``
-    lines); ``ledger`` is a :meth:`~repro.obs.probes.ProbeLedger.
-    state_dict`.  Trace events map to counters as follows:
+    ``spans`` are span dicts (:mod:`repro.obs.span`): a tracer's, a
+    checkpoint's ``trace.spans`` or parsed ``crawl.trace.jsonl`` lines;
+    ``ledger`` is a :meth:`~repro.obs.probes.ProbeLedger.state_dict`.
+    Trace events map to counters as follows:
 
     - ``bus.<name>`` -> ``bus.events.<name>``;
     - ``fault`` -> ``faults.<fault_type>``;

@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.obs.export import canonical_json
-from repro.obs.span import Span
+from repro.obs.span import SpanDict, duration_ms
 
 #: The span the supervisor opens per visit; per-visit percentiles and
 #: the critical path are taken over these subtrees.
@@ -57,32 +57,28 @@ def nearest_rank(sorted_values: Sequence[float], q: float) -> float:
     return sorted_values[math.ceil(q * len(sorted_values)) - 1]
 
 
-def _children_map(spans: Sequence[Span]) -> Dict[int, List[Span]]:
-    children: Dict[int, List[Span]] = {}
+def _children_map(spans: Sequence[SpanDict]) -> Dict[int, List[SpanDict]]:
+    children: Dict[int, List[SpanDict]] = {}
     for span in spans:
-        children.setdefault(span.parent_id, []).append(span)
+        children.setdefault(span["parent_id"], []).append(span)
     return children
 
 
-def _duration(span: Span) -> float:
-    return 0.0 if span.end_ms is None else span.end_ms - span.start_ms
-
-
-def build_profile(spans: Sequence[Span]) -> Dict[str, Any]:
+def build_profile(spans: Sequence[SpanDict]) -> Dict[str, Any]:
     """Fold a trace into the profile dict (see the module docstring)."""
     children = _children_map(spans)
     names: Dict[str, Dict[str, Any]] = {}
     total_ms = 0.0
     for span in spans:
-        duration = _duration(span)
-        if span.parent_id == 0:
+        duration = duration_ms(span)
+        if span["parent_id"] == 0:
             total_ms += duration
         child_ms = 0.0
-        for child in children.get(span.span_id, ()):
-            child_ms += _duration(child)
-        entry = names.get(span.name)
+        for child in children.get(span["span_id"], ()):
+            child_ms += duration_ms(child)
+        entry = names.get(span["name"])
         if entry is None:
-            entry = names[span.name] = {
+            entry = names[span["name"]] = {
                 "count": 0,
                 "total_ms": 0.0,
                 "self_ms": 0.0,
@@ -94,15 +90,15 @@ def build_profile(spans: Sequence[Span]) -> Dict[str, Any]:
         if duration > entry["max_ms"]:
             entry["max_ms"] = duration
 
-    visits = [span for span in spans if span.name == SPAN_VISIT]
+    visits = [span for span in spans if span["name"] == SPAN_VISIT]
     per_visit: Dict[str, List[float]] = {}
     for visit in visits:
         totals: Dict[str, float] = {}
         stack = [visit]
         while stack:
             node = stack.pop()
-            totals[node.name] = totals.get(node.name, 0.0) + _duration(node)
-            stack.extend(children.get(node.span_id, ()))
+            totals[node["name"]] = totals.get(node["name"], 0.0) + duration_ms(node)
+            stack.extend(children.get(node["span_id"], ()))
         for name, value in totals.items():
             per_visit.setdefault(name, []).append(value)
     for name, entry in names.items():
@@ -124,44 +120,44 @@ def build_profile(spans: Sequence[Span]) -> Dict[str, Any]:
 
 
 def _critical_path(
-    visits: Sequence[Span], children: Dict[int, List[Span]]
+    visits: Sequence[SpanDict], children: Dict[int, List[SpanDict]]
 ) -> Optional[Dict[str, Any]]:
     """The greedy heaviest-child chain through the slowest visit.
 
     Ties break towards the smaller ``span_id`` (start order), keeping
     the path deterministic even when two subtrees cost the same.
     """
-    slowest: Optional[Span] = None
+    slowest: Optional[SpanDict] = None
     for visit in visits:
-        if slowest is None or _duration(visit) > _duration(slowest):
+        if slowest is None or duration_ms(visit) > duration_ms(slowest):
             slowest = visit
     if slowest is None:
         return None
     path = []
     node = slowest
     while True:
-        kids = children.get(node.span_id, [])
+        kids = children.get(node["span_id"], [])
         child_ms = 0.0
         for child in kids:
-            child_ms += _duration(child)
+            child_ms += duration_ms(child)
         path.append(
             {
-                "name": node.name,
-                "span_id": node.span_id,
-                "total_ms": _duration(node),
-                "self_ms": _duration(node) - child_ms,
+                "name": node["name"],
+                "span_id": node["span_id"],
+                "total_ms": duration_ms(node),
+                "self_ms": duration_ms(node) - child_ms,
             }
         )
         if not kids:
             break
         heaviest = kids[0]
         for child in kids[1:]:
-            if _duration(child) > _duration(heaviest):
+            if duration_ms(child) > duration_ms(heaviest):
                 heaviest = child
         node = heaviest
     return {
-        "domain": str(slowest.attrs.get("domain", "(unknown)")),
-        "duration_ms": _duration(slowest),
+        "domain": str(slowest["attrs"].get("domain", "(unknown)")),
+        "duration_ms": duration_ms(slowest),
         "path": path,
     }
 
@@ -213,8 +209,9 @@ def profile_delta(
     """Per-span-name self-time deltas between two profiles.
 
     Sorted by absolute self-time delta (largest first, name
-    tie-break); names missing from one side count as zero there.  The
-    ``ratio`` is ``b / a`` self time (``None`` when ``a`` is zero).
+    tie-break); names missing from one side count as zero there, and
+    ``in_a`` tells whether ``a`` has the name at all.  The ``ratio`` is
+    ``b / a`` self time (``None`` when ``a`` is zero).
     """
     names = sorted(set(profile_a["names"]) | set(profile_b["names"]))
     deltas = []
@@ -224,6 +221,7 @@ def profile_delta(
         deltas.append(
             {
                 "name": name,
+                "in_a": name in profile_a["names"],
                 "self_ms_a": self_a,
                 "self_ms_b": self_b,
                 "delta_ms": self_b - self_a,
@@ -278,12 +276,21 @@ def render_profile_text(profile: Dict[str, Any], top: int = 10) -> str:
 def render_delta_text(
     deltas: List[Dict[str, Any]], top: int = 10
 ) -> str:
-    """Hotspot deltas between two runs, largest movement first."""
+    """Hotspot deltas between two runs, largest movement first.
+
+    A name only run b has is marked ``new``; one with no self time in
+    run a has no ratio (``-``).
+    """
     lines = ["hotspot deltas (self time, b - a)"]
     shown = deltas[:top] if top > 0 else deltas
     for delta in shown:
         ratio = delta["ratio"]
-        ratio_text = f"{ratio:8.2f}x" if ratio is not None else "     new"
+        if not delta["in_a"]:
+            ratio_text = "     new"
+        elif ratio is None:
+            ratio_text = "       -"
+        else:
+            ratio_text = f"{ratio:8.2f}x"
         lines.append(
             f"  {delta['name']:26s} {delta['self_ms_a']:14.1f} -> "
             f"{delta['self_ms_b']:14.1f} ms  ({delta['delta_ms']:+12.1f} ms, "

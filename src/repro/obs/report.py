@@ -30,7 +30,7 @@ from repro.obs.profile import (
     hotspots,
     render_profile_text,
 )
-from repro.obs.span import Span
+from repro.obs.span import STATUS_OK, SpanDict, duration_ms
 
 #: Span names emitted by the instrumented stack (docs/OBSERVABILITY.md).
 SPAN_CRAWL = "crawl"
@@ -224,7 +224,7 @@ class CrawlReport:
 
 
 def build_report(
-    spans: List[Span],
+    spans: List[SpanDict],
     metrics: Optional[Dict[str, Any]] = None,
     top: int = 0,
 ) -> CrawlReport:
@@ -250,18 +250,21 @@ def build_report(
     site_totals: Dict[str, Dict[str, Any]] = {}
     failure_counts: Dict[str, int] = {}
     for span in spans:
-        if span.name == SPAN_VISIT:
-            if span.status == "ok":
+        name = span["name"]
+        status = span["status"]
+        if name == SPAN_VISIT:
+            if status == STATUS_OK:
                 report.reached += 1
             else:
                 report.failed += 1
-                if top > 0 and span.status.startswith("failed:"):
-                    reason = span.status[len("failed:"):]
+                if top > 0 and status.startswith("failed:"):
+                    reason = status[len("failed:"):]
                     failure_counts[reason] = failure_counts.get(reason, 0) + 1
-            attempts = int(span.attrs.get("attempts", 1))
+            attrs = span["attrs"]
+            attempts = int(attrs.get("attempts", 1))
             attempts_histogram[attempts] = attempts_histogram.get(attempts, 0) + 1
             if top > 0:
-                domain = str(span.attrs.get("domain", "(unknown)"))
+                domain = str(attrs.get("domain", "(unknown)"))
                 site = site_totals.get(domain)
                 if site is None:
                     site = site_totals[domain] = {
@@ -269,37 +272,39 @@ def build_report(
                         "total_ms": 0.0,
                         "max_ms": 0.0,
                     }
+                duration = duration_ms(span)
                 site["count"] += 1
-                site["total_ms"] += span.duration_ms
-                site["max_ms"] = max(site["max_ms"], span.duration_ms)
-        elif span.name == SPAN_ATTEMPT:
-            if span.status == "ok":
-                report.attempt_ok_ms += span.duration_ms
+                site["total_ms"] += duration
+                site["max_ms"] = max(site["max_ms"], duration)
+        elif name == SPAN_ATTEMPT:
+            if status == STATUS_OK:
+                report.attempt_ok_ms += duration_ms(span)
             else:
-                report.attempt_failed_ms += span.duration_ms
+                report.attempt_failed_ms += duration_ms(span)
 
-        for event in span.events or []:
-            report.event_counts[event.name] = (
-                report.event_counts.get(event.name, 0) + 1
+        for event in span["events"]:
+            event_name = event["name"]
+            report.event_counts[event_name] = (
+                report.event_counts.get(event_name, 0) + 1
             )
-            if event.name == EVENT_FAULT:
-                fault_type = str(event.attrs.get("fault_type", "unknown"))
+            if event_name == EVENT_FAULT:
+                fault_type = str(event["attrs"].get("fault_type", "unknown"))
                 report.faults[fault_type] = report.faults.get(fault_type, 0) + 1
-            elif event.name == EVENT_BACKOFF:
+            elif event_name == EVENT_BACKOFF:
                 report.retries += 1
-                report.backoff_ms += float(event.attrs.get("delay_ms", 0.0))
-            elif event.name == EVENT_RECYCLE:
+                report.backoff_ms += float(event["attrs"].get("delay_ms", 0.0))
+            elif event_name == EVENT_RECYCLE:
                 report.recycles += 1
-            elif event.name.startswith(EVENT_BREAKER_PREFIX):
-                key = event.name[len(EVENT_BREAKER_PREFIX) :]
+            elif event_name.startswith(EVENT_BREAKER_PREFIX):
+                key = event_name[len(EVENT_BREAKER_PREFIX) :]
                 report.breaker_events[key] = (
                     report.breaker_events.get(key, 0) + 1
                 )
-            elif event.name.startswith(EVENT_BUS_PREFIX):
-                key = event.name[len(EVENT_BUS_PREFIX) :]
+            elif event_name.startswith(EVENT_BUS_PREFIX):
+                key = event_name[len(EVENT_BUS_PREFIX) :]
                 report.bus_events[key] = report.bus_events.get(key, 0) + 1
-            elif event.name.startswith(EVENT_WATCHDOG_PREFIX):
-                key = event.name[len(EVENT_WATCHDOG_PREFIX) :]
+            elif event_name.startswith(EVENT_WATCHDOG_PREFIX):
+                key = event_name[len(EVENT_WATCHDOG_PREFIX) :]
                 report.watchdog_events[key] = (
                     report.watchdog_events.get(key, 0) + 1
                 )

@@ -28,7 +28,7 @@ from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List
 
 from repro.clock import VirtualClock
-from repro.obs.span import Span
+from repro.obs.span import STATUS_OK, SpanDict
 
 
 class Tracer:
@@ -36,7 +36,8 @@ class Tracer:
 
     Spans are stored in start order (== ``span_id`` order) and finished
     in strict LIFO discipline: :meth:`end` must receive the innermost
-    open span.  Events attach to the innermost open span.
+    open span.  Events attach to the innermost open span.  Each span is
+    the dict :mod:`repro.obs.span` describes, written in place.
     """
 
     #: Real tracers record; the shared :data:`NULL_TRACER` does not.
@@ -44,45 +45,48 @@ class Tracer:
 
     def __init__(self, clock: VirtualClock) -> None:
         self.clock = clock
-        self._spans: List[Span] = []
-        self._stack: List[Span] = []
+        self._spans: List[SpanDict] = []
+        self._stack: List[SpanDict] = []
         self._next_id = 1
 
     # -- recording -------------------------------------------------------
 
-    def start(self, name: str, **attrs: Any) -> Span:
+    def start(self, name: str, **attrs: Any) -> SpanDict:
         """Open a span as a child of the innermost open span."""
         stack = self._stack
-        span = Span(
-            self._next_id,
-            stack[-1].span_id if stack else 0,
-            name,
-            self.clock.now(),
-            attrs,
-        )
+        span = {
+            "span_id": self._next_id,
+            "parent_id": stack[-1]["span_id"] if stack else 0,
+            "name": name,
+            "start_ms": self.clock.now(),
+            "end_ms": None,
+            "status": STATUS_OK,
+            "attrs": attrs,
+            "events": [],
+        }
         self._next_id += 1
         self._spans.append(span)
         stack.append(span)
         return span
 
-    def end(self, span: Span) -> Span:
+    def end(self, span: SpanDict) -> SpanDict:
         """Close ``span``; it must be the innermost open span."""
         if not self._stack or self._stack[-1] is not span:
             raise ValueError(
-                f"span {span.name!r} is not the innermost open span"
+                f"span {span['name']!r} is not the innermost open span"
             )
         self._stack.pop()
-        span.end_ms = self.clock.now()
+        span["end_ms"] = self.clock.now()
         return span
 
     @contextmanager
-    def span(self, name: str, **attrs: Any) -> Iterator[Span]:
+    def span(self, name: str, **attrs: Any) -> Iterator[SpanDict]:
         """Context-managed span; marks status on exceptions."""
         span = self.start(name, **attrs)
         try:
             yield span
         except BaseException as exc:
-            span.status = f"error:{type(exc).__name__}"
+            span["status"] = f"error:{type(exc).__name__}"
             raise
         finally:
             self.end(span)
@@ -94,9 +98,11 @@ class Tracer:
         all instrumented work runs inside a span.
         """
         if self._stack:
-            self._stack[-1].add_event(self.clock.now(), name, attrs)
+            self._stack[-1]["events"].append(
+                {"ts_ms": self.clock.now(), "name": name, "attrs": attrs}
+            )
 
-    def resume_or_start(self, name: str, **attrs: Any) -> Span:
+    def resume_or_start(self, name: str, **attrs: Any) -> SpanDict:
         """Re-enter a checkpointed root span, or open a fresh one.
 
         Three cases, in order:
@@ -111,12 +117,12 @@ class Tracer:
         """
         if self._stack:
             root = self._stack[0]
-            if root.name == name:
+            if root["name"] == name:
                 return root
         for span in self._spans:
-            if span.parent_id == 0 and span.name == name:
-                if not span.open:
-                    span.end_ms = None
+            if span["parent_id"] == 0 and span["name"] == name:
+                if span["end_ms"] is not None:
+                    span["end_ms"] = None
                     self._stack.insert(0, span)
                 return span
         return self.start(name, **attrs)
@@ -124,12 +130,12 @@ class Tracer:
     # -- inspection ------------------------------------------------------
 
     @property
-    def spans(self) -> List[Span]:
+    def spans(self) -> List[SpanDict]:
         """All spans, in start order (finished and still-open)."""
         return list(self._spans)
 
     @property
-    def open_spans(self) -> List[Span]:
+    def open_spans(self) -> List[SpanDict]:
         """The open-span stack, outermost first."""
         return list(self._stack)
 
@@ -138,23 +144,24 @@ class Tracer:
     def state_dict(self, spans: Any = None) -> Dict[str, Any]:
         """JSON-safe snapshot of the full tracer.
 
-        ``spans`` stands in for the encoded span list: a checkpoint
-        writer passes the JSON array it keeps for :attr:`spans`.
+        The snapshot holds the tracer's own span dicts, not copies:
+        encode it before recording more.  ``spans`` stands in for the
+        span list: a checkpoint writer passes the JSON array it keeps
+        for :attr:`spans`.
         """
         return {
             "next_id": self._next_id,
-            "open": [span.span_id for span in self._stack],
-            "spans": (
-                [span.to_dict() for span in self._spans] if spans is None else spans
-            ),
+            "open": [span["span_id"] for span in self._stack],
+            "spans": list(self._spans) if spans is None else spans,
         }
 
     def load_state(self, state: Dict[str, Any]) -> None:
-        """Replace the tracer's contents with a checkpointed snapshot."""
-        self._spans = [Span.from_dict(d) for d in state["spans"]]
-        by_id = {span.span_id: span for span in self._spans}
+        """Replace the tracer's contents with a checkpointed snapshot,
+        adopting its span dicts."""
+        self._spans = list(state["spans"])
+        by_id = {span["span_id"]: span for span in self._spans}
         self._stack = [by_id[span_id] for span_id in state["open"]]
-        self._next_id = int(state["next_id"])
+        self._next_id = state["next_id"]
 
 
 class NullTracer:
@@ -168,30 +175,41 @@ class NullTracer:
     enabled = False
     clock = None
 
-    _NULL_SPAN = Span(0, 0, "null", 0.0, {})
+    #: Handed out by every call that returns a span.  Instrumented code
+    #: may write its ``status`` and ``attrs``; nothing reads them.
+    _NULL_SPAN: SpanDict = {
+        "span_id": 0,
+        "parent_id": 0,
+        "name": "null",
+        "start_ms": 0.0,
+        "end_ms": None,
+        "status": STATUS_OK,
+        "attrs": {},
+        "events": [],
+    }
 
-    def start(self, name: str, **attrs: Any) -> Span:
+    def start(self, name: str, **attrs: Any) -> SpanDict:
         return self._NULL_SPAN
 
-    def end(self, span: Span) -> Span:
+    def end(self, span: SpanDict) -> SpanDict:
         return span
 
     @contextmanager
-    def span(self, name: str, **attrs: Any) -> Iterator[Span]:
+    def span(self, name: str, **attrs: Any) -> Iterator[SpanDict]:
         yield self._NULL_SPAN
 
     def event(self, name: str, **attrs: Any) -> None:
         return None
 
-    def resume_or_start(self, name: str, **attrs: Any) -> Span:
+    def resume_or_start(self, name: str, **attrs: Any) -> SpanDict:
         return self._NULL_SPAN
 
     @property
-    def spans(self) -> List[Span]:
+    def spans(self) -> List[SpanDict]:
         return []
 
     @property
-    def open_spans(self) -> List[Span]:
+    def open_spans(self) -> List[SpanDict]:
         return []
 
     def state_dict(self, spans: Any = None) -> None:

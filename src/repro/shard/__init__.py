@@ -18,13 +18,14 @@ layer protects:
   yet recorded exactly once, from fresh browser states, then merges;
 - :mod:`repro.shard.merge` -- reads the shard checkpoints, moves each
   shard's fault-budget recycles to where the fold of all fault logs
-  puts them, and recombines their records, traces and probe ledgers
-  into ``crawl.*`` artifacts byte-identical to a serial run's, the
-  metrics folded from the merged trace and ledger;
+  (read off the checkpointed traces) puts them, and recombines their
+  records, traces and probe ledgers into ``crawl.*`` artifacts
+  byte-identical to a serial run's, the metrics folded from the merged
+  trace and ledger;
 - :mod:`repro.shard.manifest` -- the resume manifest: a partially
   completed sharded crawl picks up where it stopped (mid-shard via the
-  per-shard supervisor checkpoints, cross-shard via recorded fault
-  logs);
+  per-shard supervisor checkpoints, cross-shard via the completed
+  shards it records);
 - :mod:`repro.shard.cli` -- ``python -m repro.shard`` with ``--jobs N``.
 
 See ``docs/SHARDING.md`` for the planner/executor/merge contract and

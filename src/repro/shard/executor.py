@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from multiprocessing import Pool
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.crawl.crawler import CrawlResult
 from repro.crawl.population import SiteConfig
@@ -73,9 +73,7 @@ class ShardedCrawlOutcome:
         return None if self.merged is None else self.merged.artifacts
 
 
-def _run_tasks(
-    tasks: Sequence[ShardTask], jobs: int
-) -> List[Dict[str, object]]:
+def _run_tasks(tasks: Sequence[ShardTask], jobs: int) -> List[int]:
     if not tasks:
         return []
     if jobs <= 1:
@@ -124,7 +122,7 @@ def run_sharded_crawl(
     manifest = ShardManifest.load_or_create(out_dir, plan, spec)
 
     missing = [
-        shard for shard in plan.shards if manifest.shard_meta(shard.index) is None
+        shard for shard in plan.shards if not manifest.is_complete(shard.index)
     ]
     if max_shards is not None:
         missing = missing[:max_shards]
@@ -137,13 +135,13 @@ def run_sharded_crawl(
         )
         for shard in missing
     ]
-    for meta in _run_tasks(tasks, jobs):
-        manifest.record_shard(meta)
+    for index in _run_tasks(tasks, jobs):
+        manifest.record_shard(index)
     manifest.save()
 
     merged = None
     if manifest.completed() == len(plan):
-        merged = merge_shards(out_dir, plan, spec, manifest)
+        merged = merge_shards(out_dir, plan, spec)
     return ShardedCrawlOutcome(
         out_dir=out_dir, plan=plan, shards_run=len(tasks), merged=merged
     )

@@ -2,16 +2,16 @@
 
 ``manifest.json`` in the output directory records what the executor
 knows: the plan it is executing (digest, shard ids, population digest),
-the run spec fingerprint, and -- per completed shard -- the meta record
-:func:`repro.shard.worker.run_shard` returned (duration + fault log).
+the run spec fingerprint, and which shards have completed.  Everything
+else about a shard lives in its checkpoint.
 
 Resume contract (see ``docs/SHARDING.md``):
 
 - a shard **absent** from the manifest has not completed; re-running it
   picks up any mid-shard supervisor checkpoint on disk;
-- a shard **present** is complete and never re-runs; the merge folds
-  its fault log to place its recycles where a serial crawl's fire
-  (:mod:`repro.shard.state`);
+- a shard **present** is complete and never re-runs; the merge reads
+  its fault log off its checkpointed trace to place its recycles where
+  a serial crawl's fire (:mod:`repro.shard.state`);
 - a manifest whose plan digest or spec fingerprint does not match the
   requested run is an error, never silently reused.
 
@@ -24,10 +24,9 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Union
 
 from repro.shard.plan import ShardPlan
-from repro.shard.state import FaultLogEntry
 from repro.shard.worker import ShardRunSpec
 
 MANIFEST_VERSION = 1
@@ -60,14 +59,6 @@ def spec_fingerprint(spec: ShardRunSpec) -> Dict[str, Any]:
         "ledger": spec.ledger,
         "watchdogs": spec.watchdogs,
     }
-
-
-def decode_fault_log(raw: List[List[int]]) -> List[FaultLogEntry]:
-    """Inverse of the ``fault_log`` wire form ``run_shard`` returns."""
-    return [
-        FaultLogEntry(int(browser), bool(fatal), bool(triggered))
-        for browser, fatal, triggered in raw
-    ]
 
 
 @dataclass
@@ -123,24 +114,17 @@ class ShardManifest:
 
     # -- per-shard records ----------------------------------------------
 
-    def shard_meta(self, index: int) -> Optional[Dict[str, Any]]:
-        """The recorded meta of shard ``index``, or None if incomplete."""
-        return self.data["shards"].get(str(index))
+    def is_complete(self, index: int) -> bool:
+        """Whether shard ``index`` is recorded as complete."""
+        return str(index) in self.data["shards"]
 
-    def record_shard(self, meta: Dict[str, Any]) -> None:
-        """Record one completed shard's meta (``run_shard``'s result)."""
-        self.data["shards"][str(meta["shard"])] = meta
+    def record_shard(self, index: int) -> None:
+        """Record shard ``index`` as complete (``run_shard``'s result)."""
+        self.data["shards"][str(index)] = {"shard": index}
 
     def completed(self) -> int:
         """How many shards have completed."""
         return len(self.data["shards"])
-
-    def fault_log(self, index: int) -> List[FaultLogEntry]:
-        """The recorded fault log of a completed shard."""
-        meta = self.shard_meta(index)
-        if meta is None:
-            raise ManifestError(f"shard {index} has not completed")
-        return decode_fault_log(meta["fault_log"])
 
     def save(self) -> None:
         """Atomically persist the manifest."""

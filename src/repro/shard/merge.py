@@ -1,18 +1,19 @@
 """Recombining per-shard checkpoints into serial-identical output.
 
-The merge is a pure function of the per-shard supervisor checkpoints
-(which carry each shard's records, trace, stats, and optional ledger)
-and the manifest's fault logs; it reads every ``shard-*`` file
-and writes only ``crawl.*`` files.  Each shard checkpoint is read once,
-by :func:`~repro.crawl.checkpoint.read_checkpoint`, which decodes all
-of it but the record array.  A version-4 checkpoint holds every record,
+The merge is a pure function of the per-shard supervisor checkpoints,
+which carry each shard's records, trace, stats, and optional ledger; it
+reads every ``shard-*`` file and writes only ``crawl.*`` files.  Each
+shard checkpoint is read once, by
+:func:`~repro.crawl.checkpoint.read_checkpoint`, which decodes all of it
+but the record array.  A version-4 checkpoint holds every record,
 span and ledger entry as the text its export file uses, so no record is
 parsed and no item is encoded twice.  The observability splice lives
 in :mod:`repro.obs.merge`.  This module adds the crawl-level assembly:
 
-- **recycles**: shards run from fresh browser states, so the merge folds
-  the fault logs in plan order and, in every shard whose recorded budget
-  triggers differ from the fold's, moves the recycle trace events and
+- **recycles**: shards run from fresh browser states, so the merge reads
+  each shard's fault log off its checkpointed trace, folds the logs in
+  plan order and, in every shard whose recorded budget triggers differ
+  from the fold's, moves the recycle trace events and
   ``stats.recycles`` in memory, before the splice.  Merging twice gives
   the same bytes;
 - **records**: shards are contiguous population blocks, so plain
@@ -26,9 +27,10 @@ in :mod:`repro.obs.merge`.  This module adds the crawl-level assembly:
   trace and by ``,`` for the checkpoint;
 - **stats**: counters sum; ``visits`` and ``reached`` too, because each
   shard reconciles them from its own records at crawl end;
-- **ledger**: entries are renumbered and shifted, then each encoded
-  once for both the checkpoint and ``crawl.ledger.jsonl``; probe-scope
-  sizes concatenate in shard order;
+- **ledger**: entries are spliced as the parsed JSON the shard
+  checkpoints hold, renumbered and shifted, then each encoded once for
+  both the checkpoint and ``crawl.ledger.jsonl``; probe-scope sizes
+  concatenate in shard order;
 - **metrics**: :func:`~repro.obs.metrics.crawl_metrics` of the merged
   trace and ledger -- the fold the serial supervisor's
   :meth:`~repro.crawl.supervisor.CrawlSupervisor.metrics_state` runs;
@@ -70,10 +72,9 @@ from repro.obs.merge import (
     shard_durations,
 )
 from repro.obs.metrics import crawl_metrics
-from repro.obs.probes import LedgerEntry
-from repro.shard.manifest import ShardManifest
 from repro.shard.plan import ShardPlan
 from repro.shard.state import (
+    fault_log_from_spans,
     fold_fault_log,
     fresh_browser_states,
     observed_triggers,
@@ -152,13 +153,12 @@ def merge_shards(
     out_dir: Union[str, Path],
     plan: ShardPlan,
     spec: ShardRunSpec,
-    manifest: ShardManifest,
 ) -> "MergedCrawl":
     """Merge every shard's checkpoint into serial-identical artifacts.
 
-    The fold of the ``manifest``'s fault logs places each shard's
-    fault-budget recycles; its exit states are what the serial
-    supervisor's browsers would hold at crawl end.
+    The fold of the shards' fault logs, read off their checkpointed
+    traces, places each shard's fault-budget recycles; its exit states
+    are what the serial supervisor's browsers would hold at crawl end.
     """
     out_dir = Path(out_dir)
     heads, records_text = _read_shards(out_dir, plan)
@@ -166,8 +166,8 @@ def merge_shards(
     shard_spans = [head["trace"]["spans"] for head in heads]
     budget = spec.config.recycle_after_faults
     browser_states = fresh_browser_states(spec.instances)
-    for shard, head, spans in zip(plan.shards, heads, shard_spans):
-        log = manifest.fault_log(shard.index)
+    for head, spans in zip(heads, shard_spans):
+        log = fault_log_from_spans(spans)
         browser_states, triggers = fold_fault_log(
             browser_states, log, budget, spec.recycling
         )
@@ -190,22 +190,17 @@ def merge_shards(
     ledger_state: Optional[Dict[str, Any]] = None
     entry_texts: List[str] = []
     if spec.ledger:
-        merged_ledger = merge_ledger_entries(
-            [
-                [LedgerEntry.from_dict(data) for data in head["ledger"]["entries"]]
-                for head in heads
-            ],
-            durations,
+        entries = merge_ledger_entries(
+            [head["ledger"]["entries"] for head in heads], durations
         )
-        entry_dicts = [entry.to_dict() for entry in merged_ledger]
-        entry_texts = [canonical_json(data) for data in entry_dicts]
+        entry_texts = [canonical_json(entry) for entry in entries]
         ledger_state = {
-            "next_id": len(merged_ledger) + 1,
+            "next_id": len(entries) + 1,
             "scopes": [],
             "probe_sizes": [
                 size for head in heads for size in head["ledger"]["probe_sizes"]
             ],
-            "entries": entry_dicts,
+            "entries": entries,
         }
     records = EncodedArray([records_text])
     checkpoint_path = out_dir / "crawl.ckpt.json"

@@ -29,14 +29,11 @@ Three facts make parallel sharding sound:
    re-running the shard (``tests/test_shard.py::TestRecyclePlacement``).
 
 The log itself is reconstructed from the shard's trace
-(:func:`fault_log_from_spans`) rather than captured live: the trace
-rides the per-shard checkpoint, so a shard interrupted and resumed
-mid-way still reports its *complete* fault history.
-
-Both functions walk spans in their parsed JSON form
-(:data:`~repro.obs.span.SpanDict`), the form the merge reads them in
-from the shard checkpoints; a worker converts its tracer's spans with
-:meth:`~repro.obs.span.Span.to_dict`.
+(:func:`fault_log_from_spans`) rather than captured live: the merge
+reads it off the trace the shard checkpoint carries, so a shard
+interrupted and resumed mid-way still reports its *complete* fault
+history.  Both functions walk span dicts (:mod:`repro.obs.span`), as
+the merge reads them from the shard checkpoints.
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
 from repro.faults.types import FaultType
-from repro.obs.span import SpanDict, SpanEvent
+from repro.obs.span import SpanDict
 
 #: Trace event the supervisor records for every observed fault.
 FAULT_EVENT = "fault"
@@ -164,14 +161,20 @@ def _recycle_events(
     """One fault-budget recycle's trace events, in emission order: the
     watchdog's request, its bus publish, the supervisor's recycle and the
     bus acknowledgement."""
-    attrs = {"browser": browser}
-    events = [
-        SpanEvent(ts_ms, RECYCLE_TRIGGER_EVENT, dict(attrs, fault_count=budget)),
-        SpanEvent(ts_ms, "bus.browser_recycle_requested", {}),
-        SpanEvent(ts_ms, "browser.recycle", dict(attrs, reason="fault-budget")),
-        SpanEvent(ts_ms, "bus.browser_recycled", {}),
+    return [
+        {
+            "ts_ms": ts_ms,
+            "name": RECYCLE_TRIGGER_EVENT,
+            "attrs": {"browser": browser, "fault_count": budget},
+        },
+        {"ts_ms": ts_ms, "name": "bus.browser_recycle_requested", "attrs": {}},
+        {
+            "ts_ms": ts_ms,
+            "name": "browser.recycle",
+            "attrs": {"browser": browser, "reason": "fault-budget"},
+        },
+        {"ts_ms": ts_ms, "name": "bus.browser_recycled", "attrs": {}},
     ]
-    return [event.to_dict() for event in events]
 
 
 def place_recycles(

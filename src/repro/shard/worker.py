@@ -14,21 +14,20 @@ path, and a re-run of the same task resumes from it byte-identically.
 That checkpoint is the only file a shard writes, and the merge layer's
 only per-shard input -- it already carries the records, trace, stats,
 browser states and ledger of the completed shard, from which the merge
-also folds the metrics.
+also reads the fault log and folds the metrics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.crawl.crawler import OpenWPMCrawler
 from repro.crawl.population import SiteConfig
 from repro.crawl.supervisor import CrawlSupervisor, SupervisorConfig
 from repro.faults.plan import FaultPlan
 from repro.obs.probes import ProbeLedger
-from repro.shard.state import fault_log_from_spans
 from repro.spoofing.extension import SpoofingExtension
 
 #: The two watchdog configurations the sharded executor supports: the
@@ -104,27 +103,15 @@ def build_supervisor(spec: ShardRunSpec) -> CrawlSupervisor:
     )
 
 
-def run_shard(task: ShardTask) -> Dict[str, Any]:
-    """Execute one shard; returns its manifest meta record.
+def run_shard(task: ShardTask) -> int:
+    """Execute one shard; returns its index once the shard is complete.
 
-    The meta record carries the shard's duration and its fault log --
-    read back off the trace, so a resumed shard reports its complete
-    history.  Everything else (records, trace, ledger) stays in the
-    checkpoint at :func:`shard_checkpoint`.
+    Everything the merge needs (records, trace, stats, ledger) stays in
+    the checkpoint at :func:`shard_checkpoint`.
     """
     supervisor = build_supervisor(task.spec)
     supervisor.crawl(
         list(task.sites),
         checkpoint_path=shard_checkpoint(task.out_dir, task.index),
     )
-    log = fault_log_from_spans(
-        [span.to_dict() for span in supervisor.tracer.spans]
-    )
-    return {
-        "shard": task.index,
-        "duration_ms": supervisor.clock.now(),
-        "fault_log": [
-            [entry.browser, int(entry.fatal), int(entry.triggered)]
-            for entry in log
-        ],
-    }
+    return task.index

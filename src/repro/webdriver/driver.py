@@ -95,7 +95,7 @@ class WebDriver:
             self.current_url = url
         except _fault_error() as fault:
             if span is not None:
-                span.status = "fault:" + fault.fault_type.value
+                span["status"] = "fault:" + fault.fault_type.value
             raise
         finally:
             if span is not None:
@@ -142,7 +142,7 @@ class WebDriver:
             return WebElement(self, element)
         except _fault_error() as fault:
             if span is not None:
-                span.status = "fault:" + fault.fault_type.value
+                span["status"] = "fault:" + fault.fault_type.value
             raise
         finally:
             if span is not None:
@@ -175,7 +175,7 @@ class WebDriver:
             ]
         except _fault_error() as fault:
             if span is not None:
-                span.status = "fault:" + fault.fault_type.value
+                span["status"] = "fault:" + fault.fault_type.value
             raise
         finally:
             if span is not None:
@@ -232,7 +232,7 @@ class WebDriver:
             )
         except _fault_error() as fault:
             if span is not None:
-                span.status = "fault:" + fault.fault_type.value
+                span["status"] = "fault:" + fault.fault_type.value
             raise
         finally:
             if span is not None:

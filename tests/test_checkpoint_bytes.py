@@ -31,10 +31,10 @@ from repro.crawl import (
     SupervisorConfig,
     generate_population,
 )
+from repro.crawl import checkpoint as checkpoint_module
 from repro.crawl.visit import VisitRecord
 from repro.faults import FaultPlan
 from repro.obs.probes import LedgerEntry, ProbeLedger
-from repro.obs.span import Span
 from repro.obs.tracer import NULL_TRACER
 from repro.spoofing import SpoofingExtension
 
@@ -261,13 +261,25 @@ def test_each_item_is_encoded_once(tmp_path, monkeypatch):
     is encoded once per crawl, every span once after it finishes plus
     once per write that finds it still open."""
     encodes = Counter()
-    for cls in (VisitRecord, Span, LedgerEntry):
+    for cls in (VisitRecord, LedgerEntry):
 
         def counted(self, _to_dict=cls.to_dict):
             encodes[id(self)] += 1
             return _to_dict(self)
 
         monkeypatch.setattr(cls, "to_dict", counted)
+    # A span is encoded as the dict it is; records and entries as their
+    # ``to_dict``, counted above.
+    encoder_calls = Counter()
+    encode = checkpoint_module.canonical_json
+
+    def counted_json(value):
+        encoder_calls["items"] += 1
+        if "span_id" in value:
+            encodes[id(value)] += 1
+        return encode(value)
+
+    monkeypatch.setattr(checkpoint_module, "canonical_json", counted_json)
     open_at_write = Counter()
     write = CrawlSupervisor._write_checkpoint
 
@@ -288,7 +300,7 @@ def test_each_item_is_encoded_once(tmp_path, monkeypatch):
         1 + open_at_write[id(s)] for s in spans
     ]
     assert open_at_write[id(spans[0])] == len(POPULATION)
-    # No other object of these classes was encoded.
-    assert sum(encodes.values()) == (
+    # No other item was encoded.
+    assert encoder_calls["items"] == sum(encodes.values()) == (
         len(records) + len(entries) + len(spans) + sum(open_at_write.values())
     )

@@ -18,7 +18,6 @@ from repro.obs import (
     NULL_TRACER,
     Histogram,
     ProbeLedger,
-    Span,
     Tracer,
     build_report,
     crawl_metrics,
@@ -28,6 +27,7 @@ from repro.obs import (
     write_trace,
 )
 from repro.obs.cli import main as obs_main
+from repro.obs.span import duration_ms
 from repro.webdriver.driver import make_browser_driver
 
 
@@ -67,12 +67,12 @@ class TestSpans:
         d = tracer.start("visit")
         tracer.end(d)
         tracer.end(a)
-        assert [s.span_id for s in tracer.spans] == [1, 2, 3, 4]
-        assert a.parent_id == 0
-        assert b.parent_id == a.span_id
-        assert c.parent_id == b.span_id
-        assert d.parent_id == a.span_id
-        assert c.start_ms == 5.0 and b.duration_ms == 5.0
+        assert [s["span_id"] for s in tracer.spans] == [1, 2, 3, 4]
+        assert a["parent_id"] == 0
+        assert b["parent_id"] == a["span_id"]
+        assert c["parent_id"] == b["span_id"]
+        assert d["parent_id"] == a["span_id"]
+        assert c["start_ms"] == 5.0 and duration_ms(b) == 5.0
 
     def test_end_enforces_lifo_discipline(self):
         tracer = Tracer(VirtualClock())
@@ -91,9 +91,10 @@ class TestSpans:
         tracer.end(inner)
         tracer.event("backoff", delay_ms=500.0)
         tracer.end(outer)
-        assert [e.name for e in inner.events] == ["fault"]
-        assert inner.events[0].ts_ms == 3.0
-        assert [e.name for e in outer.events] == ["backoff"]
+        assert inner["events"] == [
+            {"ts_ms": 3.0, "name": "fault", "attrs": {"fault_type": "driver-crash"}}
+        ]
+        assert [e["name"] for e in outer["events"]] == ["backoff"]
 
     def test_context_manager_marks_error_status(self):
         tracer = Tracer(VirtualClock())
@@ -101,8 +102,8 @@ class TestSpans:
             with tracer.span("risky"):
                 raise RuntimeError("boom")
         (span,) = tracer.spans
-        assert span.status == "error:RuntimeError"
-        assert not span.open
+        assert span["status"] == "error:RuntimeError"
+        assert span["end_ms"] is not None
 
     def test_state_roundtrip_preserves_open_stack(self):
         clock = VirtualClock()
@@ -113,12 +114,10 @@ class TestSpans:
         state = json.loads(json.dumps(tracer.state_dict()))
         other = Tracer(VirtualClock(clock.now()))
         other.load_state(state)
-        assert [s.to_dict() for s in other.spans] == [
-            s.to_dict() for s in tracer.spans
-        ]
-        assert [s.span_id for s in other.open_spans] == [1, 2]
+        assert other.spans == tracer.spans
+        assert [s["span_id"] for s in other.open_spans] == [1, 2]
         other.end(other.open_spans[-1])
-        assert other.spans[1].end_ms == 7.0
+        assert other.spans[1]["end_ms"] == 7.0
 
     def test_resume_or_start_reopens_closed_root(self):
         clock = VirtualClock()
@@ -127,10 +126,10 @@ class TestSpans:
         clock.advance(10.0)
         tracer.end(root)
         again = tracer.resume_or_start("crawl")
-        assert again is root and root.open
+        assert again is root and root["end_ms"] is None
         clock.advance(5.0)
         tracer.end(root)
-        assert root.end_ms == 15.0
+        assert root["end_ms"] == 15.0
         assert len(tracer.spans) == 1  # no second root forked
 
     def test_null_tracer_records_nothing(self):
@@ -236,7 +235,7 @@ class TestReport:
         tracer.event("browser.recycle", browser=0, reason="fatal-fault")
         tracer.event("backoff", delay_ms=500.0, attempt=0)
         clock.advance(500.0)
-        bad.status = "fault:driver-crash"
+        bad["status"] = "fault:driver-crash"
         tracer.end(bad)
         good = tracer.start("attempt", attempt=1)
         clock.advance(8_000.0)
@@ -342,14 +341,17 @@ class TestInstrumentation:
         driver.get("https://a.example/")
         driver.find_element("id", "submit")
         driver.execute_script("window.scrollTo(0, 0)")
-        names = [s.name for s in driver.tracer.spans]
+        names = [s["name"] for s in driver.tracer.spans]
         assert names == [
             "webdriver.get",
             "webdriver.find_element",
             "webdriver.execute_script",
         ]
-        assert all(not s.open and s.status == "ok" for s in driver.tracer.spans)
-        assert driver.tracer.spans[0].attrs == {"url": "https://a.example/"}
+        assert all(
+            s["end_ms"] is not None and s["status"] == "ok"
+            for s in driver.tracer.spans
+        )
+        assert driver.tracer.spans[0]["attrs"] == {"url": "https://a.example/"}
 
     def test_fault_marks_webdriver_span_status(self):
         class RaisingInjector:
@@ -365,8 +367,8 @@ class TestInstrumentation:
         with pytest.raises(FaultError):
             driver.get("https://a.example/")
         (span,) = driver.tracer.spans
-        assert span.status == "fault:network-reset"
-        assert not span.open  # ended despite the exception
+        assert span["status"] == "fault:network-reset"
+        assert span["end_ms"] is not None  # ended despite the exception
 
     def test_hlisa_perform_span_counts_pipeline_events(self):
         from repro.core.hlisa_action_chains import HLISA_ActionChains
@@ -375,11 +377,11 @@ class TestInstrumentation:
         driver.tracer = Tracer(driver.window.clock)
         chain = HLISA_ActionChains(driver, seed=11)
         chain.move_by_offset(120, 90).perform()
-        spans = [s for s in driver.tracer.spans if s.name == "hlisa.perform"]
+        spans = [s for s in driver.tracer.spans if s["name"] == "hlisa.perform"]
         assert len(spans) == 1
-        assert spans[0].attrs["actions"] == 1
-        assert spans[0].attrs["events"] > 0
-        assert spans[0].duration_ms > 0
+        assert spans[0]["attrs"]["actions"] == 1
+        assert spans[0]["attrs"]["events"] > 0
+        assert duration_ms(spans[0]) > 0
 
     def test_untraced_driver_costs_no_spans_or_metrics(self):
         driver = make_browser_driver()
@@ -436,20 +438,22 @@ class TestCrawlTraceDeterminism:
         sup = make_supervisor(population)
         sup.crawl(population)
         spans = sup.tracer.spans
-        by_id = {s.span_id: s for s in spans}
-        names = {s.name for s in spans}
+        by_id = {s["span_id"]: s for s in spans}
+        names = {s["name"] for s in spans}
         assert {"crawl", "visit", "attempt", "webdriver.get"} <= names
-        roots = [s for s in spans if s.parent_id == 0]
-        assert [s.name for s in roots] == ["crawl"]
+        roots = [s for s in spans if s["parent_id"] == 0]
+        assert [s["name"] for s in roots] == ["crawl"]
         for span in spans:
-            assert span.parent_id == 0 or span.parent_id in by_id
-            assert not span.open
-        for visit in (s for s in spans if s.name == "visit"):
-            assert by_id[visit.parent_id].name == "crawl"
-        for attempt in (s for s in spans if s.name == "attempt"):
-            assert by_id[attempt.parent_id].name == "visit"
-        for command in (s for s in spans if s.name.startswith("webdriver.")):
-            assert by_id[command.parent_id].name == "attempt"
+            assert span["parent_id"] == 0 or span["parent_id"] in by_id
+            assert span["end_ms"] is not None
+        for span in spans:
+            parent = by_id.get(span["parent_id"], {}).get("name")
+            if span["name"] == "visit":
+                assert parent == "crawl"
+            elif span["name"] == "attempt":
+                assert parent == "visit"
+            elif span["name"].startswith("webdriver."):
+                assert parent == "attempt"
 
     def test_null_tracer_crawl_produces_identical_records(self):
         population = tiny_population()
@@ -638,10 +642,10 @@ class TestTopN:
         slowest_domain, slowest = report.top_sites[0]
         visit_totals = {}
         for span in sup.tracer.spans:
-            if span.name == "visit":
-                domain = span.attrs["domain"]
+            if span["name"] == "visit":
+                domain = span["attrs"]["domain"]
                 visit_totals[domain] = (
-                    visit_totals.get(domain, 0.0) + span.duration_ms
+                    visit_totals.get(domain, 0.0) + duration_ms(span)
                 )
         assert slowest["total_ms"] == max(visit_totals.values())
         assert visit_totals[slowest_domain] == slowest["total_ms"]

@@ -852,8 +852,8 @@ class TestSupervisedLedger:
         events = [
             event
             for span in sup.tracer.spans
-            for event in span.events or []
-            if event.name == "probe.ledger"
+            for event in span["events"]
+            if event["name"] == "probe.ledger"
         ]
         assert events
-        assert sum(e.attrs["entries"] for e in events) == len(ledger)
+        assert sum(e["attrs"]["entries"] for e in events) == len(ledger)

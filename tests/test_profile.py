@@ -183,6 +183,9 @@ class TestBuildProfile:
         by_name = {d["name"]: d for d in deltas}
         assert by_name["visit"]["delta_ms"] == 0.0
         assert by_name["crawl"]["ratio"] is None  # zero self time on a
+        assert all(delta["in_a"] for delta in deltas)
+        only_b = profile_delta(build_profile([]), profile_b)
+        assert not any(delta["in_a"] for delta in only_b)
 
 
 class TestCanonicalSerialisation:
@@ -473,6 +476,29 @@ class TestProfileCli:
         write_trace(path_b, hand_trace())
         assert obs_main(["diff", str(path_a), str(path_b), "--profile"]) == 0
         assert "hotspot deltas" in capsys.readouterr().out
+
+    def test_diff_profile_marks_only_names_missing_from_a_as_new(
+        self, tmp_path, capsys
+    ):
+        # crawl has no self time: it has no ratio, but it is not new.
+        path_a = self.trace_file(tmp_path)
+        assert obs_main(["diff", str(path_a), str(path_a), "--profile"]) == 0
+        rows = capsys.readouterr().out.split("hotspot deltas")[1].splitlines()[1:]
+        assert len(rows) == 3 and not any("new" in row for row in rows)
+        assert next(row for row in rows if row.split()[0] == "crawl").endswith("-)")
+
+        clock = VirtualClock()
+        tracer = Tracer(clock)
+        root = tracer.start("crawl")
+        extra = tracer.start("extra")
+        clock.advance(2.0)
+        tracer.end(extra)
+        tracer.end(root)
+        path_b = tmp_path / "b.jsonl"
+        write_trace(path_b, tracer.spans)
+        assert obs_main(["diff", str(path_a), str(path_b), "--profile"]) == 1
+        rows = capsys.readouterr().out.split("hotspot deltas")[1].splitlines()[1:]
+        assert [row.split()[0] for row in rows if "new" in row] == ["extra"]
 
     def test_diff_profile_json_embeds_deltas(self, tmp_path, capsys):
         path_a = self.trace_file(tmp_path)

@@ -20,17 +20,17 @@ from repro.crawl import (
     SupervisorConfig,
     generate_population,
 )
+from repro.crawl.checkpoint import read_checkpoint
 from repro.crawl.visit import VisitRecord
 from repro.faults import DELAY_GRID_MS, BackoffPolicy, FaultPlan
 from repro.obs.merge import MergeError, merge_spans
-from repro.obs.span import Span
 from repro.shard import (
     FaultLogEntry,
     ManifestError,
-    ShardManifest,
     ShardRunSpec,
     ShardTask,
     build_supervisor,
+    fault_log_from_spans,
     fold_fault_log,
     fresh_browser_states,
     observed_triggers,
@@ -252,7 +252,7 @@ def strip_recycle_groups(spans, budget):
     shape-checked on the way out, plus how many groups were stripped."""
     stripped, groups = [], 0
     for span in spans:
-        data = span.to_dict()
+        data = dict(span)
         events, kept, index = data["events"], [], 0
         while index < len(events):
             group = events[index:index + len(RECYCLE_GROUP)]
@@ -331,10 +331,17 @@ class TestRecyclePlacement:
 
 
 def _span(span_id, parent, name, start, end):
-    """A closed span in its parsed JSON form, as the merge reads it."""
-    span = Span(span_id, parent, name, float(start), {})
-    span.end_ms = float(end)
-    return span.to_dict()
+    """A closed span, as the merge reads it."""
+    return {
+        "span_id": span_id,
+        "parent_id": parent,
+        "name": name,
+        "start_ms": float(start),
+        "end_ms": None if end is None else float(end),
+        "status": "ok",
+        "attrs": {},
+        "events": [],
+    }
 
 
 class TestSpanMerge:
@@ -366,7 +373,7 @@ class TestSpanMerge:
         assert shard1[1]["span_id"] == 2 and shard1[1]["start_ms"] == 3.0
 
     def test_rejects_open_or_missing_roots(self):
-        open_root = Span(1, 0, "crawl", 0.0, {}).to_dict()
+        open_root = _span(1, 0, "crawl", 0, None)
         with pytest.raises(MergeError):
             merge_spans([[open_root]])
         with pytest.raises(MergeError):
@@ -402,10 +409,10 @@ def run_sharded(out_dir, *, shard_size=7, jobs=1, watchdogs="default",
 def corrected_shards(out_dir, plan, spec):
     """Shards whose recorded fault-budget triggers differ from the serial
     fold: the ones the merge moves recycles in."""
-    manifest = ShardManifest.load_or_create(out_dir, plan, spec)
     entry, corrected = fresh_browser_states(spec.instances), []
     for shard in plan.shards:
-        log = manifest.fault_log(shard.index)
+        head, _ = read_checkpoint(shard_checkpoint(out_dir, shard.index))
+        log = fault_log_from_spans(head["trace"]["spans"])
         entry, triggers = fold_fault_log(
             entry, log, spec.config.recycle_after_faults
         )
@@ -819,16 +826,15 @@ class TestShardArtifactLayout:
             spec=spec, index=shard.index, sites=shard.sites,
             out_dir=str(tmp_path),
         )
-        meta = run_shard(task)
-        assert meta["shard"] == 1
+        assert run_shard(task) == 1
         assert [path.name for path in tmp_path.iterdir()] == [
             "shard-0001.ckpt.json"
         ]
         first = json.loads(shard_checkpoint(tmp_path, 1).read_text())
         # A re-run of the same task resumes from that checkpoint: the same
-        # meta record and crawl state, where only stats.resumed counts the
-        # visits it restored, and still the only file.
-        assert run_shard(task) == meta
+        # crawl state, where only stats.resumed counts the visits it
+        # restored, and still the only file.
+        assert run_shard(task) == 1
         again = json.loads(shard_checkpoint(tmp_path, 1).read_text())
         assert first["stats"].pop("resumed") == 0
         assert again["stats"].pop("resumed") == len(first["records"])

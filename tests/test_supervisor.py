@@ -159,7 +159,7 @@ class TestCheckpointResume:
         assert resumed.tracer.clock is resumed.clock
         assert tracer_clock_before is resumed.clock
         # The span timeline actually advanced past the checkpointed time.
-        assert resumed.tracer.spans[0].end_ms == resumed.clock.now()
+        assert resumed.tracer.spans[0]["end_ms"] == resumed.clock.now()
 
     def test_stale_checkpoint_behind_supervisor_clock_rejected(self, tmp_path):
         population = small_population(n=12)
