@@ -102,7 +102,8 @@ class InputPipeline:
         self.double_click_interval_ms = double_click_interval_ms
         self.mousemove_min_interval_ms = mousemove_min_interval_ms
         #: Running count of synthesised events (always on; one int add).
-        #: The observability layer reads deltas around action batches.
+        #: ``benchmarks/test_hlisa_events_per_sec.py`` reads deltas
+        #: around action batches.
         self.events_dispatched = 0
         #: Current pointer position in *client* (viewport) coordinates.
         #: Starts at (0, 0) -- the tell-tale the paper's Appendix F notes.

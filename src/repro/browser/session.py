@@ -21,7 +21,6 @@ from typing import List, Optional
 from repro.browser.navigator import NavigatorProfile
 from repro.browser.window import Window
 from repro.bus.events import NavigateToUrl, QueryElements, RunScript, ScrollTo
-from repro.obs.tracer import NULL_TRACER
 from repro.webdriver.driver import WebDriver
 
 
@@ -123,18 +122,15 @@ class SimulatedBrowserSession(BrowserSession):
     """The simulated backend: a Window/WebDriver pair plus extension.
 
     Spawning re-runs the full sequence a real browser restart performs:
-    fresh window, fresh driver (with the supervisor's tracer re-wired),
-    probe ledger re-attached, extension re-injected.
+    fresh window, fresh driver, probe ledger re-attached, extension
+    re-injected.
     """
 
     backend = "simulated"
 
-    def __init__(
-        self, index: int, extension=None, tracer=None, ledger=None
-    ) -> None:
+    def __init__(self, index: int, extension=None, ledger=None) -> None:
         super().__init__(index)
         self.extension = extension
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.ledger = ledger
         self.window: Optional[Window] = None
         self.driver: Optional[WebDriver] = None
@@ -147,7 +143,7 @@ class SimulatedBrowserSession(BrowserSession):
         # recycling and resume-respawning record no entries and the ledger
         # stays byte-identical across interrupt/resume.
         self.window.probe_ledger = self.ledger
-        self.driver = WebDriver(self.window, tracer=self.tracer)
+        self.driver = WebDriver(self.window)
         if self.extension is not None:
             self.extension.inject(self.window)
 

@@ -87,29 +87,10 @@ class HLISA_ActionChains:
     # ------------------------------------------------------------------ #
 
     def perform(self) -> None:
-        """Execute all queued actions, then clear the chain.
-
-        Under an observability-wired driver (``driver.tracer``), the
-        whole batch runs inside one ``hlisa.perform`` span whose
-        ``events`` attribute counts the trusted DOM events the batch
-        synthesised through the input pipeline.
-        """
-        tracer = getattr(self._driver, "tracer", None)
-        if tracer is None or not tracer.enabled:
-            for thunk in self._queue:
-                thunk()
-            self._queue = []
-            return
-        pipeline = self._driver.pipeline
-        span = tracer.start("hlisa.perform", actions=len(self._queue))
-        events_before = pipeline.events_dispatched
-        try:
-            for thunk in self._queue:
-                thunk()
-            self._queue = []
-        finally:
-            span["attrs"]["events"] = pipeline.events_dispatched - events_before
-            tracer.end(span)
+        """Execute all queued actions, then clear the chain."""
+        for thunk in self._queue:
+            thunk()
+        self._queue = []
 
     def reset_actions(self) -> "HLISA_ActionChains":
         """Remove all actions from the current chain."""

@@ -23,12 +23,13 @@ fault plan, no watchdogs and no tracing.  What it adds:
   completed (site, visit_index) pairs, and the resumed result is
   byte-identical to an uninterrupted run;
 - **observability** -- every crawl builds a :mod:`repro.obs` span tree
-  (crawl -> visit -> attempt -> WebDriver commands) with fault,
-  backoff, recycle and breaker decisions as span events.  The trace is
-  carried through checkpoints, so a resumed crawl's exported trace is
-  byte-identical to an uninterrupted one's; the metrics export is
-  folded from the trace and the probe ledger
-  (:meth:`CrawlSupervisor.metrics_state`), never stored.
+  (crawl -> visit -> attempt) with each WebDriver command as its
+  attempt's ``bus.<command>`` event and fault, backoff, recycle and
+  breaker decisions as span events.  The trace is carried through
+  checkpoints, so a resumed crawl's exported trace is byte-identical to
+  an uninterrupted one's; the metrics export is folded from the trace
+  and the probe ledger (:meth:`CrawlSupervisor.metrics_state`), never
+  stored.
 
 Determinism is the design constraint throughout: every visit attempt
 draws from its own rng stream derived from ``(seed, rank, visit_index,
@@ -69,7 +70,6 @@ from repro.faults.recovery import BackoffPolicy, BreakerState, CircuitBreaker
 from repro.faults.types import FaultError
 from repro.obs import CrawlReport, Tracer, build_report, crawl_metrics, write_trace
 from repro.obs.probes import ProbeLedger, write_ledger
-from repro.obs.tracer import NULL_TRACER
 
 #: Sub-stream tags keeping visit and jitter draws on disjoint streams.
 _VISIT_STREAM = 0x51
@@ -148,25 +148,19 @@ class BrowserInstance:
     Wraps a :class:`~repro.browser.session.BrowserSession` (the
     simulated backend by default) and holds the fault count that
     triggers recycling.  Recycling re-runs the session's full spawn
-    sequence: fresh window, fresh driver, extension re-injected -- with
-    the supervisor's tracer re-wired into the fresh driver.
+    sequence: fresh window, fresh driver, extension re-injected.
     """
 
-    def __init__(
-        self, index: int, extension=None, tracer=None, ledger=None, session=None
-    ) -> None:
+    def __init__(self, index: int, extension=None, ledger=None, session=None) -> None:
         self.index = index
         self.extension = extension
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.ledger = ledger
         self.fault_count = 0
         self.recycles = 0
         self.session = (
             session
             if session is not None
-            else SimulatedBrowserSession(
-                index, extension=extension, tracer=self.tracer, ledger=ledger
-            )
+            else SimulatedBrowserSession(index, extension=extension, ledger=ledger)
         )
 
     @property
@@ -316,9 +310,7 @@ class CrawlSupervisor:
         self._checkpoint_texts = CheckpointTexts()
 
         instances = [
-            BrowserInstance(
-                i, self.crawler.extension, tracer=self.tracer, ledger=self.ledger
-            )
+            BrowserInstance(i, self.crawler.extension, ledger=self.ledger)
             for i in range(self.crawler.instances)
         ]
         if self._restored_browsers is not None:

@@ -439,7 +439,7 @@ def simulate_visit(
             # Tie the visit's ledger slice into the span tree: the event
             # carries the entry-count delta, the ledger itself carries
             # the per-access detail.
-            driver.tracer.event("probe.ledger", entries=delta)
+            bus.tracer.event("probe.ledger", entries=delta)
     record.detected_as_bot = detected
     reaction = site.detector.reaction if (site.detector and detected) else None
 

@@ -33,11 +33,6 @@ class Session:
         Optional :class:`repro.faults.FaultInjector` wired into the
         driver's hook points, so experiment sessions can run under the
         same fault plans as supervised crawls (automated sessions only).
-    tracer:
-        Optional :class:`repro.obs.Tracer` wired into the driver, so
-        experiment sessions produce the same ``webdriver.*`` /
-        ``hlisa.perform`` spans as supervised crawls (automated
-        sessions only).
     """
 
     def __init__(
@@ -48,7 +43,6 @@ class Session:
         viewport_height: float = 768.0,
         page_height: float = 768.0,
         fault_injector=None,
-        tracer=None,
     ) -> None:
         self.document = Document(viewport_width, max(page_height, viewport_height))
         profile = NavigatorProfile(webdriver=automated)
@@ -61,14 +55,12 @@ class Session:
         self.automated = automated
         if automated:
             self.driver: Optional[WebDriver] = WebDriver(
-                self.window, fault_injector=fault_injector, tracer=tracer
+                self.window, fault_injector=fault_injector
             )
             self.pipeline = self.driver.pipeline
         else:
             if fault_injector is not None:
                 raise ValueError("fault injection requires an automated session")
-            if tracer is not None:
-                raise ValueError("tracing requires an automated session")
             self.driver = None
             self.pipeline = InputPipeline(
                 self.window,

@@ -35,8 +35,6 @@ from repro.obs.span import STATUS_OK, SpanDict, duration_ms
 #: Span names emitted by the instrumented stack (docs/OBSERVABILITY.md).
 SPAN_CRAWL = "crawl"
 SPAN_ATTEMPT = "attempt"
-SPAN_HLISA_PERFORM = "hlisa.perform"
-SPAN_WEBDRIVER_PREFIX = "webdriver."
 
 EVENT_FAULT = "fault"
 EVENT_BACKOFF = "backoff"

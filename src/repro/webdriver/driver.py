@@ -13,22 +13,9 @@ from repro.browser.window import Window
 from repro.dom.document import Document
 from repro.dom.element import Element
 from repro.geometry import Box
-from repro.obs.tracer import NULL_TRACER
 from repro.webdriver.action_chains import SELENIUM_INTER_KEY_MS
 from repro.webdriver.errors import NoSuchElementException
 from repro.webdriver.webelement import WebElement
-
-def _fault_error():
-    """The :class:`repro.faults.types.FaultError` base, imported lazily.
-
-    ``repro.faults.types`` imports this package's error taxonomy, so a
-    module-level import here would be circular.  ``sys.modules`` caches
-    the import, so no module-global memoisation is needed (a global
-    rebound at visit time would break process-pool sharding -- SHD002).
-    """
-    from repro.faults.types import FaultError
-
-    return FaultError
 
 
 class WebDriver:
@@ -45,7 +32,6 @@ class WebDriver:
         *,
         profile: Optional[NavigatorProfile] = None,
         fault_injector=None,
-        tracer=None,
     ) -> None:
         if window is None:
             profile = (profile or NavigatorProfile()).automated()
@@ -64,17 +50,6 @@ class WebDriver:
         #: hook points (get / find_element / execute_script); ``None``
         #: (or a disarmed injector) leaves the driver fault-free.
         self.fault_injector = fault_injector
-        #: Optional :class:`repro.obs.Tracer`; commands become
-        #: ``webdriver.*`` spans.
-        self.tracer = tracer
-
-    @property
-    def tracer(self):
-        return self._tracer
-
-    @tracer.setter
-    def tracer(self, tracer) -> None:
-        self._tracer = tracer if tracer is not None else NULL_TRACER
 
     def _fault_check(self, hook: str) -> None:
         """Give the fault injector a chance to fail this command."""
@@ -85,21 +60,11 @@ class WebDriver:
 
     def get(self, url: str) -> None:
         """Navigate to ``url`` via the configured page loader."""
-        tracer = self._tracer
-        span = tracer.start("webdriver.get", url=url) if tracer.enabled else None
-        try:
-            self._fault_check("get")
-            if self.page_loader is not None:
-                document = self.page_loader(url)
-                self.load_document(document)
-            self.current_url = url
-        except _fault_error() as fault:
-            if span is not None:
-                span["status"] = "fault:" + fault.fault_type.value
-            raise
-        finally:
-            if span is not None:
-                tracer.end(span)
+        self._fault_check("get")
+        if self.page_loader is not None:
+            document = self.page_loader(url)
+            self.load_document(document)
+        self.current_url = url
 
     def load_document(self, document: Document) -> None:
         """Swap in a new page, resetting scroll and hover state."""
@@ -117,69 +82,39 @@ class WebDriver:
         ``by`` is one of ``"id"``, ``"tag name"``, ``"class name"`` or
         ``"css selector"`` (minimal selectors: ``tag``/``#id``/``.class``).
         """
-        tracer = self._tracer
-        span = (
-            tracer.start("webdriver.find_element", by=by, value=value)
-            if tracer.enabled
-            else None
-        )
-        try:
-            self._fault_check("find_element")
-            document = self.window.document
-            element: Optional[Element]
-            if by == "id":
-                element = document.get_element_by_id(value)
-            elif by == "tag name":
-                element = document.query_selector(value)
-            elif by == "class name":
-                element = document.query_selector("." + value)
-            elif by == "css selector":
-                element = document.query_selector(value)
-            else:
-                raise NoSuchElementException(f"unknown locator strategy {by!r}")
-            if element is None:
-                raise NoSuchElementException(f"no element for {by}={value!r}")
-            return WebElement(self, element)
-        except _fault_error() as fault:
-            if span is not None:
-                span["status"] = "fault:" + fault.fault_type.value
-            raise
-        finally:
-            if span is not None:
-                tracer.end(span)
+        self._fault_check("find_element")
+        document = self.window.document
+        element: Optional[Element]
+        if by == "id":
+            element = document.get_element_by_id(value)
+        elif by == "tag name":
+            element = document.query_selector(value)
+        elif by == "class name":
+            element = document.query_selector("." + value)
+        elif by == "css selector":
+            element = document.query_selector(value)
+        else:
+            raise NoSuchElementException(f"unknown locator strategy {by!r}")
+        if element is None:
+            raise NoSuchElementException(f"no element for {by}={value!r}")
+        return WebElement(self, element)
 
     def find_elements(self, by: str, value: str) -> List[WebElement]:
         """Find all matching elements (empty list if none)."""
-        tracer = self._tracer
-        span = (
-            tracer.start("webdriver.find_elements", by=by, value=value)
-            if tracer.enabled
-            else None
-        )
-        try:
-            self._fault_check("find_element")
-            document = self.window.document
-            if by == "id":
-                element = document.get_element_by_id(value)
-                return [WebElement(self, element)] if element else []
-            if by == "tag name":
-                selector = value
-            elif by == "class name":
-                selector = "." + value
-            elif by == "css selector":
-                selector = value
-            else:
-                return []
-            return [
-                WebElement(self, e) for e in document.query_selector_all(selector)
-            ]
-        except _fault_error() as fault:
-            if span is not None:
-                span["status"] = "fault:" + fault.fault_type.value
-            raise
-        finally:
-            if span is not None:
-                tracer.end(span)
+        self._fault_check("find_element")
+        document = self.window.document
+        if by == "id":
+            element = document.get_element_by_id(value)
+            return [WebElement(self, element)] if element else []
+        if by == "tag name":
+            selector = value
+        elif by == "class name":
+            selector = "." + value
+        elif by == "css selector":
+            selector = value
+        else:
+            return []
+        return [WebElement(self, e) for e in document.query_selector_all(selector)]
 
     def find_element_by_id(self, element_id: str) -> WebElement:
         """Selenium-3-style convenience lookup (used in the paper's
@@ -208,35 +143,19 @@ class WebDriver:
         how OpenWPM-era studies scroll (and why their scrolling lacks
         wheel events).
         """
-        tracer = self._tracer
-        span = (
-            tracer.start("webdriver.execute_script", script=script)
-            if tracer.enabled
-            else None
-        )
-        try:
-            self._fault_check("execute_script")
-            text = script.strip().rstrip(";")
-            for name in ("window.scrollTo", "window.scrollBy"):
-                if text.startswith(name + "("):
-                    inner = text[len(name) + 1 : -1]
-                    x_str, y_str = inner.split(",")
-                    x, y = float(x_str), float(y_str)
-                    if name.endswith("To"):
-                        self.pipeline.scroll_programmatic(x, y)
-                    else:
-                        self.window.scroll_by(x, y)
-                    return None
-            raise NotImplementedError(
-                f"execute_script cannot interpret: {script!r}"
-            )
-        except _fault_error() as fault:
-            if span is not None:
-                span["status"] = "fault:" + fault.fault_type.value
-            raise
-        finally:
-            if span is not None:
-                tracer.end(span)
+        self._fault_check("execute_script")
+        text = script.strip().rstrip(";")
+        for name in ("window.scrollTo", "window.scrollBy"):
+            if text.startswith(name + "("):
+                inner = text[len(name) + 1 : -1]
+                x_str, y_str = inner.split(",")
+                x, y = float(x_str), float(y_str)
+                if name.endswith("To"):
+                    self.pipeline.scroll_programmatic(x, y)
+                else:
+                    self.window.scroll_by(x, y)
+                return None
+        raise NotImplementedError(f"execute_script cannot interpret: {script!r}")
 
     def type_like_selenium(self, keys: str) -> None:
         """Selenium's element-send-keys rhythm: zero dwell, 13,333 cpm."""

@@ -174,28 +174,28 @@ def interrupt_after(supervisor, visits):
 
 DIGESTS = {
     "traced-every-1": [
-        "cd23569efae51d8671acad84f74d64622372bd1a02b59e81c3e95ff8943fe4fe",
-        "0d350e67439459ac3e837ec41745a36d0397ef96bed0c771e2ef8b3401bf4d58",
-        "4e9787a72230cee4276accff44cc287714172bab65abb0ee53bcb8f96e239580",
-        "d796184f02f163de4c0d2c0905e4505e3ccbfac298d143146158c9d1159f928d",
-        "22591512ecaf7b2cf36c59281f38f69856918089ce54c97d4e154e720a6a4fda",
-        "d7e28536f04765fcdab2eb1f75980d05d322fa75d04ffb047f2effe05a0f4edf",
-        "1f1ff8022c6a184fb3bd9db3473538f6ba2fba3f8ade0cf27ae4aa2806d70cc7",
-        "ad9f74d26445cc7a69bd8be2b854dff59f6e7b8cee1eb427986e424ec2ef4c42",
-        "3a4969fe1b7c0c5487090dba45cab5a61449fbd0a7106f3ff5c6a65fd12bf56a",
-        "fb223fa45e1b9017c7c339a50d09fe40d9fe9e0901e9ac6cfe6f899a2ba2dc5e",
-        "34c49c8c28d849162809a98f9879d4c4ff50ee4c0a0a101b2738969fa312fa70",
-        "3330395c5d093a251946ed5ae3e81ed5619d30c1840ff856df0e487399268cb7",
-        "385daace2b1a703238e62d3c23de7212fece6e7a1d322f18aaff81e756b4dc7d",
-        "11c5812a6a595ac83c5c8124e1882ab06eec592623d09629475cbf8384836d49",
-        "934bf06df7fe4d7c78a6c12d1286542d8e7457a835858a4305140b8f75e748e1",
+        "c2209d51ee7e744d52fc509a3be9c3c8e3c9b478e6a6e623a3ad968f1a2ecbb3",
+        "b987c01ff3a484a160fa771f2a64320643fbe7369849be53f84ff231d8ea8038",
+        "19b36b7011dd74a4f08000d4c1ca4cf66c8e677721a3894aac08ce27d55d274a",
+        "8de0fcddb49e61f91c847a10eaf8cc9b24e6ef2f39684d67a73c479d70b5be1b",
+        "f3468bb4e8333344bea036650decc71e989d1a0ae397240805a31d88e019c582",
+        "3db582d2a9ba82e3d303a8e2b6fa12f29a9e3c7080fc256a6cd789c34c4121cd",
+        "23a4f73e3db32f1fee7a8d21387fa3e0fcc23bafe972634893f0ce7ace8d757a",
+        "ec1c1e845432de613163e08547427e4bc6aa55b26994edf40afcf89e52b3d2ac",
+        "e66d28d0fbc57e7e745e16ce47f08d0dd08b1fb2f20319350f90f2238d5eb651",
+        "837c876e945a46225b0c18a7831cd9ac03adef61cee8c73d1a14f92e0aea49ab",
+        "9de4b810304883a829b2773a441f5b7caf2e97dd8d029145b3cb81f413a147d6",
+        "e83153c344e4d373eee0011b5b62eeed9fd9218e513855c0f2e84639dfd0bc20",
+        "b37019bc2da46a07ca830e35decdd424fa6af567d9500fe0c3cc84deb9308d1b",
+        "b1d24a8eba0e4a76f7479550939f58eaf01f0d9e191dc50029daf971c13d3af1",
+        "3f7a6c2628e73092b12c358ae577abf45320ee79a97d41bca5769d8e78f771de",
     ],
     "traced-every-3": [
-        "4e9787a72230cee4276accff44cc287714172bab65abb0ee53bcb8f96e239580",
-        "d7e28536f04765fcdab2eb1f75980d05d322fa75d04ffb047f2effe05a0f4edf",
-        "3a4969fe1b7c0c5487090dba45cab5a61449fbd0a7106f3ff5c6a65fd12bf56a",
-        "3330395c5d093a251946ed5ae3e81ed5619d30c1840ff856df0e487399268cb7",
-        "934bf06df7fe4d7c78a6c12d1286542d8e7457a835858a4305140b8f75e748e1",
+        "19b36b7011dd74a4f08000d4c1ca4cf66c8e677721a3894aac08ce27d55d274a",
+        "3db582d2a9ba82e3d303a8e2b6fa12f29a9e3c7080fc256a6cd789c34c4121cd",
+        "e66d28d0fbc57e7e745e16ce47f08d0dd08b1fb2f20319350f90f2238d5eb651",
+        "e83153c344e4d373eee0011b5b62eeed9fd9218e513855c0f2e84639dfd0bc20",
+        "3f7a6c2628e73092b12c358ae577abf45320ee79a97d41bca5769d8e78f771de",
     ],
     "untraced-every-3": [
         "401a5ab9f2871c9afe511e827a6d3e7fdca75336499ff60bebcb28b2372f2a82",
@@ -205,19 +205,19 @@ DIGESTS = {
         "db14387a814478c38e34fb0c6dae017f8049ba8757c3b58e6b11800d9d6a5e24",
     ],
     "interrupted-resumed": [
-        "4e9787a72230cee4276accff44cc287714172bab65abb0ee53bcb8f96e239580",
-        "d7e28536f04765fcdab2eb1f75980d05d322fa75d04ffb047f2effe05a0f4edf",
-        "3006a1d166ca4bba2088723eab5884a8d23f2beaf87556560cebebc2dab180df",
-        "bce528e0c8db80bb7bc56388f0f1c2095698f2e0f9a07d2805ec655e5d813734",
-        "ba358e75f77dd46f912c85da39738bcd6b40d9ae0b11d053260982f3af162b81",
+        "19b36b7011dd74a4f08000d4c1ca4cf66c8e677721a3894aac08ce27d55d274a",
+        "3db582d2a9ba82e3d303a8e2b6fa12f29a9e3c7080fc256a6cd789c34c4121cd",
+        "600e7957679fcb663f714cee013bac9adc6359fc3af4c8acebe967c5afc00bb5",
+        "e14da513abce0cf7354eda160698d1d7e60c0d8631303c70d481a690f6dc4b12",
+        "e9797bcb85779c91a7a6b893262a2714aa1325475460dc7f113e92c420a977f4",
     ],
     "second-crawl-grown": [
-        "4e9787a72230cee4276accff44cc287714172bab65abb0ee53bcb8f96e239580",
-        "ef51d252b411b7b7f24678e691df97835643ca666bbf1741a31bf0e131c4d3ec",
-        "bf9806d77ee7a6fe5bf0a8407be62cb6b5650c9792a5869c9305085e766a7c59",
-        "6d45a95dfab064a1311986ec43320639eeede3fd473ddee7f80404fad10defaa",
-        "1ef0d6556a96fe7f3811b7622037d9a37ed0048a68ce8581006987be68fff4f9",
-        "2a48009407fc2e1207b6f2550f1a4e5d29b0dbd5b21e1dd8879ffcdfec9d1201",
+        "19b36b7011dd74a4f08000d4c1ca4cf66c8e677721a3894aac08ce27d55d274a",
+        "137107902a9bcefddaee2f7854690345c59866fbcf8e8a8b5a64fc2f38cc6047",
+        "e3ca3dc14abc1a97f861a35581bf4fb8b7b6b8f0ef25e4841d03407bcd873321",
+        "718d05c5dde01d2f65550131748c82e79b4e5a617156d58f198c8063ae7d6962",
+        "4b2233c174c4d560f8f224fdbd1a8cd6a6f8df2344afd558f377d8f6d8c39263",
+        "e21f3b3cd3d3285dc42407b1db4cdbe0369d1a2e6ec9208736f242e4624e98d5",
     ],
 }
 
