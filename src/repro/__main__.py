@@ -38,6 +38,13 @@ def main(argv=None) -> int:
         names = ["table1", "table3", "table4", "fig1", "fig2", "fig3", "table2"]
     else:
         names = [args.artefact]
+    if any(REPORTS[name] is field_study_report for name in names):
+        from repro.crawl import PopulationConfig, generate_population
+
+        try:
+            generate_population(PopulationConfig(n_sites=args.sites))
+        except ValueError as error:
+            parser.error(str(error))
     for name in names:
         report = REPORTS[name]
         if report is field_study_report:

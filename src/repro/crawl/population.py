@@ -181,6 +181,11 @@ def generate_population(config: Optional[PopulationConfig] = None) -> List[SiteC
         + config.n_layout_breakage
         + config.n_video_breakage
     )
+    if special_count > config.n_sites:
+        raise ValueError(
+            f"population of n_sites={config.n_sites} is too small for "
+            f"{special_count} special roles"
+        )
     chosen = rng.choice(config.n_sites, size=special_count, replace=False)
     cursor = 0
 

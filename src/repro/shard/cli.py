@@ -190,8 +190,12 @@ def _verify(
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    population = _population(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        population = _population(args)
+    except ValueError as error:
+        parser.error(str(error))
     fault_plan = None
     if args.fault_rate > 0.0:
         fault_plan = FaultPlan.generate(

@@ -92,6 +92,11 @@ class TestPopulation:
         special = [s for s in population if s.detector or s.breakage]
         assert len({s.domain for s in special}) == len(special)
 
+    def test_too_few_sites_for_the_special_roles(self):
+        with pytest.raises(ValueError, match=r"n_sites=40 .* 44 special roles"):
+            generate_population(PopulationConfig(n_sites=40))
+        assert len(generate_population(PopulationConfig(n_sites=44))) == 44
+
 
 def crawl_site(site, extension=None, seed=0):
     """One visit to ``site`` on the crawl engine: a one-instance,

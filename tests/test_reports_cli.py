@@ -51,3 +51,11 @@ class TestCLI:
     def test_invalid_artefact_rejected(self):
         with pytest.raises(SystemExit):
             main(["nonsense"])
+
+    def test_too_few_sites_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["table2", "--sites", "30"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "n_sites=30 is too small for 44 special roles" in captured.err
+        assert captured.out == ""

@@ -712,6 +712,16 @@ class TestObsDirectorySupport:
 
 
 class TestShardCli:
+    def test_too_few_sites_is_a_usage_error(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            shard_main(["--out", str(out_dir), "--sites", "40"])
+        assert exit_info.value.code == 2
+        assert "n_sites=40 is too small for 44 special roles" in (
+            capsys.readouterr().err
+        )
+        assert not out_dir.exists()
+
     def test_verify_exits_zero(self, tmp_path, capsys):
         code = shard_main(
             [
