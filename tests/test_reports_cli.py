@@ -1,5 +1,7 @@
 """The report generators and the command-line entry point."""
 
+import hashlib
+
 import pytest
 
 from repro.__main__ import main
@@ -47,6 +49,16 @@ class TestCLI:
     def test_fig1(self, capsys):
         assert main(["fig1"]) == 0
         assert "trajectory signatures" in capsys.readouterr().out
+
+    def test_table2_text_is_pinned(self, capsys):
+        # The field-study text of a 100-site draw, byte for byte: a change
+        # to how the report's crawls are configured or run must not move it.
+        assert main(["table2", "--sites", "100"]) == 0
+        out = capsys.readouterr().out
+        assert "Table 2 / Figure 4: the field study" in out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "18329585fe45584ce011b90257f98e4c8c23df1b5ea7f356250e6a7708ffbe47"
+        )
 
     def test_invalid_artefact_rejected(self):
         with pytest.raises(SystemExit):
