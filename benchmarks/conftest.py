@@ -9,6 +9,18 @@ not micro-variance.
 
 from __future__ import annotations
 
+import pytest
+
+
+@pytest.fixture(scope="session")
+def field_study():
+    """The paper's draw, crawled once per session: ``(population,
+    baseline, extended)`` for the default 1,000-site population."""
+    from repro.crawl import generate_population, run_field_study
+
+    population = generate_population()
+    return (population, *run_field_study(population))
+
 
 def print_table(title: str, lines) -> None:
     """Uniform table printing for benchmark output."""

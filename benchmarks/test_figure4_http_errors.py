@@ -8,25 +8,21 @@ Paper findings reproduced as shape:
   (service unavailable) -- the bot-blocking codes;
 - the Wilcoxon matched-pairs signed-rank test finds the first-party
   error decrease significant (paper: p = 0.004), third-party not.
+
+The session's ``field_study`` fixture crawls the draw once; the
+benchmark times the evaluation alone.
 """
 
 from conftest import print_table
 
-from repro.crawl import OpenWPMCrawler, evaluate_http_errors, generate_population
-from repro.spoofing import SpoofingExtension
+from repro.crawl import evaluate_http_errors
 
 
-def run_http_comparison():
-    population = generate_population()
-    baseline = OpenWPMCrawler("OpenWPM", None, instances=8, seed=11).crawl(population)
-    extended = OpenWPMCrawler(
-        "OpenWPM+extension", SpoofingExtension(), instances=8, seed=22
-    ).crawl(population)
-    return evaluate_http_errors(baseline, extended)
-
-
-def test_figure4_http_errors(benchmark):
-    evaluation = benchmark.pedantic(run_http_comparison, rounds=1, iterations=1)
+def test_figure4_http_errors(benchmark, field_study):
+    _, baseline, extended = field_study
+    evaluation = benchmark.pedantic(
+        evaluate_http_errors, args=(baseline, extended), rounds=1, iterations=1
+    )
     lines = [f"{'status':>6s} {'OpenWPM':>10s} {'+extension':>11s} {'delta':>7s}"]
     for status, base, ext in evaluation.rows(min_occurrences=100):
         lines.append(f"{status:6d} {base:10d} {ext:11d} {base - ext:7d}")

@@ -17,18 +17,13 @@ of its 8 (30 of 80 visits over seeds 22-31).  Our screenshot review
 additionally counts the breakage-induced frozen video (which the paper
 reports separately in its breakage paragraph).  Both columns run on the
 one crawl engine, :class:`~repro.crawl.supervisor.CrawlSupervisor` with
-its watchdogs off.
+its watchdogs off; the session's ``field_study`` fixture crawls them
+once, and the benchmark times the evaluation alone.
 """
 
 from conftest import print_table
 
-from repro.crawl import (
-    OpenWPMCrawler,
-    evaluate_breakage,
-    evaluate_screenshots,
-    generate_population,
-)
-from repro.spoofing import SpoofingExtension
+from repro.crawl import evaluate_breakage, evaluate_screenshots
 
 PAPER_ROWS = {
     "total": ((921, 7230), (921, 7221)),
@@ -40,14 +35,7 @@ PAPER_ROWS = {
 }
 
 
-def run_field_study():
-    population = generate_population()
-    baseline = OpenWPMCrawler("OpenWPM", extension=None, instances=8, seed=11).crawl(
-        population
-    )
-    extended = OpenWPMCrawler(
-        "OpenWPM+extension", extension=SpoofingExtension(), instances=8, seed=22
-    ).crawl(population)
+def evaluate(baseline, extended):
     return (
         evaluate_screenshots(baseline),
         evaluate_screenshots(extended),
@@ -55,9 +43,10 @@ def run_field_study():
     )
 
 
-def test_table2_screenshot_evaluation(benchmark):
+def test_table2_screenshot_evaluation(benchmark, field_study):
+    _, baseline, extended = field_study
     base_eval, ext_eval, breakage = benchmark.pedantic(
-        run_field_study, rounds=1, iterations=1
+        evaluate, args=(baseline, extended), rounds=1, iterations=1
     )
     lines = [
         f"{'Response':26s} {'(1)s':>6s} {'(2)s':>6s} {'(1)v':>7s} {'(2)v':>7s}   paper(1)   paper(2)"

@@ -2,9 +2,11 @@
 """Reproduce the Section 3.2 field study: Table 2 and Fig. 4.
 
 Crawls the synthetic 1,000-site population twice -- stock OpenWPM and
-OpenWPM with the webdriver-spoofing extension -- then prints the
-screenshot evaluation, the breakage report, and the HTTP status-code
-comparison with the Wilcoxon significance test.
+OpenWPM with the webdriver-spoofing extension, the two configurations of
+:func:`repro.crawl.paper_crawlers` -- then prints the field-study report
+of ``python -m repro table2``: the screenshot evaluation, the breakage
+report, and the HTTP status-code comparison with the Wilcoxon
+significance test.
 
 Both crawls always run on the resilient supervisor.  Fault-free, it is
 the paper crawl: no fault plan, no watchdogs.  With a non-zero fault
@@ -30,18 +32,16 @@ from pathlib import Path
 
 from repro.crawl import (
     CrawlSupervisor,
-    OpenWPMCrawler,
     PopulationConfig,
-    evaluate_breakage,
     evaluate_crawl_health,
-    evaluate_http_errors,
-    evaluate_screenshots,
     generate_population,
+    paper_crawlers,
+    run_field_study,
     visit_coverage,
 )
 from repro.faults import FaultPlan
 from repro.obs.probes import ProbeLedger
-from repro.spoofing import SpoofingExtension
+from repro.reports import field_study_report
 
 
 def main(
@@ -72,10 +72,6 @@ def main(
                 n_http_only_detectors=max(2, round(25 * scale)),
             )
         )
-    base_crawler = OpenWPMCrawler("OpenWPM", extension=None, instances=8, seed=11)
-    ext_crawler = OpenWPMCrawler(
-        "OpenWPM+extension", extension=SpoofingExtension(), instances=8, seed=22
-    )
     if fault_rate > 0 or ledger:
         print(
             f"crawling {len(population)} sites x 8 instances, twice, "
@@ -90,7 +86,7 @@ def main(
                 ),
                 probe_ledger=ProbeLedger() if ledger else None,
             )
-            for crawler in (base_crawler, ext_crawler)
+            for crawler in paper_crawlers()
         ]
         trace_paths = [None, None]
         ledger_paths = [None, None]
@@ -140,40 +136,10 @@ def main(
                 )
     else:
         print(f"crawling {len(population)} sites x 8 instances, twice ...")
-        baseline = base_crawler.crawl(population)
-        extended = ext_crawler.crawl(population)
+        baseline, extended = run_field_study(population)
 
-    base_eval = evaluate_screenshots(baseline)
-    ext_eval = evaluate_screenshots(extended)
-    print("\nTable 2: results from the screenshot evaluation")
-    print(f"{'Response':26s} {'(1)sites':>9s} {'(2)sites':>9s} {'(1)visits':>10s} {'(2)visits':>10s}")
-    for (label, s1, v1), (_, s2, v2) in zip(base_eval.rows(), ext_eval.rows()):
-        print(f"{label:26s} {s1:9d} {s2:9d} {v1:10d} {v2:10d}")
-
-    breakage = evaluate_breakage(baseline, extended)
-    print(
-        f"\nwebsite breakage under the extension: "
-        f"{len(breakage.deformed_layout_sites)} deformed layout, "
-        f"{len(breakage.frozen_video_sites)} ever-loading video"
-    )
-
-    http = evaluate_http_errors(baseline, extended)
-    print("\nFigure 4: HTTP responses by status code (>100 occurrences)")
-    print(f"{'status':>7s} {'OpenWPM':>9s} {'+ext':>9s}")
-    for status, base, ext in http.rows(min_occurrences=100):
-        print(f"{status:7d} {base:9d} {ext:9d}")
-    fp = http.first_party_wilcoxon
-    print(
-        f"\nfirst-party errors {http.baseline_first_party_errors} -> "
-        f"{http.extended_first_party_errors}; Wilcoxon matched-pairs "
-        f"signed-rank p = {fp.p_value:.4f} "
-        f"({'significant' if fp.significant() else 'not significant'} at 95%)"
-    )
-    tp = http.third_party_wilcoxon
-    print(
-        f"third-party errors: Wilcoxon p = {tp.p_value:.3f} "
-        f"({'significant' if tp.significant() else 'not significant'})"
-    )
+    print()
+    print(field_study_report(baseline, extended))
 
 
 if __name__ == "__main__":

@@ -39,16 +39,16 @@ def main(argv=None) -> int:
     else:
         names = [args.artefact]
     if any(REPORTS[name] is field_study_report for name in names):
-        from repro.crawl import PopulationConfig, generate_population
+        from repro.crawl import PopulationConfig, generate_population, run_field_study
 
         try:
-            generate_population(PopulationConfig(n_sites=args.sites))
+            population = generate_population(PopulationConfig(n_sites=args.sites))
         except ValueError as error:
             parser.error(str(error))
     for name in names:
         report = REPORTS[name]
         if report is field_study_report:
-            print(report(n_sites=args.sites))
+            print(report(*run_field_study(population)))
         else:
             print(report())
         print()

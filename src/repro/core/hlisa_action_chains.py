@@ -157,11 +157,6 @@ class HLISA_ActionChains:
             page_point = Point(box.x + offset.x, box.y + offset.y)
         return window.page_to_client(page_point)
 
-    def _press_release(self, button_chain_ops, dwell_ms: Optional[float] = None) -> None:
-        chain = ActionChains(self._driver)
-        button_chain_ops(chain, dwell_ms)
-        chain.perform()
-
     # ------------------------------------------------------------------ #
     # mouse movement (Table 3)
     # ------------------------------------------------------------------ #

@@ -26,6 +26,9 @@ Appendix B).  The live web is replaced by a synthetic population:
 - :mod:`repro.crawl.evaluation` -- the Table 2 screenshot evaluation, the
   breakage report, the Fig. 4 HTTP-error histogram with the Wilcoxon
   matched-pairs significance test, and the crawl-health report.
+- :mod:`repro.crawl.field_study` -- the paper's draw, defined once: the
+  two Table 2 crawler configurations and the function that crawls a
+  population with both.
 """
 
 from repro.crawl.population import (
@@ -71,6 +74,7 @@ from repro.crawl.evaluation import (
     CrawlHealthReport,
     evaluate_crawl_health,
 )
+from repro.crawl.field_study import paper_crawlers, run_field_study
 
 __all__ = [
     "DetectorDeployment",
@@ -107,4 +111,6 @@ __all__ = [
     "evaluate_breakage",
     "HTTPErrorEvaluation",
     "evaluate_http_errors",
+    "paper_crawlers",
+    "run_field_study",
 ]

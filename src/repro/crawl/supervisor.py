@@ -153,8 +153,6 @@ class BrowserInstance:
 
     def __init__(self, index: int, extension=None, ledger=None, session=None) -> None:
         self.index = index
-        self.extension = extension
-        self.ledger = ledger
         self.fault_count = 0
         self.recycles = 0
         self.session = (

@@ -60,11 +60,6 @@ def install_overlay(document: Document, kind: str = "modal") -> Element:
     return overlay
 
 
-def dismiss_overlay(overlay: Element) -> None:
-    """Remove the overlay subtree (what clicking "Accept" achieves)."""
-    overlay.remove()
-
-
 def install_challenge(document: Document) -> Element:
     """Install a challenge interstitial (the checking-your-browser wall)."""
     _replace(document, CHALLENGE_ID)

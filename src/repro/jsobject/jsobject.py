@@ -367,13 +367,6 @@ class JSObject:
 # -- free functions mirroring the JS built-ins used by fingerprint probes ----
 
 
-def _unwrap(obj: Any) -> Any:
-    """Resolve proxies to the object whose reflective traps should run."""
-    from repro.jsobject.proxy import JSProxy
-
-    return obj
-
-
 def object_keys(obj: Any) -> List[str]:
     """``Object.keys(obj)``: own enumerable property names, in order."""
     from repro.jsobject.proxy import JSProxy

@@ -2,14 +2,18 @@
 
 Used by the command-line interface (``python -m repro <artefact>``); the
 benchmarks in ``benchmarks/`` regenerate the same artefacts with shape
-assertions attached.
+assertions attached.  ``examples/field_study.py`` prints the same
+field-study text as ``python -m repro table2`` for its own crawls.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, List
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from repro.crawl import CrawlResult
 
 
 def _table(title: str, lines: List[str]) -> str:
@@ -43,26 +47,11 @@ def table1_report() -> str:
     return _table("Table 1: detectable side effects by spoofing method", lines)
 
 
-def field_study_report(n_sites: int = 1000) -> str:
-    """Table 2 + Fig. 4: the crawl field study."""
-    from repro.crawl import (
-        OpenWPMCrawler,
-        evaluate_breakage,
-        evaluate_http_errors,
-        evaluate_screenshots,
-        generate_population,
-    )
-    from repro.crawl.population import PopulationConfig
-    from repro.spoofing import SpoofingExtension
+def field_study_report(baseline: CrawlResult, extended: CrawlResult) -> str:
+    """Table 2 + Fig. 4 of the field study's two crawls (see
+    :func:`repro.crawl.field_study.run_field_study`)."""
+    from repro.crawl import evaluate_breakage, evaluate_http_errors, evaluate_screenshots
 
-    if n_sites == 1000:
-        population = generate_population()
-    else:
-        population = generate_population(PopulationConfig(n_sites=n_sites))
-    baseline = OpenWPMCrawler("OpenWPM", None, instances=8, seed=11).crawl(population)
-    extended = OpenWPMCrawler(
-        "OpenWPM+extension", SpoofingExtension(), instances=8, seed=22
-    ).crawl(population)
     base_eval = evaluate_screenshots(baseline)
     ext_eval = evaluate_screenshots(extended)
     lines = [f"{'Response':26s} {'(1)s':>6s} {'(2)s':>6s} {'(1)v':>8s} {'(2)v':>8s}"]
