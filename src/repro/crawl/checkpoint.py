@@ -222,8 +222,8 @@ class HashedList(EncodedList):
     """An :class:`EncodedList` of items that never change, which also
     keeps the sha256 of its array's text as the text grows."""
 
-    def __init__(self) -> None:
-        super().__init__()
+    def __init__(self, to_json: Callable[[Any], str]) -> None:
+        super().__init__(to_json)
         self._digest = hashlib.sha256(b"[")
 
     def _encode(self, items: Sequence[Any], index: int) -> str:
@@ -246,7 +246,7 @@ class CheckpointTexts:
     what changed since the last."""
 
     def __init__(self) -> None:
-        self.records = HashedList()
+        self.records = HashedList(lambda record: record.to_json())
         self.spans = EncodedList(
             canonical_json, final=lambda span: span["end_ms"] is not None
         )

@@ -261,16 +261,25 @@ def test_each_item_is_encoded_once(tmp_path, monkeypatch):
     is encoded once per crawl, every span once after it finishes plus
     once per write that finds it still open."""
     encodes = Counter()
-    for cls in (VisitRecord, LedgerEntry):
-
-        def counted(self, _to_dict=cls.to_dict):
-            encodes[id(self)] += 1
-            return _to_dict(self)
-
-        monkeypatch.setattr(cls, "to_dict", counted)
-    # A span is encoded as the dict it is; records and entries as their
-    # ``to_dict``, counted above.
     encoder_calls = Counter()
+    to_json = VisitRecord.to_json
+
+    def counted_record(self):
+        encodes[id(self)] += 1
+        encoder_calls["items"] += 1
+        return to_json(self)
+
+    to_dict = LedgerEntry.to_dict
+
+    def counted_entry(self):
+        encodes[id(self)] += 1
+        return to_dict(self)
+
+    monkeypatch.setattr(VisitRecord, "to_json", counted_record)
+    monkeypatch.setattr(LedgerEntry, "to_dict", counted_entry)
+    # A record is encoded by its ``to_json``, counted above with the
+    # items; a span as the dict it is and an entry as its ``to_dict``,
+    # both through the checkpoint's canonical JSON.
     encode = checkpoint_module.canonical_json
 
     def counted_json(value):
