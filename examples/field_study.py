@@ -32,9 +32,8 @@ from pathlib import Path
 
 from repro.crawl import (
     CrawlSupervisor,
-    PopulationConfig,
     evaluate_crawl_health,
-    generate_population,
+    field_study_population,
     paper_crawlers,
     run_field_study,
     visit_coverage,
@@ -55,23 +54,7 @@ def main(
             "--ledger needs a trace_dir: the ledger is exported next to "
             "the trace"
         )
-    if n_sites == 1000:
-        population = generate_population()
-    else:
-        scale = n_sites / 1000.0
-        population = generate_population(
-            PopulationConfig(
-                n_sites=n_sites,
-                n_no_ads_detectors=max(1, round(4 * scale)),
-                n_less_ads_detectors=max(1, round(2 * scale)),
-                n_block_detectors=max(1, round(5 * scale)),
-                n_captcha_detectors=max(1, round(3 * scale)),
-                n_freeze_video_detectors=1,
-                n_other_signal_ad_detectors=1,
-                n_side_effect_blockers=1,
-                n_http_only_detectors=max(2, round(25 * scale)),
-            )
-        )
+    population = field_study_population(n_sites)
     if fault_rate > 0 or ledger:
         print(
             f"crawling {len(population)} sites x 8 instances, twice, "

@@ -30,7 +30,8 @@ def main(argv=None) -> int:
         "--sites",
         type=int,
         default=1000,
-        help="population size for the field study (table2/fig4)",
+        help="population size for the field study (table2/fig4); its "
+        "detector roles scale with it (repro.crawl.field_study_population)",
     )
     args = parser.parse_args(argv)
 
@@ -39,10 +40,10 @@ def main(argv=None) -> int:
     else:
         names = [args.artefact]
     if any(REPORTS[name] is field_study_report for name in names):
-        from repro.crawl import PopulationConfig, generate_population, run_field_study
+        from repro.crawl import field_study_population, run_field_study
 
         try:
-            population = generate_population(PopulationConfig(n_sites=args.sites))
+            population = field_study_population(args.sites)
         except ValueError as error:
             parser.error(str(error))
     for name in names:

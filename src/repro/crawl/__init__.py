@@ -38,6 +38,7 @@ from repro.crawl.population import (
     Reaction,
     SiteConfig,
     PopulationConfig,
+    field_study_population,
     generate_population,
     hostile_population,
 )
@@ -83,6 +84,7 @@ __all__ = [
     "Reaction",
     "SiteConfig",
     "PopulationConfig",
+    "field_study_population",
     "generate_population",
     "hostile_population",
     "Watchdog",

@@ -57,7 +57,7 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "Table 2 / Figure 4: the field study" in out
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "18329585fe45584ce011b90257f98e4c8c23df1b5ea7f356250e6a7708ffbe47"
+            "6db401d8ebf04d9407d0f0400428871499e3e85a9ab8d6cd71f0ff6495f32fca"
         )
 
     def test_invalid_artefact_rejected(self):
@@ -66,8 +66,8 @@ class TestCLI:
 
     def test_too_few_sites_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            main(["table2", "--sites", "30"])
+            main(["table2", "--sites", "10"])
         assert exit_info.value.code == 2
         captured = capsys.readouterr()
-        assert "n_sites=30 is too small for 44 special roles" in captured.err
+        assert "n_sites=10 is too small for 11 special roles" in captured.err
         assert captured.out == ""
