@@ -75,6 +75,29 @@ from repro.obs.probes import ProbeLedger, write_ledger
 _VISIT_STREAM = 0x51
 _JITTER_STREAM = 0x52
 
+#: NumPy reads a non-negative int below this bound as one uint32 word.
+_WORD_LIMIT = 2**32
+
+
+def _attempt_rng(
+    seed: int, stream: int, rank: int, visit_index: int, attempt: int
+) -> np.random.Generator:
+    """``np.random.default_rng([seed, stream, rank, visit_index, attempt])``.
+
+    NumPy coerces each int of that list in ``[0, 2**32)`` to exactly one
+    uint32 entropy word, so when every word is such an int they are
+    handed over as a ``uint32`` array: the same ``SeedSequence`` pool,
+    PCG64 state and draws, without the per-word list coercion.  Any
+    other word keeps the list, which NumPy widens (2**32 and up) or
+    refuses (negatives, floats) as before.  The range check is explicit
+    because NumPy releases before 2.0 wrap an out-of-range int in a
+    ``uint32`` array instead of raising.
+    """
+    words = [seed, stream, rank, visit_index, attempt]
+    if all(type(word) is int and 0 <= word < _WORD_LIMIT for word in words):
+        return np.random.default_rng(np.array(words, dtype=np.uint32))
+    return np.random.default_rng(words)
+
 
 @dataclass
 class SupervisorConfig:
@@ -476,8 +499,8 @@ class CrawlSupervisor:
                 )
             attempts_made += 1
             self.stats.attempts += 1
-            rng = np.random.default_rng(
-                [self.crawler.seed, _VISIT_STREAM, site.rank, visit_index, attempt]
+            rng = _attempt_rng(
+                self.crawler.seed, _VISIT_STREAM, site.rank, visit_index, attempt
             )
             if self.injector is not None:
                 self.injector.arm(site.domain, visit_index, attempt)
@@ -575,8 +598,8 @@ class CrawlSupervisor:
 
     def _backoff(self, site: SiteConfig, visit_index: int, attempt: int) -> None:
         """Advance the simulated clock by the jittered retry delay."""
-        rng = np.random.default_rng(
-            [self.crawler.seed, _JITTER_STREAM, site.rank, visit_index, attempt]
+        rng = _attempt_rng(
+            self.crawler.seed, _JITTER_STREAM, site.rank, visit_index, attempt
         )
         delay_ms = self.config.backoff.delay_ms(attempt, rng)
         self.tracer.event("backoff", delay_ms=delay_ms, attempt=attempt)
