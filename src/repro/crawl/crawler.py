@@ -8,9 +8,7 @@ from the path the serial/sharded/resumed byte-identity oracles pin.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Dict, List, Optional, Sequence
 
 from repro.crawl.population import SiteConfig
@@ -60,40 +58,11 @@ class CrawlResult:
             "records": [r.to_dict() for r in self.records],
         }
 
-    @property
-    def reached_domains(self) -> List[str]:
-        return sorted({r.domain for r in self.successful_visits})
-
     def by_domain(self) -> Dict[str, List[VisitRecord]]:
         grouped: Dict[str, List[VisitRecord]] = {}
         for record in self.successful_visits:
             grouped.setdefault(record.domain, []).append(record)
         return grouped
-
-    def first_party_error_counts(self) -> Dict[str, int]:
-        """Per-domain total first-party error responses (for Wilcoxon)."""
-        counts: Dict[str, int] = {}
-        for record in self.successful_visits:
-            counts[record.domain] = counts.get(record.domain, 0) + record.first_party_errors()
-        return counts
-
-    def third_party_error_counts(self) -> Dict[str, int]:
-        """Per-domain total third-party error responses (for Wilcoxon)."""
-        counts: Dict[str, int] = {}
-        for record in self.successful_visits:
-            counts[record.domain] = counts.get(record.domain, 0) + record.third_party_errors()
-        return counts
-
-    def status_code_counts(self, first_party: Optional[bool] = None) -> Dict[int, int]:
-        """Occurrences of each status code (optionally split by party)."""
-        records = self.successful_visits
-        if first_party is None:
-            statuses = [record.statuses for record in records]
-        elif first_party:
-            statuses = [r.statuses[: r.first_party_count()] for r in records]
-        else:
-            statuses = [r.statuses[r.first_party_count() :] for r in records]
-        return dict(Counter(chain.from_iterable(statuses)))
 
 
 class OpenWPMCrawler:

@@ -5,15 +5,16 @@ each crawler it counts sites and visits showing missing ads (split into
 "no ads"/"less ads"), blocking pages/CAPTCHAs, and frozen video elements.
 
 ``evaluate_http_errors`` reproduces Appendix B / Fig. 4: status-code
-occurrence counts per crawler (codes above a threshold), split by party,
-plus the Wilcoxon matched-pairs signed-rank test on per-site first-party
-and third-party error counts.
+occurrence counts per crawler (codes above a threshold), plus the
+Wilcoxon matched-pairs signed-rank test on per-site first-party and
+third-party error counts, all tallied in one walk over each crawl
+(``tally_http_responses``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.crawl.crawler import CrawlResult
 from repro.stats.wilcoxon import WilcoxonResult, wilcoxon_signed_rank
@@ -223,36 +224,86 @@ class HTTPErrorEvaluation:
         return rows
 
 
+class HTTPTally(NamedTuple):
+    """One crawl's reached visits, counted for Fig. 4."""
+
+    #: status -> occurrences, all parties combined.
+    status_counts: Dict[int, int]
+    #: domain -> first-party error responses (for Wilcoxon).
+    first_party_errors: Dict[str, int]
+    #: domain -> third-party error responses (for Wilcoxon).
+    third_party_errors: Dict[str, int]
+
+
+def tally_http_responses(result: CrawlResult) -> HTTPTally:
+    """Fig. 4's counts of one crawl, in one walk over its records.
+
+    Most responses are 200s, which ``tuple.count`` counts in C; only a
+    record with another status is walked response by response, its
+    first :meth:`~repro.crawl.visit.VisitRecord.first_party_count`
+    responses being first-party.
+    """
+    status_counts: Dict[int, int] = {}
+    first_party: Dict[str, int] = {}
+    third_party: Dict[str, int] = {}
+    oks = 0
+    for record in result.records:
+        if not record.reached:
+            continue
+        statuses = record.statuses
+        domain = record.domain
+        first_errors = first_party.get(domain, 0)
+        third_errors = third_party.get(domain, 0)
+        record_oks = statuses.count(200)
+        oks += record_oks
+        if record_oks != len(statuses):
+            first_count = record.first_party_count()
+            for index, status in enumerate(statuses):
+                if status == 200:
+                    continue
+                status_counts[status] = status_counts.get(status, 0) + 1
+                if status >= 400:
+                    if index < first_count:
+                        first_errors += 1
+                    else:
+                        third_errors += 1
+        first_party[domain] = first_errors
+        third_party[domain] = third_errors
+    if oks:
+        status_counts[200] = oks
+    return HTTPTally(status_counts, first_party, third_party)
+
+
 def evaluate_http_errors(
     baseline: CrawlResult, extended: CrawlResult
 ) -> HTTPErrorEvaluation:
     """Compare the two crawls' HTTP responses (Section 3.2 / Appendix B)."""
     evaluation = HTTPErrorEvaluation()
-    base_counts = baseline.status_code_counts()
-    ext_counts = extended.status_code_counts()
-    for status in sorted(set(base_counts) | set(ext_counts)):
+    base = tally_http_responses(baseline)
+    ext = tally_http_responses(extended)
+    for status in sorted(set(base.status_counts) | set(ext.status_counts)):
         evaluation.status_counts[status] = (
-            base_counts.get(status, 0),
-            ext_counts.get(status, 0),
+            base.status_counts.get(status, 0),
+            ext.status_counts.get(status, 0),
         )
 
     # Wilcoxon matched pairs over per-site error counts (sites reached by
     # both crawls; the paper pairs the two machines' observations).
-    def _paired(counter_name: str) -> Tuple[List[float], List[float]]:
-        base_map = getattr(baseline, counter_name)()
-        ext_map = getattr(extended, counter_name)()
+    def _paired(
+        base_map: Dict[str, int], ext_map: Dict[str, int]
+    ) -> Tuple[List[float], List[float]]:
         shared = sorted(set(base_map) & set(ext_map))
         return (
             [float(base_map[d]) for d in shared],
             [float(ext_map[d]) for d in shared],
         )
 
-    base_fp, ext_fp = _paired("first_party_error_counts")
+    base_fp, ext_fp = _paired(base.first_party_errors, ext.first_party_errors)
     evaluation.baseline_first_party_errors = int(sum(base_fp))
     evaluation.extended_first_party_errors = int(sum(ext_fp))
     evaluation.first_party_wilcoxon = _wilcoxon_or_none(base_fp, ext_fp)
     evaluation.third_party_wilcoxon = _wilcoxon_or_none(
-        *_paired("third_party_error_counts")
+        *_paired(base.third_party_errors, ext.third_party_errors)
     )
     return evaluation
 

@@ -1,5 +1,7 @@
 """Assorted edge-case coverage across subsystems."""
 
+from collections import Counter
+
 import pytest
 
 from repro.crawl import (
@@ -12,7 +14,8 @@ from repro.crawl import (
     evaluate_http_errors,
     evaluate_screenshots,
 )
-from repro.crawl.visit import HTTPResponse, Screenshot
+from repro.crawl.evaluation import tally_http_responses
+from repro.crawl.visit import HTTPResponse, Screenshot, VisitRecord
 from repro.obs.tracer import NULL_TRACER
 from repro.spoofing import SpoofingExtension
 
@@ -71,14 +74,43 @@ class TestEmptyCrawlEvaluation:
 
 class TestCrawlerStatusCounts:
     def test_party_split(self):
-        site = SiteConfig(rank=1, domain="b.example")
-        crawler = OpenWPMCrawler("x", None, instances=2, seed=3)
-        result = crawler.crawl([site])
-        first = result.status_code_counts(first_party=True)
-        third = result.status_code_counts(first_party=False)
-        combined = result.status_code_counts()
-        for status in set(first) | set(third):
-            assert combined[status] == first.get(status, 0) + third.get(status, 0)
+        sites = [
+            SiteConfig(rank=1, domain="b.example", first_party_error_rate=0.3,
+                       third_party_error_rate=0.3),
+            SiteConfig(rank=2, domain="c.example"),
+        ]
+        result = OpenWPMCrawler("x", None, instances=2, seed=3).crawl(sites)
+        tally = tally_http_responses(result)
+        reached = [r for r in result.records if r.reached]
+        assert tally.status_counts == Counter(s for r in reached for s in r.statuses)
+        domains = {r.domain for r in reached}
+        assert set(tally.first_party_errors) == set(tally.third_party_errors) == domains
+        for domain in domains:
+            visits = [r for r in reached if r.domain == domain]
+            assert tally.first_party_errors[domain] == sum(
+                r.first_party_errors() for r in visits
+            )
+            assert tally.third_party_errors[domain] == sum(
+                r.third_party_errors() for r in visits
+            )
+        errors = sum(n for status, n in tally.status_counts.items() if status >= 400)
+        assert errors > 0
+        assert errors == sum(tally.first_party_errors.values()) + sum(
+            tally.third_party_errors.values()
+        )
+
+    def test_unreached_visits_and_non_error_statuses(self):
+        page = (200, 301, 404) + (200,) * 4  # the page, 6 first-party assets
+        records = [
+            VisitRecord("a.example", 1, 0, True, statuses=page + (200, 500, 204)),
+            VisitRecord("a.example", 1, 1, False, failure_reason="transient"),
+            VisitRecord("b.example", 2, 0, True, statuses=(200,) * 7),
+            VisitRecord("c.example", 3, 0, False, failure_reason="unreachable"),
+        ]
+        tally = tally_http_responses(CrawlResult("x", records))
+        assert tally.status_counts == {200: 13, 204: 1, 301: 1, 404: 1, 500: 1}
+        assert tally.first_party_errors == {"a.example": 1, "b.example": 0}
+        assert tally.third_party_errors == {"a.example": 1, "b.example": 0}
 
 
 class TestReportsSmoke:
