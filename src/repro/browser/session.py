@@ -1,72 +1,81 @@
-"""The pluggable browser backend interface.
+"""One browser slot of a crawl, addressable over the event bus.
 
-The crawl layers never touch a concrete browser directly: they talk to
-a :class:`BrowserSession`, and -- following browser-use's Selenium
-backend -- a session is an *event-driven adapter*: it subscribes to the
+A :class:`BrowserSession` is one of the long-lived browsers a crawl
+visits with (OpenWPM's browser instance): a simulated
+:class:`~repro.browser.window.Window` and its
+:class:`~repro.webdriver.driver.WebDriver`, with the probe ledger
+attached and the spoofing extension injected.  It subscribes to the
 command events of :mod:`repro.bus.events` (``NavigateToUrl``,
-``QueryElements``, ``RunScript``, ``ScrollTo``) addressed to its own
-browser index, and executes each one it receives on its backend.  The
-simulated backend (:class:`SimulatedBrowserSession`, wrapping
-:class:`~repro.browser.window.Window` +
-:class:`~repro.webdriver.driver.WebDriver`) is one implementation; a
-real-Selenium adapter can implement the same surface without the crawl
-or analysis code changing.
+``QueryElements``, ``RunScript``) addressed to its own browser index
+and executes each one it receives on its driver.  It also holds the
+fault count that triggers recycling, which re-runs the spawn sequence a
+real browser restart performs.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import List, Optional
+from typing import Dict, List
 
 from repro.browser.navigator import NavigatorProfile
 from repro.browser.window import Window
-from repro.bus.events import NavigateToUrl, QueryElements, RunScript, ScrollTo
+from repro.bus.events import NavigateToUrl, QueryElements, RunScript
 from repro.webdriver.driver import WebDriver
 
 
-class BrowserSession(ABC):
-    """One controllable browser, addressable over the event bus.
+class BrowserSession:
+    """One long-lived browser of the crawl (OpenWPM's browser slot).
 
     ``index`` identifies the session on a shared bus: command events
     carry a ``browser`` field, and :meth:`attach` addresses the
     session's handlers to its ``index``, so the bus delivers each
-    command to the one session it names (OpenWPM's browser-slot
-    semantics).
+    command to the one session it names.  ``fault_count`` and
+    ``recycles`` are the recycling state a checkpoint carries.
     """
 
-    #: Human-readable backend tag ("simulated", "selenium", ...).
-    backend: str = "abstract"
-
-    def __init__(self, index: int) -> None:
+    def __init__(self, index: int, extension=None, ledger=None) -> None:
         self.index = index
+        self.extension = extension
+        self.ledger = ledger
+        self.fault_count = 0
+        self.recycles = 0
         self._subscriptions: List = []
+        self.spawn()
 
-    # -- backend surface -------------------------------------------------
-
-    @abstractmethod
     def spawn(self) -> None:
-        """(Re)create the underlying browser from scratch."""
+        """(Re)create the browser: fresh window, fresh driver, probe
+        ledger re-attached, extension re-injected."""
+        self.window = Window(profile=NavigatorProfile(webdriver=True))
+        # Only *attach* the ledger here -- instrumentation happens lazily
+        # at probe time (see ``fingerprint._window_ledger``), so spawning,
+        # recycling and resume-respawning record no entries and the ledger
+        # stays byte-identical across interrupt/resume.
+        self.window.probe_ledger = self.ledger
+        self.driver = WebDriver(self.window)
+        if self.extension is not None:
+            self.extension.inject(self.window)
 
-    @abstractmethod
-    def navigate(self, url: str) -> None:
-        """Load ``url`` in the session's browser."""
+    def recycle(self) -> None:
+        """Tear the browser down and spawn a fresh one."""
+        self.recycles += 1
+        self.fault_count = 0
+        self.spawn()
 
-    @abstractmethod
-    def query(self, by: str, value: str):
-        """Find elements in the current document."""
+    def note_fault(self) -> int:
+        """Record one fault; returns the running count."""
+        self.fault_count += 1
+        return self.fault_count
 
-    @abstractmethod
-    def run_script(self, script: str):
-        """Execute a script in the page context."""
+    def state_dict(self) -> Dict[str, int]:
+        """The recycling state a checkpoint must carry: resumed crawls
+        must reach the fault budget exactly where an uninterrupted one
+        would."""
+        return {"fault_count": self.fault_count, "recycles": self.recycles}
 
-    @abstractmethod
-    def scroll_to(self, x: float, y: float) -> None:
-        """Programmatic scroll through the backend's input layer."""
+    def load_state(self, state: Dict[str, int]) -> None:
+        self.fault_count = int(state.get("fault_count", 0))
+        self.recycles = int(state.get("recycles", 0))
 
-    def close(self) -> None:
-        """Release backend resources (nothing to do for simulation)."""
-
-    # -- event-driven adapter --------------------------------------------
+    # -- bus commands ----------------------------------------------------
 
     def attach(self, bus) -> None:
         """Subscribe this session's command handlers to ``bus``.
@@ -90,9 +99,6 @@ class BrowserSession(ABC):
             bus.subscribe(
                 RunScript, self.on_run_script, name=f"{tag}.run_script", browser=index
             ),
-            bus.subscribe(
-                ScrollTo, self.on_scroll_to, name=f"{tag}.scroll_to", browser=index
-            ),
         ]
 
     def detach(self, bus) -> None:
@@ -102,59 +108,13 @@ class BrowserSession(ABC):
         self._subscriptions = []
 
     def on_navigate(self, event: NavigateToUrl) -> None:
-        self.navigate(event.url)
+        self.driver.get(event.url)
         event.handled = True
 
     def on_query(self, event: QueryElements) -> None:
-        event.result = self.query(event.by, event.value)
+        event.result = self.driver.find_elements(event.by, event.value)
         event.handled = True
 
     def on_run_script(self, event: RunScript) -> None:
-        event.result = self.run_script(event.script)
+        event.result = self.driver.execute_script(event.script)
         event.handled = True
-
-    def on_scroll_to(self, event: ScrollTo) -> None:
-        self.scroll_to(event.x, event.y)
-        event.handled = True
-
-
-class SimulatedBrowserSession(BrowserSession):
-    """The simulated backend: a Window/WebDriver pair plus extension.
-
-    Spawning re-runs the full sequence a real browser restart performs:
-    fresh window, fresh driver, probe ledger re-attached, extension
-    re-injected.
-    """
-
-    backend = "simulated"
-
-    def __init__(self, index: int, extension=None, ledger=None) -> None:
-        super().__init__(index)
-        self.extension = extension
-        self.ledger = ledger
-        self.window: Optional[Window] = None
-        self.driver: Optional[WebDriver] = None
-        self.spawn()
-
-    def spawn(self) -> None:
-        self.window = Window(profile=NavigatorProfile(webdriver=True))
-        # Only *attach* the ledger here -- instrumentation happens lazily
-        # at probe time (see ``fingerprint._window_ledger``), so spawning,
-        # recycling and resume-respawning record no entries and the ledger
-        # stays byte-identical across interrupt/resume.
-        self.window.probe_ledger = self.ledger
-        self.driver = WebDriver(self.window)
-        if self.extension is not None:
-            self.extension.inject(self.window)
-
-    def navigate(self, url: str) -> None:
-        self.driver.get(url)
-
-    def query(self, by: str, value: str):
-        return self.driver.find_elements(by, value)
-
-    def run_script(self, script: str):
-        return self.driver.execute_script(script)
-
-    def scroll_to(self, x: float, y: float) -> None:
-        self.driver.pipeline.scroll_programmatic(x, y)

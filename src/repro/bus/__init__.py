@@ -6,8 +6,8 @@ clock, subscriber registry, and obs integration (``bus.*`` trace
 events, from which the metrics export folds ``bus.events.*``
 counters).  The crawl layers --
 :class:`~repro.crawl.supervisor.CrawlSupervisor`, the
-:class:`~repro.browser.session.BrowserSession` adapters and the
-:mod:`~repro.crawl.watchdogs` -- communicate through it instead of
+:class:`~repro.browser.session.BrowserSession` of each browser slot and
+the :mod:`~repro.crawl.watchdogs` -- communicate through it instead of
 calling each other directly.  See docs/EVENT_BUS.md.
 """
 
@@ -25,7 +25,6 @@ from repro.bus.events import (
     QueryElements,
     Resolvable,
     RunScript,
-    ScrollTo,
     event_name,
 )
 
@@ -42,7 +41,6 @@ __all__ = [
     "NavigateToUrl",
     "QueryElements",
     "RunScript",
-    "ScrollTo",
     "OverlayDetected",
     "ChallengeDetected",
     "InputObstructed",

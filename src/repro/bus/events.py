@@ -6,9 +6,10 @@ Two families of events travel the bus (docs/EVENT_BUS.md):
   (:class:`FaultObserved`, :class:`BrowserRecycled`).  Subscribers react
   but cannot veto.
 - **requests** ask a capable subscriber to act.  Command requests
-  (:class:`NavigateToUrl`, :class:`QueryElements`, ...) are executed by
-  a :class:`~repro.browser.session.BrowserSession` adapter; hostile-page
-  requests (:class:`OverlayDetected`, :class:`PageStalled`, ...) are
+  (:class:`NavigateToUrl`, :class:`QueryElements`, :class:`RunScript`)
+  are executed by the :class:`~repro.browser.session.BrowserSession`
+  of the browser they name; hostile-page requests
+  (:class:`OverlayDetected`, :class:`PageStalled`, ...) are
   :class:`Resolvable` -- a watchdog that handles one calls
   :meth:`Resolvable.resolve`, and the publisher inspects ``resolved``
   after dispatch to decide between recovery and graceful degradation.
@@ -89,7 +90,7 @@ class Resolvable(BusEvent):
 class FaultObserved(BusEvent):
     """A typed crawler-side fault surfaced during an attempt.
 
-    ``instance`` is the :class:`~repro.crawl.supervisor.BrowserInstance`
+    ``instance`` is the :class:`~repro.browser.session.BrowserSession`
     the fault struck; watchdogs use it to account per-browser health and
     to target recycle requests.
     """
@@ -151,16 +152,6 @@ class RunScript(BusEvent):
     browser: int = 0
     handled: bool = field(default=False, init=False)
     result: Any = field(default=None, init=False)
-
-
-@dataclass
-class ScrollTo(BusEvent):
-    """Programmatic scroll through the target browser's input pipeline."""
-
-    x: float
-    y: float
-    browser: int = 0
-    handled: bool = field(default=False, init=False)
 
 
 # -- hostile-page requests (resolved by watchdogs) -----------------------

@@ -51,7 +51,6 @@ from repro.crawl.visit import (
 )
 from repro.crawl.crawler import OpenWPMCrawler, CrawlResult
 from repro.crawl.supervisor import (
-    BrowserInstance,
     CrawlSupervisor,
     SupervisorConfig,
     SupervisorStats,
@@ -100,7 +99,6 @@ __all__ = [
     "simulate_visit",
     "OpenWPMCrawler",
     "CrawlResult",
-    "BrowserInstance",
     "CrawlSupervisor",
     "SupervisorConfig",
     "SupervisorStats",

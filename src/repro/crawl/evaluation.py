@@ -66,19 +66,37 @@ class ScreenshotEvaluation:
 
 
 def evaluate_screenshots(result: CrawlResult) -> ScreenshotEvaluation:
-    """The Table 2 screenshot review for one crawl."""
+    """The Table 2 screenshot review for one crawl.
+
+    One walk over the records counts the reached sites and visits and
+    the failed visits; only the visits that show a reaction (fewer ads
+    than expected, a block page or CAPTCHA, a frozen video) are tallied
+    per domain, as ``[no ads, less ads, blocked, frozen]`` visit counts.
+    Every other visit adds nothing to any category.
+    """
     evaluation = ScreenshotEvaluation(crawler_name=result.crawler_name)
-    by_domain = result.by_domain()
-    evaluation.total_sites = len(by_domain)
-    evaluation.total_visits = len(result.successful_visits)
-    evaluation.failed_visits = len(result.failed_visits)
-    for domain, records in by_domain.items():
-        no_ads_visits = sum(1 for r in records if r.screenshot.missing_all_ads)
-        less_ads_visits = sum(1 for r in records if r.screenshot.missing_some_ads)
-        blocked_visits = sum(
-            1 for r in records if r.screenshot.blocked or r.screenshot.captcha
-        )
-        frozen_visits = sum(1 for r in records if r.screenshot.video_frozen)
+    reached_domains = set()
+    reached = 0
+    reactions: Dict[str, List[int]] = {}
+    for record in result.records:
+        if not record.reached:
+            continue
+        reached += 1
+        reached_domains.add(record.domain)
+        shot = record.screenshot
+        blocked = shot.blocked or shot.captcha
+        if shot.ads_shown < shot.ads_expected or blocked or shot.video_frozen:
+            counts = reactions.setdefault(record.domain, [0, 0, 0, 0])
+            counts[0] += shot.missing_all_ads
+            counts[1] += shot.missing_some_ads
+            counts[2] += blocked
+            counts[3] += shot.video_frozen
+    evaluation.total_sites = len(reached_domains)
+    evaluation.total_visits = reached
+    evaluation.failed_visits = len(result.records) - reached
+    for no_ads_visits, less_ads_visits, blocked_visits, frozen_visits in (
+        reactions.values()
+    ):
         if no_ads_visits:
             evaluation.no_ads.sites += 1
             evaluation.no_ads.visits += no_ads_visits
@@ -118,12 +136,6 @@ class CrawlHealthReport:
     recycles: int = 0
     breaker_skips: int = 0
     faults_seen: int = 0
-
-    @property
-    def reached_fraction(self) -> float:
-        if self.total_visits == 0:
-            return 1.0
-        return self.reached_visits / self.total_visits
 
     def rows(self) -> List[Tuple[str, int]]:
         """Report rows as ``(label, count)``, taxonomy sorted by size."""

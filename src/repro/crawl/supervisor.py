@@ -46,7 +46,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.browser.session import SimulatedBrowserSession
+from repro.browser.session import BrowserSession
 from repro.bus import (
     BrowserRecycled,
     BrowserRecycleRequested,
@@ -165,55 +165,6 @@ class SupervisorStats:
     resumed: int = 0
 
 
-class BrowserInstance:
-    """One long-lived browser of the crawl (OpenWPM's browser slot).
-
-    Wraps a :class:`~repro.browser.session.BrowserSession` (the
-    simulated backend by default) and holds the fault count that
-    triggers recycling.  Recycling re-runs the session's full spawn
-    sequence: fresh window, fresh driver, extension re-injected.
-    """
-
-    def __init__(self, index: int, extension=None, ledger=None, session=None) -> None:
-        self.index = index
-        self.fault_count = 0
-        self.recycles = 0
-        self.session = (
-            session
-            if session is not None
-            else SimulatedBrowserSession(index, extension=extension, ledger=ledger)
-        )
-
-    @property
-    def window(self):
-        return self.session.window
-
-    @property
-    def driver(self):
-        return self.session.driver
-
-    def note_fault(self) -> int:
-        """Record one fault; returns the running count."""
-        self.fault_count += 1
-        return self.fault_count
-
-    def state_dict(self) -> Dict[str, int]:
-        """The recycling state a checkpoint must carry: resumed crawls
-        must reach the fault budget exactly where an uninterrupted one
-        would."""
-        return {"fault_count": self.fault_count, "recycles": self.recycles}
-
-    def load_state(self, state: Dict[str, int]) -> None:
-        self.fault_count = int(state.get("fault_count", 0))
-        self.recycles = int(state.get("recycles", 0))
-
-    def recycle(self) -> None:
-        """Tear the browser down and spawn a fresh one."""
-        self.recycles += 1
-        self.fault_count = 0
-        self.session.spawn()
-
-
 class CrawlSupervisor:
     """The crawl engine for an :class:`OpenWPMCrawler` configuration.
 
@@ -273,7 +224,7 @@ class CrawlSupervisor:
         if probe_ledger is not None:
             probe_ledger.clock = self.clock
         self.stats = SupervisorStats()
-        self._instances: Optional[List[BrowserInstance]] = None
+        self._instances: Optional[List[BrowserSession]] = None
         self._restored_browsers: Optional[List[Dict[str, int]]] = None
         self._checkpoint_texts: Optional[CheckpointTexts] = None
         # The deterministic event bus every crawl collaborator talks
@@ -291,7 +242,6 @@ class CrawlSupervisor:
             self._on_recycle_requested,
             name="supervisor.recycle",
         )
-        self._attached_sessions: List = []
 
     # -- main loop -------------------------------------------------------
 
@@ -331,14 +281,13 @@ class CrawlSupervisor:
         self._checkpoint_texts = CheckpointTexts()
 
         instances = [
-            BrowserInstance(i, self.crawler.extension, ledger=self.ledger)
+            BrowserSession(i, self.crawler.extension, ledger=self.ledger)
             for i in range(self.crawler.instances)
         ]
         if self._restored_browsers is not None:
             for instance, state in zip(instances, self._restored_browsers):
                 instance.load_state(state)
             self._restored_browsers = None
-        self._instances = instances
         self._attach_sessions(instances)
         reference = _reference_navigator()
         records: List[VisitRecord] = []
@@ -391,17 +340,17 @@ class CrawlSupervisor:
             write_ledger(ledger_path, self.ledger)
         return CrawlResult(crawler_name=self.crawler.name, records=records)
 
-    def _attach_sessions(self, instances: List[BrowserInstance]) -> None:
+    def _attach_sessions(self, sessions: List[BrowserSession]) -> None:
         """Subscribe this crawl's browser sessions to the bus.
 
-        A repeated ``crawl()`` call builds fresh instances; the previous
+        A repeated ``crawl()`` call builds fresh sessions; the previous
         crawl's sessions are detached first so command events never
         reach stale browsers (and dispatch order stays deterministic).
         """
-        for session in self._attached_sessions:
+        for session in self._instances or []:
             session.detach(self.bus)
-        self._attached_sessions = [instance.session for instance in instances]
-        for session in self._attached_sessions:
+        self._instances = sessions
+        for session in sessions:
             session.attach(self.bus)
 
     def _on_recycle_requested(self, event: BrowserRecycleRequested) -> None:
@@ -454,7 +403,7 @@ class CrawlSupervisor:
         self,
         site: SiteConfig,
         visit_index: int,
-        instance: BrowserInstance,
+        instance: BrowserSession,
         breaker: CircuitBreaker,
         reference,
     ) -> VisitRecord:
@@ -477,7 +426,7 @@ class CrawlSupervisor:
         self,
         site: SiteConfig,
         visit_index: int,
-        instance: BrowserInstance,
+        instance: BrowserSession,
         breaker: CircuitBreaker,
         reference,
     ) -> VisitRecord:
@@ -591,7 +540,7 @@ class CrawlSupervisor:
             attempts=attempts_made,
         )
 
-    def _recycle(self, instance: BrowserInstance, reason: str) -> None:
+    def _recycle(self, instance: BrowserSession, reason: str) -> None:
         instance.recycle()
         self.stats.recycles += 1
         self.tracer.event("browser.recycle", browser=instance.index, reason=reason)

@@ -13,8 +13,8 @@ The contract, enforced by convention and by lint rule FLT004:
 - simulated work (waiting out a challenge, dismissing an overlay) is
   paid on the shared virtual clock, so recovery cost lands on the same
   checkpointed timeline as everything else;
-- per-browser state lives on the :class:`~repro.crawl.supervisor.
-  BrowserInstance` (which checkpoints it), never on the watchdog, so
+- per-browser state lives on the :class:`~repro.browser.session.
+  BrowserSession` (which checkpoints it), never on the watchdog, so
   interrupt/resume stays byte-identical.
 """
 

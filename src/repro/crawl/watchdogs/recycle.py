@@ -12,8 +12,8 @@ class RecycleWatchdog(Watchdog):
     """Recycles a browser whose accumulated fault count crosses the
     configured budget (``SupervisorConfig.recycle_after_faults``).
 
-    The running count lives on the :class:`~repro.crawl.supervisor.
-    BrowserInstance` -- checkpointed state, so a resumed crawl reaches
+    The running count lives on the :class:`~repro.browser.session.
+    BrowserSession` -- checkpointed state, so a resumed crawl reaches
     the budget exactly where an uninterrupted one would.  Browser-fatal
     faults are the :class:`CrashWatchdog`'s concern and already reset
     the count through the recycle itself.

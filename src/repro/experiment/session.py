@@ -29,10 +29,6 @@ class Session:
         exposes :attr:`driver`.  ``False`` models a human's browser: no
         driver, default environment, events produced directly through the
         input pipeline.
-    fault_injector:
-        Optional :class:`repro.faults.FaultInjector` wired into the
-        driver's hook points, so experiment sessions can run under the
-        same fault plans as supervised crawls (automated sessions only).
     """
 
     def __init__(
@@ -42,7 +38,6 @@ class Session:
         viewport_width: float = 1366.0,
         viewport_height: float = 768.0,
         page_height: float = 768.0,
-        fault_injector=None,
     ) -> None:
         self.document = Document(viewport_width, max(page_height, viewport_height))
         profile = NavigatorProfile(webdriver=automated)
@@ -54,13 +49,9 @@ class Session:
         )
         self.automated = automated
         if automated:
-            self.driver: Optional[WebDriver] = WebDriver(
-                self.window, fault_injector=fault_injector
-            )
+            self.driver: Optional[WebDriver] = WebDriver(self.window)
             self.pipeline = self.driver.pipeline
         else:
-            if fault_injector is not None:
-                raise ValueError("fault injection requires an automated session")
             self.driver = None
             self.pipeline = InputPipeline(
                 self.window,

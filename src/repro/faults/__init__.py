@@ -21,7 +21,7 @@ from repro.faults.types import (
     StaleElementFault,
     make_fault,
 )
-from repro.faults.plan import FaultInjector, FaultPlan, FiredFault, ScheduledFault
+from repro.faults.plan import FaultInjector, FaultPlan, ScheduledFault
 from repro.faults.recovery import (
     DELAY_GRID_MS,
     BackoffPolicy,
@@ -42,7 +42,6 @@ __all__ = [
     "OOMRestartFault",
     "FaultPlan",
     "FaultInjector",
-    "FiredFault",
     "ScheduledFault",
     "BackoffPolicy",
     "BreakerState",

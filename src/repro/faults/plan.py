@@ -16,7 +16,7 @@ context is due to fault at that hook.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -109,17 +109,6 @@ class FaultPlan:
         return len(self.schedule)
 
 
-@dataclass(frozen=True)
-class FiredFault:
-    """Audit-log entry: one fault actually raised at a hook point."""
-
-    domain: str
-    visit_index: int
-    attempt: int
-    fault_type: FaultType
-    hook: str
-
-
 class FaultInjector:
     """Runtime fault injection against a :class:`FaultPlan`.
 
@@ -132,18 +121,12 @@ class FaultInjector:
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
         self._armed: Optional[Tuple[str, int, int]] = None
-        #: Every fault actually raised, in firing order.
-        self.fired: List[FiredFault] = []
 
     def arm(self, domain: str, visit_index: int, attempt: int) -> None:
         self._armed = (domain, visit_index, attempt)
 
     def disarm(self) -> None:
         self._armed = None
-
-    @property
-    def armed(self) -> bool:
-        return self._armed is not None
 
     def on_hook(self, hook: str) -> None:
         """Raise the scheduled fault if the armed context is due here."""
@@ -153,7 +136,4 @@ class FaultInjector:
         scheduled = self.plan.fault_for(domain, visit_index, attempt)
         if scheduled is None or scheduled.fault_type.hook != hook:
             return
-        self.fired.append(
-            FiredFault(domain, visit_index, attempt, scheduled.fault_type, hook)
-        )
         raise make_fault(scheduled.fault_type, domain, visit_index, attempt)

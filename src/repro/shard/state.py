@@ -3,7 +3,7 @@ recycle placement.
 
 The *only* crawl-path state that crosses site (hence shard) boundaries
 is the per-browser fault/recycle counter pair on
-:class:`~repro.crawl.supervisor.BrowserInstance`.  Everything else a
+:class:`~repro.browser.session.BrowserSession`.  Everything else a
 visit observes derives from per-visit rng streams, the per-site circuit
 breaker (fresh each site) or the virtual clock -- all invariant under
 where the shard boundary falls.

@@ -31,7 +31,6 @@ class WebDriver:
         window: Optional[Window] = None,
         *,
         profile: Optional[NavigatorProfile] = None,
-        fault_injector=None,
     ) -> None:
         if window is None:
             profile = (profile or NavigatorProfile()).automated()
@@ -47,9 +46,10 @@ class WebDriver:
         #: crawl simulation); ``get`` is a no-op without one.
         self.page_loader: Optional[Callable[[str], Document]] = None
         #: Optional :class:`repro.faults.FaultInjector` consulted at the
-        #: hook points (get / find_element / execute_script); ``None``
+        #: hook points (get / find_element / execute_script), set for an
+        #: attempt by :func:`repro.crawl.visit.simulate_visit`; ``None``
         #: (or a disarmed injector) leaves the driver fault-free.
-        self.fault_injector = fault_injector
+        self.fault_injector = None
 
     def _fault_check(self, hook: str) -> None:
         """Give the fault injector a chance to fail this command."""

@@ -31,8 +31,11 @@ from repro.crawl import (
     SupervisorConfig,
     generate_population,
 )
+from repro.detection.fingerprint import probe_webdriver_flag
 from repro.faults import FaultPlan
 from repro.obs import Tracer, crawl_metrics
+from repro.obs.probes import ProbeLedger
+from repro.spoofing import SpoofingExtension
 
 
 def make_bus(tracer=None):
@@ -379,6 +382,57 @@ class TestSessionRouting:
         assert calls["on_navigate"] == counters["bus.events.navigate_to_url"] > 0
         assert calls["on_query"] == counters["bus.events.query_elements"] > 0
         assert calls["on_run_script"] == counters["bus.events.run_script"] > 0
+
+
+class TestBrowserSession:
+    """One browser slot: its bus commands, its recycle and its state."""
+
+    def attached_session(self):
+        bus = make_bus()
+        session = BrowserSession(0, extension=SpoofingExtension(), ledger=ProbeLedger())
+        session.attach(bus)
+        return bus, session
+
+    def test_commands_reach_only_the_addressed_session(self):
+        bus, session = self.attached_session()
+        own = bus.publish(NavigateToUrl("https://a.example/", browser=0))
+        assert own.handled
+        assert session.driver.current_url == "https://a.example/"
+        other = bus.publish(NavigateToUrl("https://b.example/", browser=1))
+        assert not other.handled
+        assert session.driver.current_url == "https://a.example/"
+
+    def test_recycle_respawns_the_browser(self):
+        bus, session = self.attached_session()
+        old_window, old_driver = session.window, session.driver
+        session.note_fault()
+        session.note_fault()
+        session.recycle()
+        assert session.window is not old_window
+        assert session.driver is not old_driver
+        assert session.driver.window is session.window
+        assert session.window.probe_ledger is session.ledger
+        # A fresh automated window reports the flag until the extension
+        # hides it again.
+        assert probe_webdriver_flag(BrowserSession(1).window) is True
+        assert probe_webdriver_flag(session.window) is False
+        assert (session.fault_count, session.recycles) == (0, 1)
+        # Commands published after the recycle run on the new driver.
+        event = bus.publish(NavigateToUrl("https://c.example/", browser=0))
+        assert event.handled
+        assert session.driver.current_url == "https://c.example/"
+        assert old_driver.current_url == "about:blank"
+
+    def test_state_round_trips(self):
+        _, session = self.attached_session()
+        session.note_fault()
+        session.recycle()
+        session.note_fault()
+        state = session.state_dict()
+        assert state == {"fault_count": 1, "recycles": 1}
+        restored = BrowserSession(0)
+        restored.load_state(state)
+        assert restored.state_dict() == state
 
 
 class TestSupervisedResumeIdentity:

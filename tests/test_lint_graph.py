@@ -967,7 +967,6 @@ class TestSelfHosting:
             "repro.browser.session.BrowserSession.on_navigate",
             "repro.browser.session.BrowserSession.on_query",
             "repro.browser.session.BrowserSession.on_run_script",
-            "repro.browser.session.BrowserSession.on_scroll_to",
         }
         missing = expected - registered
         assert not missing, f"handlers invisible to BUS rules: {missing}"
