@@ -5,8 +5,10 @@ carries, so the counters are derived, not stored: :func:`crawl_metrics`
 folds them from the spans and the ledger state whenever the export is
 written or read.  There is no registry to checkpoint, merge or restore,
 so a resumed or sharded crawl's metrics are right whenever its trace
-and ledger are.  The one distribution, entries per closed probe scope,
-is a :class:`Histogram` with a frozen bucket layout.
+and ledger are; :class:`CrawlCounts` is the same fold taken a piece at
+a time, as the shard merge reads the trace shard by shard.  The one
+distribution, entries per closed probe scope, is a :class:`Histogram`
+with a frozen bucket layout.
 """
 
 from __future__ import annotations
@@ -127,6 +129,51 @@ def _counter_name(event: Dict[str, Any]) -> Optional[str]:
     return None
 
 
+class CrawlCounts:
+    """The counters of :func:`crawl_metrics`, folded a batch at a time.
+
+    A consumer that sees a crawl's spans and ledger entries in pieces --
+    the shard merge, one shard at a time -- counts each piece as it
+    comes and builds the export at the end, by the same rule as
+    :func:`crawl_metrics`.
+    """
+
+    def __init__(self) -> None:
+        self.counts: Dict[str, int] = {}
+
+    def count_spans(self, spans: Iterable[SpanDict]) -> None:
+        """Count the trace events of ``spans`` (see :func:`crawl_metrics`)."""
+        counts = self.counts
+        for span in spans:
+            for event in span["events"] or ():
+                name = _counter_name(event)
+                if name is not None:
+                    counts[name] = counts.get(name, 0) + 1
+
+    def count_entries(self, entries: Iterable[Dict[str, Any]]) -> None:
+        """Count ledger entries toward ``probe.ops.<op>``."""
+        counts = self.counts
+        for entry in entries:
+            name = "probe.ops." + entry["op"]
+            counts[name] = counts.get(name, 0) + 1
+
+    def metrics(self, probe_sizes: Optional[Sequence[int]] = None) -> Dict[str, Any]:
+        """The metrics export: the counters, names sorted, and the
+        ``probe_accesses_per_probe`` histogram of ``probe_sizes`` when
+        there are any."""
+        histograms: Dict[str, Any] = {}
+        if probe_sizes:
+            histogram = Histogram(PROBE_HISTOGRAM, PROBE_ACCESS_BUCKETS)
+            for size in probe_sizes:
+                histogram.observe(float(size))
+            histograms[PROBE_HISTOGRAM] = histogram.to_dict()
+        counts = self.counts
+        return {
+            "counters": {name: counts[name] for name in sorted(counts)},
+            "histograms": histograms,
+        }
+
+
 def crawl_metrics(
     spans: Iterable[SpanDict], ledger: Optional[Dict[str, Any]] = None
 ) -> Dict[str, Any]:
@@ -148,23 +195,9 @@ def crawl_metrics(
     ledger's probe-scope sizes fill ``probe_accesses_per_probe``.  A
     counter exists only once it counts something; names are sorted.
     """
-    counts: Dict[str, int] = {}
-    for span in spans:
-        for event in span["events"] or ():
-            name = _counter_name(event)
-            if name is not None:
-                counts[name] = counts.get(name, 0) + 1
-    histograms: Dict[str, Any] = {}
-    if ledger is not None:
-        for entry in ledger["entries"]:
-            name = "probe.ops." + entry["op"]
-            counts[name] = counts.get(name, 0) + 1
-        if ledger["probe_sizes"]:
-            histogram = Histogram(PROBE_HISTOGRAM, PROBE_ACCESS_BUCKETS)
-            for size in ledger["probe_sizes"]:
-                histogram.observe(float(size))
-            histograms[PROBE_HISTOGRAM] = histogram.to_dict()
-    return {
-        "counters": {name: counts[name] for name in sorted(counts)},
-        "histograms": histograms,
-    }
+    counts = CrawlCounts()
+    counts.count_spans(spans)
+    if ledger is None:
+        return counts.metrics()
+    counts.count_entries(ledger["entries"])
+    return counts.metrics(ledger["probe_sizes"])

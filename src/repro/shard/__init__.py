@@ -15,13 +15,14 @@ layer protects:
   fault logs folded into the per-browser fault/recycle counters a serial
   crawl would carry into each shard, and recycle placement;
 - :mod:`repro.shard.executor` -- the pool driver: runs every shard not
-  yet recorded exactly once, from fresh browser states, then merges;
-- :mod:`repro.shard.merge` -- reads the shard checkpoints, moves each
-  shard's fault-budget recycles to where the fold of all fault logs
-  (read off the checkpointed traces) puts them, and recombines their
-  records, traces and probe ledgers into ``crawl.*`` artifacts
-  byte-identical to a serial run's, the metrics folded from the merged
-  trace and ledger;
+  yet recorded exactly once, from fresh browser states, records each in
+  the manifest as it lands and feeds it to the merge in plan order;
+- :mod:`repro.shard.merge` -- folds the shard checkpoints in plan
+  order, one at a time: moves each shard's fault-budget recycles to
+  where the fold of the fault logs (read off the checkpointed traces)
+  puts them, and splices its records, trace and probe ledger into
+  ``crawl.*`` artifacts byte-identical to a serial run's, the metrics
+  counted from the merged trace and ledger;
 - :mod:`repro.shard.manifest` -- the resume manifest: a partially
   completed sharded crawl picks up where it stopped (mid-shard via the
   per-shard supervisor checkpoints, cross-shard via the completed
@@ -35,7 +36,7 @@ merge-time recycle placement).
 
 from repro.shard.executor import ShardedCrawlOutcome, run_sharded_crawl
 from repro.shard.manifest import ManifestError, ShardManifest
-from repro.shard.merge import MergedArtifacts, merge_shards, write_canonical_json
+from repro.shard.merge import MergedArtifacts, ShardMerge, write_canonical_json
 from repro.shard.plan import Shard, ShardPlan, plan_shards, population_digest
 from repro.shard.state import (
     FaultLogEntry,
@@ -70,7 +71,7 @@ __all__ = [
     "ShardManifest",
     "ManifestError",
     "MergedArtifacts",
-    "merge_shards",
+    "ShardMerge",
     "write_canonical_json",
     "ShardedCrawlOutcome",
     "run_sharded_crawl",

@@ -981,7 +981,7 @@ class TestSelfHosting:
             "repro.shard.worker.run_shard",
             "repro.shard.worker.build_supervisor",
             "repro.shard.state.fault_log_from_spans",
-            "repro.shard.merge.merge_shards",
+            "repro.shard.merge.ShardMerge.fold_shard",
             "repro.crawl.supervisor.CrawlSupervisor.crawl",
         }
         missing = expected_shard_scope - set(reach)
