@@ -35,10 +35,17 @@ def span_to_json(span: SpanDict) -> str:
     return canonical_json(span)
 
 
+def jsonl_parts(lines: Sequence[str]) -> List[str]:
+    """Single-line JSON texts as the parts of a JSONL file: one per
+    line, trailing newline included; no lines make an empty file.  A
+    writer can write the parts one at a time and never hold the file
+    whole."""
+    return [part for line in lines for part in (line, "\n")]
+
+
 def lines_to_jsonl(lines: Sequence[str]) -> str:
-    """Single-line JSON texts as a JSONL file: one per line, trailing
-    newline included; no lines make an empty file."""
-    return "\n".join(lines) + "\n" if lines else ""
+    """The JSONL file of :func:`jsonl_parts`, joined."""
+    return "".join(jsonl_parts(lines))
 
 
 def trace_to_jsonl(spans: Iterable[SpanDict]) -> str:
