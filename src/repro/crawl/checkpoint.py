@@ -12,20 +12,27 @@ separators).  The three arrays hold their items in export encoding --
   ``crawl.records.json``.  ``records_sha256``, just before it, is the
   sha256 of the array's text, brackets included.
 
+A span and a ledger entry are the same dict in the tracer or ledger,
+in the checkpoint and in their export file, so each item is encoded as
+it is, and decoded back to the dict it was.
+
 The supervisor writes a checkpoint at site boundaries and at crawl end,
 through :func:`write_checkpoint`; the shard merge writes one from its
-merged parts, a part at a time (:func:`dump_parts`).  Both lay it out
-by :func:`checkpoint_payload` and encode it by one rule, so the layout
-is written down once.
+merged parts.  Both lay it out by :func:`checkpoint_payload` and encode
+it by one rule (:func:`dump_parts`), so the layout is written down
+once.  Every checkpoint, merged crawl file and shard manifest is
+written by :func:`write_atomically`: a part at a time to a ``.tmp``
+sibling, which then replaces the file, so no writer holds a document
+whole and a failed write leaves the previous file as it was.
 
 A checkpoint grows only through those three lists, and an item never
 changes once it is in its list, except that a span stays open until it
 ends.  An :class:`EncodedList` therefore keeps each item's text and
-hands it back as an :class:`EncodedArray`, which :func:`dumps` splices
-verbatim: a write encodes only what is new, the spans still open, and
-the small values (clock, stats, browsers, ids, probe sizes).  The record
-list also keeps a running sha256 of its text, so no write hashes the
-whole array.
+hands it back as an :class:`EncodedArray`, which :func:`dump_parts`
+splices verbatim: a write encodes only what is new, the spans still
+open, and the small values (clock, stats, browsers, ids, probe sizes).
+The record list also keeps a running sha256 of its text, so no write
+hashes the whole array.
 
 :func:`read_checkpoint` is the one reader, for resume and for the shard
 merge.  It checks the layout, the version and the record digest, decodes
@@ -39,7 +46,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.export import canonical_json
 
@@ -54,7 +61,8 @@ CHECKPOINT_VERSION = 4
 
 
 class EncodedArray:
-    """A JSON array whose items are already encoded, spliced by :func:`dumps`.
+    """A JSON array whose items are already encoded, spliced by
+    :func:`dump_parts`.
 
     ``texts`` are joined verbatim between the brackets: the items'
     canonical texts, each but the first behind its ``,``.  An
@@ -77,21 +85,16 @@ class EncodedArray:
         return digest.hexdigest()
 
 
-def dumps(value: Any) -> str:
-    """``json.dumps(value)``, with :class:`EncodedArray` values spliced in.
+def dump_parts(value: Any) -> List[str]:
+    """``json.dumps(value)`` as the texts that joined make it, with
+    :class:`EncodedArray` values spliced in.
 
     Dicts are walked (their keys must be strings, as every checkpoint
     key is); any other value is encoded by ``json.dumps``, so an
     :class:`EncodedArray` may sit in a dict but not inside a list.  The
-    document is joined once: a checkpoint runs to tens of megabytes,
-    and every intermediate copy of it would cost as much as its write.
+    document is never joined: a checkpoint runs to tens of megabytes,
+    and :func:`write_atomically` writes it a part at a time.
     """
-    return "".join(dump_parts(value))
-
-
-def dump_parts(value: Any) -> List[str]:
-    """The texts :func:`dumps` joins, in order, so a writer can write
-    the document a part at a time and never hold it whole."""
     parts: List[str] = []
     _encode(value, parts)
     return parts
@@ -118,15 +121,15 @@ _DECODER = json.JSONDecoder()
 def split_checkpoint(
     text: str,
 ) -> Tuple[Dict[str, Any], Tuple[int, int]]:
-    """Check a checkpoint :func:`dumps` wrote, and decode all of it but
-    its records.
+    """Check a checkpoint :func:`dump_parts` encoded, and decode all of
+    it but its records.
 
     Returns ``(head, (start, end))``: ``head`` maps every key but
     ``records`` to ``json.loads`` of its value, and ``text[start:end]``
     is the record array's text, which is located but never decoded.
     Raises :class:`ValueError` unless ``version`` comes first and is
     :data:`CHECKPOINT_VERSION`; the top level is laid out exactly as
-    :func:`dumps` lays out a dict -- ``{``, ``"key": value`` items
+    :func:`dump_parts` lays out a dict -- ``{``, ``"key": value`` items
     joined by ``", "``, ``}`` and nothing after it; ``records`` is the
     last key, after ``records_sha256``; and the record text's sha256 is
     ``records_sha256``.
@@ -183,24 +186,19 @@ def read_checkpoint(path: Path) -> Tuple[Dict[str, Any], str]:
     return head, text[start:end]
 
 
-def _to_json(item: Any) -> str:
-    return canonical_json(item.to_dict())
-
-
 class EncodedList:
     """The JSON array of one append-only list, each item encoded once.
 
-    ``to_json`` encodes one item (by default, its ``to_dict()`` as
-    canonical JSON).  ``final`` tells whether an item can still change
-    (a span is final once it ends); items that were not final when last
-    encoded are encoded again on the next call.  Nothing else is: the
-    list passed to :meth:`array` must be the one list the kept texts
-    were encoded from, grown only at its end.
+    ``to_json`` encodes one item.  ``final`` tells whether an item can
+    still change (a span is final once it ends); items that were not
+    final when last encoded are encoded again on the next call.  Nothing
+    else is: the list passed to :meth:`array` must be the one list the
+    kept texts were encoded from, grown only at its end.
     """
 
     def __init__(
         self,
-        to_json: Callable[[Any], str] = _to_json,
+        to_json: Callable[[Any], str],
         final: Callable[[Any], bool] = lambda item: True,
     ) -> None:
         self._to_json = to_json
@@ -259,7 +257,7 @@ class CheckpointTexts:
         self.spans = EncodedList(
             canonical_json, final=lambda span: span["end_ms"] is not None
         )
-        self.entries = EncodedList()
+        self.entries = EncodedList(canonical_json)
 
 
 def checkpoint_payload(
@@ -304,8 +302,26 @@ def tmp_sibling(path: Path) -> Path:
     return path.with_name(path.name + ".tmp")
 
 
+def write_atomically(files: Sequence[Tuple[Path, Iterable[str]]]) -> None:
+    """Write each file's parts to its :func:`tmp_sibling`, a part at a
+    time, then move every tmp file into place.
+
+    Whether the writes succeed or raise, no tmp file is left: on
+    success each has replaced its file; otherwise they are removed, and
+    no file was replaced unless every tmp file was complete.
+    """
+    tmps = [tmp_sibling(path) for path, _ in files]
+    try:
+        for tmp, (_, parts) in zip(tmps, files):
+            with tmp.open("w") as handle:
+                handle.writelines(parts)
+        for tmp, (path, _) in zip(tmps, files):
+            tmp.replace(path)
+    finally:
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
+
+
 def write_checkpoint(path: Path, payload: Dict[str, Any]) -> None:
     """Atomically replace ``path`` with the encoded ``payload``."""
-    tmp = tmp_sibling(path)
-    tmp.write_text(dumps(payload))
-    tmp.replace(path)
+    write_atomically([(path, dump_parts(payload))])

@@ -39,7 +39,7 @@ from repro.jsobject import (
 from repro.obs.probes import (
     PROBE_SCOPE_PREFIX,
     REFERENCE_LABEL_PREFIX,
-    LedgerEntry,
+    EntryDict,
     ProbeLedger,
     instrument,
 )
@@ -72,10 +72,10 @@ class FingerprintProbeResult:
     side_effects: Set[SideEffect] = field(default_factory=set)
     #: With an instrumented window: per fired side effect, the ledger
     #: slice (the exact accesses) of the probe that revealed it.
-    ledger_slices: Dict[SideEffect, List[LedgerEntry]] = field(default_factory=dict)
+    ledger_slices: Dict[SideEffect, List[EntryDict]] = field(default_factory=dict)
     #: With an instrumented window: every probe's ledger slice, fired or
     #: not, keyed by probe name (``SideEffect.name`` / ``WEBDRIVER_FLAG``).
-    probe_slices: Dict[str, List[LedgerEntry]] = field(default_factory=dict)
+    probe_slices: Dict[str, List[EntryDict]] = field(default_factory=dict)
 
     @property
     def webdriver_visible(self) -> bool:

@@ -68,7 +68,7 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import Histogram, crawl_metrics
 from repro.obs.probes import (
-    LedgerEntry,
+    EntryDict,
     ProbeLedger,
     instrument,
     instrument_window,
@@ -95,7 +95,7 @@ __all__ = [
     "read_trace",
     "CrawlReport",
     "build_report",
-    "LedgerEntry",
+    "EntryDict",
     "ProbeLedger",
     "instrument",
     "instrument_window",

@@ -29,7 +29,7 @@ from repro.obs.export import canonical_json
 from repro.obs.probes import (
     PROBE_SCOPE_PREFIX,
     REFERENCE_LABEL_PREFIX,
-    LedgerEntry,
+    EntryDict,
     ProbeLedger,
 )
 
@@ -217,61 +217,61 @@ def _fmt(value: Any) -> str:
 # -- building the attribution -------------------------------------------------
 
 
-def _group_of(entry: LedgerEntry) -> str:
-    head = entry.scope.split("/", 1)[0] if entry.scope else ""
+def _group_of(entry: EntryDict) -> str:
+    head = entry["scope"].split("/", 1)[0]
     if head.startswith(METHOD_GROUP_PREFIX):
         return head
     return CRAWL_GROUP
 
 
-def _probe_of(entry: LedgerEntry) -> Optional[str]:
-    for component in entry.scope.split("/"):
+def _probe_of(entry: EntryDict) -> Optional[str]:
+    for component in entry["scope"].split("/"):
         if component.startswith(PROBE_SCOPE_PREFIX):
             return component[len(PROBE_SCOPE_PREFIX):]
     return None
 
 
 def _probe_streams(
-    entries: Iterable[LedgerEntry],
-) -> "Dict[str, Dict[str, List[LedgerEntry]]]":
+    entries: Iterable[EntryDict],
+) -> "Dict[str, Dict[str, List[EntryDict]]]":
     """``{group: {probe: [probe entries, in ledger order]}}``.
 
     Reference-navigator accesses (``ref:*`` objects) are the probe
     *comparing*, not the page-observable surface, and are dropped.
     """
-    streams: Dict[str, Dict[str, List[LedgerEntry]]] = {}
+    streams: Dict[str, Dict[str, List[EntryDict]]] = {}
     for entry in entries:
         probe = _probe_of(entry)
         if probe is None:
             continue
-        if entry.obj.startswith(REFERENCE_LABEL_PREFIX):
+        if entry["obj"].startswith(REFERENCE_LABEL_PREFIX):
             continue
         group = streams.setdefault(_group_of(entry), {})
         group.setdefault(probe, []).append(entry)
     return streams
 
 
-def _signature(entry: LedgerEntry) -> Tuple[str, str, Optional[str], Optional[str]]:
-    return (entry.obj, entry.op, entry.key, entry.via)
+def _signature(entry: EntryDict) -> Tuple[str, str, Optional[str], Optional[str]]:
+    return (entry["obj"], entry["op"], entry["key"], entry["via"])
 
 
-def _by_signature(entries: Iterable[LedgerEntry]):
-    grouped: Dict[Tuple, List[LedgerEntry]] = {}
+def _by_signature(entries: Iterable[EntryDict]):
+    grouped: Dict[Tuple, List[EntryDict]] = {}
     for entry in entries:
         grouped.setdefault(_signature(entry), []).append(entry)
     return grouped
 
 
-def _details_of(entries: List[LedgerEntry]) -> List[str]:
-    return sorted(_fmt(entry.detail) for entry in entries)
+def _details_of(entries: List[EntryDict]) -> List[str]:
+    return sorted(_fmt(entry["detail"]) for entry in entries)
 
 
 def _culprits(
-    observed: List[LedgerEntry], baseline: List[LedgerEntry]
+    observed: List[EntryDict], baseline: List[EntryDict]
 ) -> List[Culprit]:
     """Multiset-diff the two operation streams, signature by signature."""
-    observed_ops = [e for e in observed if e.op != "probe.result"]
-    baseline_ops = [e for e in baseline if e.op != "probe.result"]
+    observed_ops = [e for e in observed if e["op"] != "probe.result"]
+    baseline_ops = [e for e in baseline if e["op"] != "probe.result"]
     by_sig_observed = _by_signature(observed_ops)
     by_sig_baseline = _by_signature(baseline_ops)
     culprits: List[Culprit] = []
@@ -298,22 +298,24 @@ def _culprits(
             via=via,
             baseline_count=len(base),
             observed_count=len(obs),
-            entry_ids=[e.entry_id for e in obs],
+            entry_ids=[e["entry_id"] for e in obs],
         )
         if kind == "changed":
-            diff_base = [e for e in base if e.detail not in [o.detail for o in obs]]
-            diff_obs = [e for e in obs if e.detail not in [b.detail for b in base]]
+            observed_details = [e["detail"] for e in obs]
+            baseline_details = [e["detail"] for e in base]
+            diff_base = [d for d in baseline_details if d not in observed_details]
+            diff_obs = [d for d in observed_details if d not in baseline_details]
             if diff_base:
-                culprit.detail_baseline = diff_base[0].detail
+                culprit.detail_baseline = diff_base[0]
             if diff_obs:
-                culprit.detail_observed = diff_obs[0].detail
+                culprit.detail_observed = diff_obs[0]
         culprits.append(culprit)
     return culprits
 
 
 def build_attribution(
-    entries: Iterable[LedgerEntry],
-    baseline_entries: Optional[Iterable[LedgerEntry]] = None,
+    entries: Iterable[EntryDict],
+    baseline_entries: Optional[Iterable[EntryDict]] = None,
 ) -> AttributionReport:
     """Reconstruct the attribution table from ledger entries.
 
@@ -324,13 +326,13 @@ def build_attribution(
     """
     streams = _probe_streams(entries)
     baseline_label: Optional[str] = None
-    baseline_streams: Dict[str, List[LedgerEntry]] = {}
+    baseline_streams: Dict[str, List[EntryDict]] = {}
     if VANILLA_GROUP in streams:
         baseline_label = VANILLA_GROUP
         baseline_streams = streams[VANILLA_GROUP]
     elif baseline_entries is not None:
         external = _probe_streams(baseline_entries)
-        merged: Dict[str, List[LedgerEntry]] = {}
+        merged: Dict[str, List[EntryDict]] = {}
         for group_streams in external.values():
             for probe, stream in group_streams.items():
                 merged.setdefault(probe, []).extend(stream)
@@ -341,11 +343,11 @@ def build_attribution(
     for group_label, probes in streams.items():
         group = GroupAttribution(group=group_label)
         for probe_name, stream in probes.items():
-            results = [e for e in stream if e.op == "probe.result"]
+            results = [e for e in stream if e["op"] == "probe.result"]
             fired = any(
-                bool((e.detail or {}).get("fired")) for e in results
+                bool((e["detail"] or {}).get("fired")) for e in results
             )
-            ops = [e for e in stream if e.op != "probe.result"]
+            ops = [e for e in stream if e["op"] != "probe.result"]
             attribution = ProbeAttribution(
                 probe=probe_name, fired=fired, accesses=len(ops)
             )

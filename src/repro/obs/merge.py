@@ -17,7 +17,8 @@ have exported:
   are the dicts :mod:`repro.obs.span` describes, as the merge reads
   them from the shard checkpoints.
 - **ledger entries**: renumbered sequentially, timestamps shifted; they
-  too stay the parsed JSON dicts the checkpoints hold.
+  too are the dicts :mod:`repro.obs.probes` describes, as the merge
+  reads them from the shard checkpoints.
 
 :class:`Splice` carries the running id bases and clock offset from one
 shard to the next, so the rebasing rule lives in one place: the shard

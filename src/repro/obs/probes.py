@@ -10,6 +10,21 @@ Proxy trap firings (trap vs. forward), ``toString`` renderings and WebIDL
 brand checks -- so each side effect can be attributed to the exact
 accesses that exposed it.
 
+An entry is a plain dict with eight keys (:data:`ENTRY_KEYS`), the same
+from :meth:`ProbeLedger.record` to every reader, and the same dict a
+``crawl.ledger.jsonl`` line or a checkpoint's entry list parses to:
+
+- ``entry_id``: sequential, 1-based, in record order;
+- ``ts_ms``: the virtual clock at record time;
+- ``scope``: the ``/``-joined scope stack at record time (may be ``""``);
+- ``obj``: the label of the instrumented object (e.g.
+  ``navigator.__proto__``);
+- ``op``: the operation (``get``, ``ownKeys``, ``toString``, ...);
+- ``key``: the property key of a keyed operation, else ``None``;
+- ``via``: ``"trap"``/``"forward"`` for a proxy operation, else ``None``;
+- ``detail``: the JSON-safe operation payload (result keys, function
+  name, ...), or ``None``.
+
 Determinism contract (same as the span tracer):
 
 - entry ids are sequential in record order;
@@ -49,69 +64,13 @@ SPOOF_SCOPE_PREFIX = "spoof.install:"
 #: navigator a probe compares against.
 REFERENCE_LABEL_PREFIX = "ref:"
 
-class LedgerEntry:
-    """One fundamental operation observed on an instrumented object."""
+#: A ledger entry: the parsed JSON a ledger line or checkpoint item holds.
+EntryDict = Dict[str, Any]
 
-    __slots__ = ("entry_id", "ts_ms", "scope", "obj", "op", "key", "via", "detail")
-
-    def __init__(
-        self,
-        entry_id: int,
-        ts_ms: float,
-        scope: str,
-        obj: str,
-        op: str,
-        key: Optional[str] = None,
-        via: Optional[str] = None,
-        detail: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        self.entry_id = entry_id
-        self.ts_ms = ts_ms
-        #: ``/``-joined scope stack at record time (may be ``""``).
-        self.scope = scope
-        #: Label of the instrumented object (e.g. ``navigator.__proto__``).
-        self.obj = obj
-        #: Operation name (``get``, ``ownKeys``, ``toString``, ...).
-        self.op = op
-        #: Property key, for keyed operations.
-        self.key = key
-        #: ``"trap"``/``"forward"`` for proxy operations, else ``None``.
-        self.via = via
-        #: JSON-safe operation payload (result keys, function name, ...).
-        self.detail = detail
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "entry_id": self.entry_id,
-            "ts_ms": self.ts_ms,
-            "scope": self.scope,
-            "obj": self.obj,
-            "op": self.op,
-            "key": self.key,
-            "via": self.via,
-            "detail": self.detail,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "LedgerEntry":
-        return cls(
-            entry_id=int(data["entry_id"]),
-            ts_ms=float(data["ts_ms"]),
-            scope=str(data["scope"]),
-            obj=str(data["obj"]),
-            op=str(data["op"]),
-            key=data.get("key"),
-            via=data.get("via"),
-            detail=data.get("detail"),
-        )
-
-    def __eq__(self, other: Any) -> bool:
-        return isinstance(other, LedgerEntry) and self.to_dict() == other.to_dict()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        via = f" via={self.via}" if self.via else ""
-        key = f" {self.key!r}" if self.key is not None else ""
-        return f"<LedgerEntry #{self.entry_id} {self.obj}.{self.op}{key}{via}>"
+#: The keys of every entry.
+ENTRY_KEYS = frozenset(
+    ("entry_id", "ts_ms", "scope", "obj", "op", "key", "via", "detail")
+)
 
 
 class ProbeLedger:
@@ -126,7 +85,7 @@ class ProbeLedger:
 
     def __init__(self, clock: Optional[VirtualClock] = None) -> None:
         self.clock = clock if clock is not None else VirtualClock()
-        self._entries: List[LedgerEntry] = []
+        self._entries: List[EntryDict] = []
         self._next_id = 1
         self._scope_stack: List[str] = []
         self._scope_str = ""
@@ -145,20 +104,22 @@ class ProbeLedger:
         key: Optional[str] = None,
         via: Optional[str] = None,
         detail: Optional[Dict[str, Any]] = None,
-    ) -> LedgerEntry:
-        entry = LedgerEntry(
-            self._next_id,
-            self.clock.now(),
-            self._scope_str,
-            obj,
-            op,
-            key=key,
-            via=via,
-            detail=detail,
+    ) -> None:
+        """Append one entry, stamped with the next id, the clock and the
+        current scope."""
+        self._entries.append(
+            {
+                "entry_id": self._next_id,
+                "ts_ms": self.clock.now(),
+                "scope": self._scope_str,
+                "obj": obj,
+                "op": op,
+                "key": key,
+                "via": via,
+                "detail": detail,
+            }
         )
         self._next_id += 1
-        self._entries.append(entry)
-        return entry
 
     @contextmanager
     def scope(self, label: str) -> Iterator[None]:
@@ -177,67 +138,52 @@ class ProbeLedger:
     # -- introspection ---------------------------------------------------
 
     @property
-    def entries(self) -> List[LedgerEntry]:
+    def entries(self) -> List[EntryDict]:
         return self._entries
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def slice_from(self, start: int) -> List[LedgerEntry]:
+    def slice_from(self, start: int) -> List[EntryDict]:
         """Entries recorded since ``start`` (= an earlier ``len(self)``)."""
         return self._entries[start:]
-
-    def op_counts(self) -> Dict[str, int]:
-        """``{op: count}`` over the whole ledger, sorted by op name."""
-        counts: Dict[str, int] = {}
-        for entry in self._entries:
-            counts[entry.op] = counts.get(entry.op, 0) + 1
-        return {op: counts[op] for op in sorted(counts)}
 
     # -- serialisation ---------------------------------------------------
 
     def state_dict(self, entries: Any = None) -> Dict[str, Any]:
         """JSON-safe snapshot of the ledger.
 
-        ``entries`` stands in for the encoded entry list: a checkpoint
-        writer passes the JSON array it keeps for :attr:`entries`.
+        The snapshot holds the ledger's own entry dicts, not copies.
+        ``entries`` stands in for the entry list: a checkpoint writer
+        passes the JSON array it keeps for :attr:`entries`.
         """
         return {
             "next_id": self._next_id,
             "scopes": list(self._scope_stack),
             "probe_sizes": list(self.probe_sizes),
-            "entries": (
-                [entry.to_dict() for entry in self._entries]
-                if entries is None
-                else entries
-            ),
+            "entries": list(self._entries) if entries is None else entries,
         }
 
     def load_state(self, state: Dict[str, Any]) -> None:
-        self._next_id = int(state.get("next_id", 1))
-        self._scope_stack = [str(s) for s in state.get("scopes", [])]
+        """Replace the ledger's contents with a checkpointed snapshot,
+        adopting its entry dicts."""
+        self._next_id = state["next_id"]
+        self._scope_stack = list(state["scopes"])
         self._scope_str = "/".join(self._scope_stack)
-        self.probe_sizes = [int(size) for size in state.get("probe_sizes", [])]
-        self._entries = [
-            LedgerEntry.from_dict(data) for data in state.get("entries", [])
-        ]
+        self.probe_sizes = list(state["probe_sizes"])
+        self._entries = list(state["entries"])
 
 
 # -- canonical JSONL export ---------------------------------------------------
 
 
-def entry_to_json(entry: LedgerEntry) -> str:
-    """One entry as a canonical single-line JSON object."""
-    return canonical_json(entry.to_dict())
-
-
-def ledger_to_jsonl(entries: Iterable[LedgerEntry]) -> str:
+def ledger_to_jsonl(entries: Iterable[EntryDict]) -> str:
     """The whole ledger as canonical JSONL (trailing newline included)."""
-    return lines_to_jsonl([entry_to_json(entry) for entry in entries])
+    return lines_to_jsonl([canonical_json(entry) for entry in entries])
 
 
 def write_ledger(
-    path: Union[str, Path], ledger: Union[ProbeLedger, Iterable[LedgerEntry]]
+    path: Union[str, Path], ledger: Union[ProbeLedger, Iterable[EntryDict]]
 ) -> Path:
     """Write a JSONL ledger file; returns the path written."""
     entries = ledger.entries if isinstance(ledger, ProbeLedger) else ledger
@@ -246,17 +192,27 @@ def write_ledger(
     return path
 
 
-def parse_ledger(text: str) -> List[LedgerEntry]:
-    """Parse JSONL back into entries (inverse of :func:`ledger_to_jsonl`)."""
+def parse_ledger(text: str) -> List[EntryDict]:
+    """Parse JSONL back into entries (inverse of :func:`ledger_to_jsonl`).
+
+    Raises :class:`ValueError` on a line that is not an object with
+    exactly the :data:`ENTRY_KEYS`.
+    """
     entries = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line:
-            entries.append(LedgerEntry.from_dict(json.loads(line)))
+    for number, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        entry = json.loads(line)
+        if not isinstance(entry, dict) or entry.keys() != ENTRY_KEYS:
+            raise ValueError(
+                f"ledger line {number} is not an entry with the keys "
+                f"{', '.join(sorted(ENTRY_KEYS))}"
+            )
+        entries.append(entry)
     return entries
 
 
-def read_ledger(path: Union[str, Path]) -> List[LedgerEntry]:
+def read_ledger(path: Union[str, Path]) -> List[EntryDict]:
     """Read a JSONL ledger file written by :func:`write_ledger`."""
     return parse_ledger(Path(path).read_text())
 

@@ -14,7 +14,11 @@ every artifact (checkpoint, trace, metrics, records, ledger) byte for
 byte, exiting non-zero on the first divergence.
 
 An output directory that belongs to another run, or a shard checkpoint
-the merge cannot read, prints ``error: <message>`` and exits 1.
+the merge cannot read, prints ``error: <message>`` and exits 1.  An
+out-of-range argument (``--instances`` or ``--shard-size`` below 1,
+``--max-shards`` below 0, ``--fault-rate`` outside [0, 1]) or a
+population too small for its roles is a usage error: it exits 2 and
+writes nothing.
 """
 
 from __future__ import annotations
@@ -189,9 +193,23 @@ def _verify(
     return 0
 
 
+def _check_ranges(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Refuse an out-of-range argument as a usage error (exit 2), before
+    anything is written."""
+    if args.instances < 1:
+        parser.error(f"--instances must be at least 1, got {args.instances}")
+    if args.shard_size < 1:
+        parser.error(f"--shard-size must be at least 1, got {args.shard_size}")
+    if args.max_shards is not None and args.max_shards < 0:
+        parser.error(f"--max-shards must be at least 0, got {args.max_shards}")
+    if not 0.0 <= args.fault_rate <= 1.0:
+        parser.error(f"--fault-rate must be in [0, 1], got {args.fault_rate}")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _check_ranges(parser, args)
     try:
         population = _population(args)
     except ValueError as error:

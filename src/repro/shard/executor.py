@@ -134,8 +134,11 @@ def run_sharded_crawl(
     directory skips shards the manifest records and picks up mid-shard
     supervisor checkpoints for the rest.  ``max_shards`` bounds how many
     missing shards this invocation executes (interrupt injection for
-    tests; None means all); a run it stops merges nothing.
+    tests; None means all); a run it stops merges nothing.  A negative
+    ``max_shards`` raises :class:`ValueError` before anything is written.
     """
+    if max_shards is not None and max_shards < 0:
+        raise ValueError(f"max_shards must be at least 0, got {max_shards}")
     spec = ShardRunSpec(
         crawler_name=crawler_name,
         seed=seed,

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Dict, Union
 
-from repro.crawl.checkpoint import tmp_sibling
+from repro.crawl.checkpoint import write_atomically
 from repro.shard.plan import ShardPlan
 from repro.shard.worker import ShardRunSpec
 
@@ -126,6 +126,6 @@ class ShardManifest:
 
     def save(self) -> None:
         """Atomically persist the manifest."""
-        tmp = tmp_sibling(self.path)
-        tmp.write_text(json.dumps(self.data, sort_keys=True, indent=1))
-        tmp.replace(self.path)
+        write_atomically(
+            [(self.path, [json.dumps(self.data, sort_keys=True, indent=1)])]
+        )

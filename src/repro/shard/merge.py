@@ -53,9 +53,10 @@ each in the byte-stable form the oracle tests diff against a serial
 run.  The checkpoint is a version-4 supervisor checkpoint: loadable by
 a serial :class:`~repro.crawl.supervisor.CrawlSupervisor` to extend the
 crawl, and byte-identical to the final checkpoint the serial run
-writes.  Every file is written to a ``.tmp`` sibling, a part at a time,
-and moved into place once all are written; on any exception the tmp
-files are removed.
+writes.  The files go through
+:func:`~repro.crawl.checkpoint.write_atomically`: each is written to a
+``.tmp`` sibling, a part at a time, and all are moved into place once
+all are written; on any exception the tmp files are removed.
 
 The merged :class:`~repro.crawl.crawler.CrawlResult` is parsed from the
 record texts on first read, since the CLI and a sharded pass that only
@@ -75,7 +76,7 @@ from repro.crawl.checkpoint import (
     checkpoint_payload,
     dump_parts,
     read_checkpoint,
-    tmp_sibling,
+    write_atomically,
 )
 from repro.crawl.crawler import CrawlResult
 from repro.crawl.supervisor import SupervisorStats
@@ -134,23 +135,6 @@ def _separated(texts: Sequence[str], separator: str) -> List[str]:
     parts = [separator] * (2 * len(texts) - 1)
     parts[::2] = texts
     return parts
-
-
-def _write_files(files: Sequence[Tuple[Path, Iterable[str]]]) -> None:
-    """Write each file's parts to its ``.tmp`` sibling, then move every
-    tmp file into place.  On any exception the tmp files are removed, so
-    a write that fails replaces no file and leaves nothing behind."""
-    tmps = [tmp_sibling(path) for path, _ in files]
-    try:
-        for tmp, (_, parts) in zip(tmps, files):
-            with tmp.open("w") as handle:
-                handle.writelines(parts)
-        for tmp, (path, _) in zip(tmps, files):
-            tmp.replace(path)
-    except BaseException:
-        for tmp in tmps:
-            tmp.unlink(missing_ok=True)
-        raise
 
 
 class ShardMerge:
@@ -294,7 +278,7 @@ class ShardMerge:
         if artifacts.ledger is not None:
             files.append((artifacts.ledger, jsonl_parts(self._entry_texts)))
         files.append((artifacts.checkpoint, dump_parts(payload)))
-        _write_files(files)
+        write_atomically(files)
 
         return MergedCrawl(
             stats=stats,

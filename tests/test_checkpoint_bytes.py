@@ -17,10 +17,12 @@ interrupted crawl resumed over the full population, and a second
 re-opens the closed root span.
 """
 
+import errno
 import hashlib
 import json
 from collections import Counter
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -34,7 +36,7 @@ from repro.crawl import (
 from repro.crawl import checkpoint as checkpoint_module
 from repro.crawl.visit import VisitRecord
 from repro.faults import FaultPlan
-from repro.obs.probes import LedgerEntry, ProbeLedger
+from repro.obs.probes import ProbeLedger
 from repro.obs.tracer import NULL_TRACER
 from repro.spoofing import SpoofingExtension
 
@@ -256,6 +258,60 @@ def test_second_crawl_over_grown_population(tmp_path, writes):
     assert writes == DIGESTS["second-crawl-grown"]
 
 
+class TornFile:
+    """An open file that takes ``budget`` characters, then fails as a
+    full disk does."""
+
+    def __init__(self, handle, budget):
+        self.handle = handle
+        self.budget = budget
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.handle.close()
+
+    def write(self, text):
+        if len(text) > self.budget:
+            self.handle.write(text[: self.budget])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.budget -= len(text)
+        return self.handle.write(text)
+
+    def writelines(self, parts):
+        for part in parts:
+            self.write(part)
+
+
+def test_a_write_torn_mid_file_keeps_the_previous_checkpoint(
+    tmp_path, monkeypatch
+):
+    """A checkpoint write that fails mid-file stops the crawl, replaces
+    nothing and leaves no tmp file: the resume finds the last complete
+    checkpoint, byte for byte."""
+    checkpoint = tmp_path / "ck.json"
+    opened = []
+    open_path = Path.open
+
+    def torn_second_write(self, mode="r", *args, **kwargs):
+        handle = open_path(self, mode, *args, **kwargs)
+        if "w" in mode and self.name.endswith(".tmp"):
+            opened.append(self.name)
+            if len(opened) == 2:
+                return TornFile(handle, budget=1000)
+        return handle
+
+    monkeypatch.setattr(Path, "open", torn_second_write)
+    with pytest.raises(OSError, match="No space left"):
+        make_supervisor(3).crawl(POPULATION, checkpoint_path=checkpoint)
+    assert opened == ["ck.json.tmp"] * 2
+    assert list(tmp_path.iterdir()) == [checkpoint]
+    assert hashlib.sha256(checkpoint.read_bytes()).hexdigest() == (
+        DIGESTS["traced-every-3"][0]
+    )
+
+
 def test_each_item_is_encoded_once(tmp_path, monkeypatch):
     """Writes re-encode only what changed: every record and ledger entry
     is encoded once per crawl, every span once after it finishes plus
@@ -269,22 +325,15 @@ def test_each_item_is_encoded_once(tmp_path, monkeypatch):
         encoder_calls["items"] += 1
         return to_json(self)
 
-    to_dict = LedgerEntry.to_dict
-
-    def counted_entry(self):
-        encodes[id(self)] += 1
-        return to_dict(self)
-
     monkeypatch.setattr(VisitRecord, "to_json", counted_record)
-    monkeypatch.setattr(LedgerEntry, "to_dict", counted_entry)
     # A record is encoded by its ``to_json``, counted above with the
-    # items; a span as the dict it is and an entry as its ``to_dict``,
-    # both through the checkpoint's canonical JSON.
+    # items; a span and an entry as the dict each is, through the
+    # checkpoint's canonical JSON.
     encode = checkpoint_module.canonical_json
 
     def counted_json(value):
         encoder_calls["items"] += 1
-        if "span_id" in value:
+        if "span_id" in value or "entry_id" in value:
             encodes[id(value)] += 1
         return encode(value)
 

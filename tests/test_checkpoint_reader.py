@@ -4,8 +4,8 @@ The shard merge joins each shard checkpoint's record-array text into
 its own files without decoding it, so the reader must return exactly
 what ``json.loads`` returns for every other value, locate the record
 array exactly, and refuse any layout other than the one
-``repro.crawl.checkpoint.dumps`` writes -- whatever the record strings
-contain -- and any record array that does not match its digest.
+``repro.crawl.checkpoint.dump_parts`` encodes -- whatever the record
+strings contain -- and any record array that does not match its digest.
 """
 
 import hashlib
@@ -17,10 +17,15 @@ from hypothesis import given, settings, strategies as st
 from repro.crawl.checkpoint import (
     EncodedArray,
     checkpoint_payload,
-    dumps,
+    dump_parts,
     split_checkpoint,
 )
 from repro.obs.export import canonical_json
+
+
+def encode(value):
+    """The checkpoint text :func:`dump_parts` writes, a part at a time."""
+    return "".join(dump_parts(value))
 
 #: Strings that look like the layout the reader walks, plus non-ASCII.
 TRICKY = st.sampled_from(
@@ -120,7 +125,7 @@ class TestSplitCheckpoint:
     @given(checkpoints())
     def test_returns_each_head_value_and_the_record_offsets(self, drawn):
         payload, records = drawn
-        text = dumps(payload)
+        text = encode(payload)
         head, (start, end) = split_checkpoint(text)
         expected = json.loads(text)
         assert expected.pop("records") == records
@@ -136,16 +141,16 @@ class TestSplitCheckpoint:
     @given(checkpoints())
     def test_record_text_splices_back_verbatim(self, drawn):
         payload, _ = drawn
-        text = dumps(payload)
+        text = encode(payload)
         _, (start, end) = split_checkpoint(text)
         spliced = dict(payload, records=EncodedArray([text[start + 1 : end - 1]]))
-        assert dumps(spliced) == text
+        assert encode(spliced) == text
 
     @settings(max_examples=60, deadline=None)
     @given(checkpoints())
     def test_any_other_layout_raises(self, drawn):
         payload, _ = drawn
-        text = dumps(payload)
+        text = encode(payload)
         parsed = json.loads(text)
         records_first = {
             key: payload[key] for key in ("version", "records_sha256", "records")
@@ -158,10 +163,10 @@ class TestSplitCheckpoint:
             text + "\n",
             text[:-1],
             # Records not last.
-            dumps(records_first),
+            encode(records_first),
             # No digest, or another one.
-            dumps({k: v for k, v in payload.items() if k != "records_sha256"}),
-            dumps(dict(payload, records_sha256="0" * 64)),
+            encode({k: v for k, v in payload.items() if k != "records_sha256"}),
+            encode(dict(payload, records_sha256="0" * 64)),
         ):
             with pytest.raises(ValueError):
                 split_checkpoint(other)

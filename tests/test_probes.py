@@ -39,8 +39,8 @@ from repro.obs.diff import ExportKindError, diff_exports
 from repro.obs.metrics import crawl_metrics
 from repro.obs.probes import (
     PROBE_SCOPE_PREFIX,
+    ENTRY_KEYS,
     SPOOF_SCOPE_PREFIX,
-    LedgerEntry,
     ProbeLedger,
     instrument,
     instrument_window,
@@ -58,7 +58,7 @@ def automated_window() -> Window:
 
 
 def ops(ledger: ProbeLedger):
-    return [entry.op for entry in ledger.entries]
+    return [entry["op"] for entry in ledger.entries]
 
 
 # -- the ledger itself -----------------------------------------------------
@@ -71,8 +71,8 @@ class TestProbeLedger:
         ledger.record("get", "navigator", key="webdriver")
         clock.advance(25.0)
         ledger.record("ownKeys", "navigator")
-        assert [e.entry_id for e in ledger.entries] == [1, 2]
-        assert [e.ts_ms for e in ledger.entries] == [0.0, 25.0]
+        assert [e["entry_id"] for e in ledger.entries] == [1, 2]
+        assert [e["ts_ms"] for e in ledger.entries] == [0.0, 25.0]
 
     def test_scopes_nest_and_pop(self):
         ledger = ProbeLedger()
@@ -83,7 +83,7 @@ class TestProbeLedger:
                 ledger.record("get", "navigator")
             ledger.record("get", "navigator")
         ledger.record("get", "navigator")
-        assert [e.scope for e in ledger.entries] == [
+        assert [e["scope"] for e in ledger.entries] == [
             "",
             "outer",
             "outer/inner",
@@ -97,7 +97,7 @@ class TestProbeLedger:
             with ledger.scope("doomed"):
                 raise RuntimeError("boom")
         ledger.record("get", "navigator")
-        assert ledger.entries[-1].scope == ""
+        assert ledger.entries[-1]["scope"] == ""
 
     def test_metrics_folding(self):
         ledger = ProbeLedger()
@@ -128,7 +128,7 @@ class TestProbeLedger:
         assert other.entries == ledger.entries
         assert other.probe_sizes == ledger.probe_sizes == [1]
         other.record("set", "navigator")
-        assert other.entries[-1].entry_id == 3
+        assert other.entries[-1]["entry_id"] == 3
 
     def test_jsonl_roundtrip_is_canonical(self):
         ledger = ProbeLedger()
@@ -146,13 +146,19 @@ class TestProbeLedger:
         path = write_ledger(tmp_path / "ledger.jsonl", ledger)
         assert read_ledger(path) == ledger.entries
 
-    def test_op_counts_sorted(self):
+    @pytest.mark.parametrize("key", [*sorted(ENTRY_KEYS), "extra"])
+    def test_parse_refuses_a_line_without_exactly_the_entry_keys(self, key):
         ledger = ProbeLedger()
-        ledger.record("set", "navigator")
-        ledger.record("get", "navigator")
-        ledger.record("get", "navigator")
-        assert ledger.op_counts() == {"get": 2, "set": 1}
-        assert list(ledger.op_counts()) == ["get", "set"]
+        ledger.record("get", "navigator", key="webdriver")
+        ledger.record("get", "navigator", key="plugins")
+        # Line 2 lacks one of the eight keys, or holds one more.
+        broken = ledger.entries[1]
+        if key in broken:
+            del broken[key]
+        else:
+            broken[key] = None
+        with pytest.raises(ValueError, match="ledger line 2"):
+            parse_ledger(ledger_to_jsonl(ledger.entries))
 
 
 # -- jsobject hook points --------------------------------------------------
@@ -181,7 +187,7 @@ class TestJSObjectHooks:
         obj.has("answer")
         obj.has_own("missing")
         obj.delete("answer")
-        recorded = [(e.op, e.key) for e in ledger.entries]
+        recorded = [(e["op"], e["key"]) for e in ledger.entries]
         assert recorded == [
             ("get", "answer"),
             ("set", "answer"),
@@ -189,9 +195,9 @@ class TestJSObjectHooks:
             ("hasOwn", "missing"),
             ("delete", "answer"),
         ]
-        assert ledger.entries[2].detail == {"result": True}
-        assert ledger.entries[3].detail == {"result": False}
-        assert ledger.entries[4].detail == {"result": True}
+        assert ledger.entries[2]["detail"] == {"result": True}
+        assert ledger.entries[3]["detail"] == {"result": False}
+        assert ledger.entries[4]["detail"] == {"result": True}
 
     def test_define_property_and_enumeration(self):
         obj, ledger = self.instrumented()
@@ -201,12 +207,12 @@ class TestJSObjectHooks:
         names = obj.own_property_names()
         enumerable = obj.own_enumerable_names()
         entries = ledger.entries
-        assert entries[0].op == "defineProperty"
-        assert entries[0].detail["kind"] == "data"
-        assert entries[1].op == "ownKeys"
-        assert entries[1].detail == {"keys": names}
-        assert entries[2].op == "enumerate"
-        assert entries[2].detail == {"keys": enumerable}
+        assert entries[0]["op"] == "defineProperty"
+        assert entries[0]["detail"]["kind"] == "data"
+        assert entries[1]["op"] == "ownKeys"
+        assert entries[1]["detail"] == {"keys": names}
+        assert entries[2]["op"] == "enumerate"
+        assert entries[2]["detail"] == {"keys": enumerable}
 
     def test_prototype_operations(self):
         ledger = ProbeLedger()
@@ -227,12 +233,12 @@ class TestJSObjectHooks:
         obj = JSObject(proto=proto)
         instrument(obj, ledger, "thing")
         assert obj.get("computed") == 7
-        recorded = [(e.op, e.obj) for e in ledger.entries]
+        recorded = [(e["op"], e["obj"]) for e in ledger.entries]
         assert recorded == [
             ("get", "thing"),
             ("getter", "thing.__proto__"),
         ]
-        assert ledger.entries[1].detail == {"native": False}
+        assert ledger.entries[1]["detail"] == {"native": False}
 
 
 class TestFunctionHooks:
@@ -243,8 +249,8 @@ class TestFunctionHooks:
         fn._probe_label = "navigator.sendBeacon"
         fn.to_string()
         entry = ledger.entries[0]
-        assert entry.op == "toString"
-        assert entry.detail == {"name": "sendBeacon", "native": True}
+        assert entry["op"] == "toString"
+        assert entry["detail"] == {"name": "sendBeacon", "native": True}
 
     def test_brand_check_throw_recorded(self):
         ledger = ProbeLedger()
@@ -253,10 +259,10 @@ class TestFunctionHooks:
         proto = navigator.proto
         with pytest.raises(JSTypeError):
             proto.get("webdriver", receiver=proto)
-        brand_checks = [e for e in ledger.entries if e.op == "brandCheck"]
+        brand_checks = [e for e in ledger.entries if e["op"] == "brandCheck"]
         assert len(brand_checks) == 1
-        assert brand_checks[0].detail["result"] == "throw"
-        assert brand_checks[0].key == "webdriver"
+        assert brand_checks[0]["detail"]["result"] == "throw"
+        assert brand_checks[0]["key"] == "webdriver"
 
     def test_bound_anonymous_wrapper_inherits_ledger(self):
         ledger = ProbeLedger()
@@ -267,8 +273,8 @@ class TestFunctionHooks:
         start = len(ledger)
         wrapper.to_string()
         entry = ledger.slice_from(start)[-1]
-        assert entry.op == "toString"
-        assert entry.detail == {"name": "", "native": True}
+        assert entry["op"] == "toString"
+        assert entry["detail"] == {"name": "", "native": True}
 
 
 # -- proxy trap vs forward -------------------------------------------------
@@ -304,7 +310,7 @@ class TestProxyForwarding:
             assert obj.has("b") is False
         # the instrumented proxy forwarded every operation...
         forwarded = [
-            (e.op, e.key) for e in ledger.entries if e.via == "forward"
+            (e["op"], e["key"]) for e in ledger.entries if e["via"] == "forward"
         ]
         assert ("set", "a") in forwarded
         assert ("set", "c") in forwarded
@@ -327,7 +333,9 @@ class TestProxyForwarding:
         instrument(proxy, ledger, "navigator")
         assert proxy.get("x") == 99
         assert proxy.has("x") is True
-        vias = [(e.op, e.via) for e in ledger.entries if e.obj == "navigator"]
+        vias = [
+            (e["op"], e["via"]) for e in ledger.entries if e["obj"] == "navigator"
+        ]
         assert ("get", "trap") in vias
         assert ("has", "forward") in vias
 
@@ -335,7 +343,7 @@ class TestProxyForwarding:
         proxy, _, ledger = self.handlerless_pair()
         proxy.own_property_names()
         proxy.get_own_property("a")
-        recorded = [(e.op, e.via) for e in ledger.entries]
+        recorded = [(e["op"], e["via"]) for e in ledger.entries]
         assert ("ownKeys", "forward") in recorded
         assert ("getOwnPropertyDescriptor", "forward") in recorded
 
@@ -381,14 +389,14 @@ class TestSpoofScopes:
         instrument_window(window, ledger)
         apply_spoofing(window, method)
         scope = SPOOF_SCOPE_PREFIX + method.name.lower()
-        install_entries = [e for e in ledger.entries if e.scope == scope]
+        install_entries = [e for e in ledger.entries if e["scope"] == scope]
         # methods 1-3 manipulate the instrumented graph during install;
         # method 4 only wraps it in a fresh proxy (nothing to record).
         if method is SpoofingMethod.PROXY:
             assert install_entries == []
         else:
             assert install_entries
-            assert all(e.scope.startswith(scope) for e in install_entries)
+            assert all(e["scope"].startswith(scope) for e in install_entries)
 
     def test_proxy_reinstrumented_after_install(self):
         ledger = ProbeLedger()
@@ -403,7 +411,7 @@ class TestSpoofScopes:
         window = automated_window()
         instrument_window(window, ledger)
         SpoofingExtension(SpoofingMethod.DEFINE_PROPERTY).inject(window)
-        scopes = {e.scope for e in ledger.entries}
+        scopes = {e["scope"] for e in ledger.entries}
         assert (
             "extension.inject:define_property/"
             + SPOOF_SCOPE_PREFIX
@@ -461,10 +469,10 @@ class TestDetectionWiring:
         for effect, slice_entries in result.ledger_slices.items():
             assert slice_entries, f"empty slice for {effect}"
             scope = PROBE_SCOPE_PREFIX + effect.name
-            assert all(scope in e.scope for e in slice_entries)
+            assert all(scope in e["scope"] for e in slice_entries)
             # the slice ends with the probe's own verdict
-            assert slice_entries[-1].op == "probe.result"
-            assert slice_entries[-1].detail == {"fired": True}
+            assert slice_entries[-1]["op"] == "probe.result"
+            assert slice_entries[-1]["detail"] == {"fired": True}
 
     def test_probe_slices_cover_every_probe(self):
         ledger = ProbeLedger()
@@ -621,9 +629,18 @@ class TestDiff:
     def test_added_removed_changed(self, tmp_path):
         base = self.sample_ledger()
         a = write_ledger(tmp_path / "a.jsonl", base)
-        modified = [LedgerEntry.from_dict(e.to_dict()) for e in base.entries]
-        modified[1].key = "changed-key"
-        extra = LedgerEntry(3, 0.0, "a", "navigator", "has")
+        modified = [dict(e) for e in base.entries]
+        modified[1]["key"] = "changed-key"
+        extra = {
+            "entry_id": 3,
+            "ts_ms": 0.0,
+            "scope": "a",
+            "obj": "navigator",
+            "op": "has",
+            "key": None,
+            "via": None,
+            "detail": None,
+        }
         b = write_ledger(tmp_path / "b.jsonl", modified + [extra])
         result = diff_exports(a, b)
         assert not result.identical
@@ -801,6 +818,24 @@ class TestSupervisedLedger:
         sup.crawl(ledger_population(), checkpoint_path=ckpt)
         assert "ledger" not in json.loads(ckpt.read_text())
 
+    def test_entries_keep_one_form_in_ledger_export_and_checkpoint(self, tmp_path):
+        ledger = ProbeLedger()
+        checkpoint = tmp_path / "ckpt.json"
+        ledger_path = tmp_path / "ledger.jsonl"
+        ledger_supervisor(ledger=ledger).crawl(
+            ledger_population(), checkpoint_path=checkpoint, ledger_path=ledger_path
+        )
+        lines = [json.loads(line) for line in ledger_path.read_text().splitlines()]
+        state = json.loads(checkpoint.read_text())["ledger"]
+        assert ledger.entries  # the crawl actually recorded
+        assert ledger.entries == lines == state["entries"]
+        restored = ProbeLedger()
+        restored.load_state(state)
+        assert len(restored.entries) == len(state["entries"])
+        assert all(
+            mine is theirs for mine, theirs in zip(restored.entries, state["entries"])
+        )
+
     def test_checkpoint_carries_ledger_when_on(self, tmp_path):
         ckpt = tmp_path / "ckpt.json"
         ledger = ProbeLedger()
@@ -833,7 +868,7 @@ class TestSupervisedLedger:
             for name, value in state["counters"].items()
             if name.startswith("probe.ops.")
         }
-        assert op_counters == dict(Counter(e.op for e in ledger.entries))
+        assert op_counters == dict(Counter(e["op"] for e in ledger.entries))
         histogram = state["histograms"]["probe_accesses_per_probe"]
         assert histogram["count"] == len(ledger.probe_sizes) > 0
 
@@ -842,7 +877,7 @@ class TestSupervisedLedger:
         sup = ledger_supervisor(ledger=ledger)
         sup.crawl(ledger_population())
         assert all(
-            e.scope.startswith(PROBE_SCOPE_PREFIX) for e in ledger.entries
+            e["scope"].startswith(PROBE_SCOPE_PREFIX) for e in ledger.entries
         )
 
     def test_probe_ledger_span_event_emitted(self):

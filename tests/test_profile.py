@@ -522,12 +522,23 @@ class TestProfileCli:
         assert all(d["delta_ms"] == 0.0 for d in data["profile_delta"])
 
     def test_diff_profile_rejects_ledgers(self, tmp_path, capsys):
-        from repro.obs import LedgerEntry, ledger_to_jsonl
+        from repro.obs import ledger_to_jsonl
 
         ledger = tmp_path / "x.ledger.jsonl"
         ledger.write_text(
             ledger_to_jsonl(
-                [LedgerEntry(1, 0.0, "", "navigator.__proto__", "get")]
+                [
+                    {
+                        "entry_id": 1,
+                        "ts_ms": 0.0,
+                        "scope": "",
+                        "obj": "navigator.__proto__",
+                        "op": "get",
+                        "key": None,
+                        "via": None,
+                        "detail": None,
+                    }
+                ]
             )
         )
         assert (

@@ -742,6 +742,12 @@ class TestInterruptResume:
         resumed = run_sharded(out)
         assert resumed.complete
 
+    def test_negative_max_shards_is_refused_before_any_write(self, tmp_path):
+        out = tmp_path / "sharded"
+        with pytest.raises(ValueError, match="max_shards must be at least 0"):
+            run_sharded(out, max_shards=-1)
+        assert not out.exists()
+
     def test_rerun_of_a_complete_directory_runs_nothing(self, tmp_path):
         out = tmp_path / "sharded"
         assert run_sharded(out).complete
@@ -863,6 +869,26 @@ class TestShardCli:
         assert "n_sites=40 is too small for 44 special roles" in (
             capsys.readouterr().err
         )
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--max-shards", "-1", "--max-shards must be at least 0, got -1"),
+            ("--instances", "0", "--instances must be at least 1, got 0"),
+            ("--shard-size", "-5", "--shard-size must be at least 1, got -5"),
+            ("--fault-rate", "1.5", "--fault-rate must be in [0, 1], got 1.5"),
+            ("--fault-rate", "-0.1", "--fault-rate must be in [0, 1], got -0.1"),
+        ],
+    )
+    def test_out_of_range_arguments_are_usage_errors(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            shard_main(["--out", str(out_dir), "--sites", "60", flag, value])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_verify_exits_zero(self, tmp_path, capsys):
