@@ -126,19 +126,50 @@ def test_simulated_time_cost(benchmark):
     assert costs["hlisa_typing_ms"] > 10 * costs["selenium_typing_ms"]
 
 
-#: Traced/untraced pairs in the tracing-overhead benchmark: odd, so the
-#: median is one pair's ratio; about 2 s in all.
+#: Pairs in each overhead benchmark: odd, so the median is one pair's
+#: ratio.  Both benchmarks together take about 10 s on a 2-vCPU x86_64
+#: host.
 TRACING_PAIRS = 41
+
+
+def interleaved_pairs(crawl):
+    """Time ``crawl(True)`` and ``crawl(False)`` back to back in each of
+    :data:`TRACING_PAIRS` pairs, alternating which runs first, with GC
+    paused inside each pair.  Returns both sides' times and the last
+    ``crawl(True)`` result.  One crawl is short, so a single pair is
+    noisy, but load that drifts between pairs cannot bias the median
+    per-pair ratio."""
+    crawl(True), crawl(False)  # warm-up: caches, allocator, imports
+    on_s, off_s = [], []
+    for pair in range(TRACING_PAIRS):
+        gc.collect()
+        gc.disable()
+        try:
+            for on in (True, False) if pair % 2 == 0 else (False, True):
+                start = time.perf_counter()
+                result = crawl(on)
+                elapsed = time.perf_counter() - start
+                if on:
+                    on_s.append(elapsed)
+                    on_result = result
+                else:
+                    off_s.append(elapsed)
+        finally:
+            gc.enable()
+    return on_s, off_s, on_result
+
+
+def pair_overhead(on_s, off_s):
+    """Quartiles (low, median, high) of the per-pair ratios, less one."""
+    ratios = [on / off for on, off in zip(on_s, off_s)]
+    return tuple(q - 1.0 for q in statistics.quantiles(ratios, n=4))
 
 
 def test_perf_tracing_overhead(benchmark):
     """Observability must stay cheap: a fully traced supervised crawl may
     cost at most 10% more wall clock than the same crawl with tracing off
-    (``NULL_TRACER``).  Each of many pairs times both crawls back to
-    back, alternating which runs first, with GC paused; the budget
-    applies to the median per-pair ratio.  One crawl is short, so a
-    single pair is noisy, but load that drifts between pairs cannot
-    bias the median."""
+    (``NULL_TRACER``), as the median per-pair ratio of
+    :func:`interleaved_pairs`."""
 
     population = generate_population(
         PopulationConfig(
@@ -164,39 +195,18 @@ def test_perf_tracing_overhead(benchmark):
         supervisor.crawl(population)
         return supervisor
 
-    def measure():
-        crawl(True), crawl(False)  # warm-up: caches, allocator, imports
-        traced_s, untraced_s = [], []
-        for pair in range(TRACING_PAIRS):
-            gc.collect()
-            gc.disable()
-            try:
-                for traced in (True, False) if pair % 2 == 0 else (False, True):
-                    start = time.perf_counter()
-                    supervisor = crawl(traced)
-                    elapsed = time.perf_counter() - start
-                    if traced:
-                        traced_s.append(elapsed)
-                        n_spans = len(supervisor.tracer.spans)
-                    else:
-                        untraced_s.append(elapsed)
-            finally:
-                gc.enable()
-        return traced_s, untraced_s, n_spans
-
-    traced_s, untraced_s, n_spans = benchmark.pedantic(
-        measure, rounds=1, iterations=1
+    traced_s, untraced_s, supervisor = benchmark.pedantic(
+        lambda: interleaved_pairs(crawl), rounds=1, iterations=1
     )
-    ratios = [traced / untraced for traced, untraced in zip(traced_s, untraced_s)]
-    low, overhead, high = (q - 1.0 for q in statistics.quantiles(ratios, n=4))
+    low, overhead, high = pair_overhead(traced_s, untraced_s)
     print_table(
         "Tracing overhead on a supervised crawl",
         [
             f"{'tracing off (NULL_TRACER)':28s} "
             f"{statistics.median(untraced_s) * 1e3:8.1f} ms (median)",
             f"{'tracing on':28s} {statistics.median(traced_s) * 1e3:8.1f} ms "
-            f"(median, {n_spans} spans)",
-            f"{'overhead':28s} {overhead:+8.1%}  (median of {len(ratios)} pairs, "
+            f"(median, {len(supervisor.tracer.spans)} spans)",
+            f"{'overhead':28s} {overhead:+8.1%}  (median of {len(traced_s)} pairs, "
             f"IQR {low:+.1%} to {high:+.1%}; budget +10.0%)",
         ],
     )
@@ -206,10 +216,8 @@ def test_perf_tracing_overhead(benchmark):
 def test_perf_probe_ledger_overhead(benchmark):
     """The probe ledger is opt-in and must stay cheap when on: a
     ledger-recording supervised crawl may cost at most 10% more wall
-    clock than the same crawl with the ledger off (its default).
-    Minimum-of-rounds with alternating run order and GC paused, on a
-    crawl long enough (hundreds of ms) that bursty machine load averages
-    out inside each run instead of deciding the comparison."""
+    clock than the same crawl with the ledger off (its default), as the
+    median per-pair ratio of :func:`interleaved_pairs`."""
 
     population = generate_population(
         PopulationConfig(
@@ -241,40 +249,19 @@ def test_perf_probe_ledger_overhead(benchmark):
         supervisor.crawl(population)
         return supervisor
 
-    def measure():
-        crawl(True), crawl(False)  # warm-up: caches, allocator, imports
-        on_s, off_s = [], []
-        gc.disable()
-        try:
-            for round_index in range(10):
-                # alternate which side runs first so drifting machine
-                # load cannot systematically tax one of them
-                order = (
-                    (True, False) if round_index % 2 == 0 else (False, True)
-                )
-                for with_ledger in order:
-                    start = time.perf_counter()
-                    supervisor = crawl(with_ledger)
-                    elapsed = time.perf_counter() - start
-                    if with_ledger:
-                        on_s.append(elapsed)
-                        n_entries = len(supervisor.ledger)
-                    else:
-                        off_s.append(elapsed)
-        finally:
-            gc.enable()
-        return min(on_s), min(off_s), n_entries
-
-    ledger_on, ledger_off, n_entries = benchmark.pedantic(
-        measure, rounds=1, iterations=1
+    on_s, off_s, supervisor = benchmark.pedantic(
+        lambda: interleaved_pairs(crawl), rounds=1, iterations=1
     )
-    overhead = ledger_on / ledger_off - 1.0
+    low, overhead, high = pair_overhead(on_s, off_s)
     print_table(
         "Probe-ledger overhead on a supervised crawl",
         [
-            f"{'ledger off (default)':28s} {ledger_off * 1e3:8.1f} ms",
-            f"{'ledger on':28s} {ledger_on * 1e3:8.1f} ms  ({n_entries} entries)",
-            f"{'overhead':28s} {overhead:+8.1%}  (budget +10.0%)",
+            f"{'ledger off (default)':28s} "
+            f"{statistics.median(off_s) * 1e3:8.1f} ms (median)",
+            f"{'ledger on':28s} {statistics.median(on_s) * 1e3:8.1f} ms "
+            f"(median, {len(supervisor.ledger)} entries)",
+            f"{'overhead':28s} {overhead:+8.1%}  (median of {len(on_s)} pairs, "
+            f"IQR {low:+.1%} to {high:+.1%}; budget +10.0%)",
         ],
     )
     assert overhead <= 0.10

