@@ -44,8 +44,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from repro.browser.session import BrowserSession
 from repro.bus import (
     BrowserRecycled,
@@ -62,6 +60,7 @@ from repro.crawl.checkpoint import (
 )
 from repro.crawl.crawler import CrawlResult, OpenWPMCrawler
 from repro.crawl.population import SiteConfig
+from repro.crawl.streams import JITTER_STREAM, VISIT_STREAM, AttemptStreams
 from repro.crawl.visit import FailureReason, VisitRecord, simulate_visit
 from repro.crawl.watchdogs import default_watchdogs
 from repro.detection.fingerprint import _reference_navigator
@@ -70,34 +69,6 @@ from repro.faults.recovery import BackoffPolicy, BreakerState, CircuitBreaker
 from repro.faults.types import FaultError
 from repro.obs import CrawlReport, Tracer, build_report, crawl_metrics, write_trace
 from repro.obs.probes import ProbeLedger, write_ledger
-
-#: Sub-stream tags keeping visit and jitter draws on disjoint streams.
-_VISIT_STREAM = 0x51
-_JITTER_STREAM = 0x52
-
-#: NumPy reads a non-negative int below this bound as one uint32 word.
-_WORD_LIMIT = 2**32
-
-
-def _attempt_rng(
-    seed: int, stream: int, rank: int, visit_index: int, attempt: int
-) -> np.random.Generator:
-    """``np.random.default_rng([seed, stream, rank, visit_index, attempt])``.
-
-    NumPy coerces each int of that list in ``[0, 2**32)`` to exactly one
-    uint32 entropy word, so when every word is such an int they are
-    handed over as a ``uint32`` array: the same ``SeedSequence`` pool,
-    PCG64 state and draws, without the per-word list coercion.  Any
-    other word keeps the list, which NumPy widens (2**32 and up) or
-    refuses (negatives, floats) as before.  The range check is explicit
-    because NumPy releases before 2.0 wrap an out-of-range int in a
-    ``uint32`` array instead of raising.
-    """
-    words = [seed, stream, rank, visit_index, attempt]
-    if all(type(word) is int and 0 <= word < _WORD_LIMIT for word in words):
-        return np.random.default_rng(np.array(words, dtype=np.uint32))
-    return np.random.default_rng(words)
-
 
 @dataclass
 class SupervisorConfig:
@@ -227,6 +198,11 @@ class CrawlSupervisor:
         self._instances: Optional[List[BrowserSession]] = None
         self._restored_browsers: Optional[List[Dict[str, int]]] = None
         self._checkpoint_texts: Optional[CheckpointTexts] = None
+        # Every attempt's visit and jitter generators, seeded a block of
+        # ranks at a time (see :mod:`repro.crawl.streams`).
+        self._streams = AttemptStreams(
+            crawler.seed, crawler.instances, self.config.max_attempts
+        )
         # The deterministic event bus every crawl collaborator talks
         # over: sessions execute command events, watchdogs subscribe to
         # fault/hostile events, and the supervisor itself only executes
@@ -448,9 +424,7 @@ class CrawlSupervisor:
                 )
             attempts_made += 1
             self.stats.attempts += 1
-            rng = _attempt_rng(
-                self.crawler.seed, _VISIT_STREAM, site.rank, visit_index, attempt
-            )
+            rng = self._streams.rng(VISIT_STREAM, site.rank, visit_index, attempt)
             if self.injector is not None:
                 self.injector.arm(site.domain, visit_index, attempt)
             span = tracer.start("attempt", attempt=attempt)
@@ -547,9 +521,7 @@ class CrawlSupervisor:
 
     def _backoff(self, site: SiteConfig, visit_index: int, attempt: int) -> None:
         """Advance the simulated clock by the jittered retry delay."""
-        rng = _attempt_rng(
-            self.crawler.seed, _JITTER_STREAM, site.rank, visit_index, attempt
-        )
+        rng = self._streams.rng(JITTER_STREAM, site.rank, visit_index, attempt)
         delay_ms = self.config.backoff.delay_ms(attempt, rng)
         self.tracer.event("backoff", delay_ms=delay_ms, attempt=attempt)
         self.clock.advance(delay_ms)

@@ -120,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes (default 1: in-process, still sharded)",
+        help="worker processes, at most one per usable CPU (default 1: "
+        "in-process, still sharded)",
     )
     parser.add_argument(
         "--max-shards",

@@ -17,8 +17,9 @@ shard, so the merge moves those recycles (:mod:`repro.shard.state`).
 Workers are plain ``multiprocessing.Pool`` processes; every task is
 picklable and writes only its own ``shard-NNNN.ckpt.json``, so the
 pool needs no shared state and ``--jobs N`` changes nothing but
-wall-clock.  With ``jobs <= 1`` the shards run in this process, each
-folded before the next runs.
+wall-clock.  The pool has at most ``N`` workers, and no more than the
+CPUs the process may use.  With ``jobs <= 1`` the shards run in this
+process, each folded before the next runs.
 
 On any exception -- a shard's, the merge's, or an interrupt -- the pool
 is terminated, so its workers stop mid-shard, perhaps in the middle of
@@ -29,6 +30,7 @@ checkpoint, which the resume picks up.
 
 from __future__ import annotations
 
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing import Pool
@@ -91,18 +93,30 @@ class ShardedCrawlOutcome:
         return None if self.merged is None else self.merged.artifacts
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask where the
+    platform has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @contextmanager
 def _landed_shards(tasks: Sequence[ShardTask], jobs: int) -> Iterator[Iterator[int]]:
     """The tasks' shard indices, each yielded once its shard is complete,
     in task order.  With ``jobs <= 1`` a task runs only when its index
     is asked for; otherwise a pool runs them all, and is terminated when
-    the block exits.  If the block exits by an exception, the tasks'
-    checkpoint tmp files, which a write cut short leaves, are removed."""
+    the block exits.  The pool starts at most one worker per task and
+    per usable CPU: more would only share the cores with the parent,
+    which folds the shards as they land.  If the block exits by an
+    exception, the tasks' checkpoint tmp files, which a write cut short
+    leaves, are removed."""
     try:
         if jobs <= 1 or not tasks:
             yield (run_shard(task) for task in tasks)
         else:
-            with Pool(processes=min(jobs, len(tasks))) as pool:
+            workers = min(jobs, len(tasks), _usable_cpus())
+            with Pool(processes=workers) as pool:
                 yield pool.imap(run_shard, tasks)
     except BaseException:
         for task in tasks:

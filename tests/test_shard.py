@@ -9,8 +9,10 @@ shard boundary.
 
 import hashlib
 import json
+import os
 import shutil
 from dataclasses import replace
+from multiprocessing import Pool
 
 import numpy as np
 import pytest
@@ -41,6 +43,7 @@ from repro.shard import (
     shard_checkpoint,
 )
 from repro.shard.cli import main as shard_main
+from repro.shard.executor import _usable_cpus
 from repro.shard.worker import WATCHDOGS_NONE
 
 
@@ -803,6 +806,63 @@ class TestInterruptResume:
         assert resumed.complete
         assert resumed.shards_run == len(resumed.plan) - 3
         assert_identical_dirs(out, serial_dir)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The worker counts the executor asks ``Pool`` for, in call order;
+    each pool is a real one of that size."""
+    sizes = []
+
+    def recording(processes):
+        sizes.append(processes)
+        return Pool(processes=processes)
+
+    monkeypatch.setattr("repro.shard.executor.Pool", recording)
+    return sizes
+
+
+class TestPoolSize:
+    """The pool starts at most one worker per usable CPU, and ``jobs > 1``
+    runs the shards in a pool however few CPUs there are."""
+
+    @pytest.mark.parametrize("jobs, usable, workers", [(4, 2, 2), (2, 1, 1), (2, 8, 2)])
+    def test_workers_are_capped_at_the_usable_cpus(
+        self, tmp_path, serial_dir, monkeypatch, pool_sizes, jobs, usable, workers
+    ):
+        monkeypatch.setattr("repro.shard.executor._usable_cpus", lambda: usable)
+        out = tmp_path / "sharded"
+        outcome = run_sharded(out, jobs=jobs)
+        assert outcome.complete
+        assert pool_sizes == [workers]
+        assert_identical_dirs(out, serial_dir)
+
+    def test_a_one_worker_pool_keeps_its_failure_cleanup(
+        self, tmp_path, serial_dir, monkeypatch, pool_sizes
+    ):
+        monkeypatch.setattr("repro.shard.executor._usable_cpus", lambda: 1)
+        monkeypatch.setattr(
+            "repro.shard.executor.run_shard", _run_shard_failing_on_3
+        )
+        out = tmp_path / "sharded"
+        with pytest.raises(OSError, match="no space left"):
+            run_sharded(out, jobs=2)
+        assert pool_sizes == [1]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest["shards"]) == ["0", "1", "2"]
+        assert list(out.glob("*.tmp")) == []
+        monkeypatch.undo()
+        assert run_sharded(out, jobs=2).complete
+        assert_identical_dirs(out, serial_dir)
+
+    def test_usable_cpus_reads_the_affinity_mask(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert _usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _usable_cpus() == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert _usable_cpus() == 3
 
 
 class TestObsDirectorySupport:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 
 import numpy as np
 import pytest
@@ -20,7 +21,14 @@ from repro.crawl import (
     hostile_population,
     visit_coverage,
 )
-from repro.crawl.supervisor import _attempt_rng
+from repro.crawl import streams
+from repro.crawl.streams import (
+    BLOCK_RANKS,
+    JITTER_STREAM,
+    VISIT_STREAM,
+    AttemptStreams,
+    reference_rng,
+)
 from repro.faults import BackoffPolicy, FaultPlan, FaultType
 from repro.obs import crawl_metrics
 from repro.spoofing import SpoofingExtension
@@ -119,19 +127,170 @@ class TestAttemptStreams:
         st.sampled_from([0, 2**32 - 1, 2**32, 2**40, 1.0]),
         st.integers(-3, -1),
     )
+    #: Ranks at block edges: the first and last rank of a block, rank 0,
+    #: the last block below 2**32 and the first one past it.
+    EDGE_RANK = st.sampled_from(
+        [
+            0,
+            1,
+            BLOCK_RANKS - 1,
+            BLOCK_RANKS,
+            2 * BLOCK_RANKS - 1,
+            2**32 - BLOCK_RANKS,
+            2**32 - 1,
+            2**32,
+            2**32 + BLOCK_RANKS - 1,
+        ]
+    )
+
+    @staticmethod
+    def stream(make_rng):
+        """A generator's state and first draws, or the type of the error
+        building it raised."""
+        try:
+            rng = make_rng()
+        except (OverflowError, TypeError, ValueError) as error:
+            return type(error)
+        return rng.bit_generator.state, rng.random(16).tolist()
 
     @settings(max_examples=300, deadline=None)
-    @given(words=st.tuples(WORD, WORD, WORD, WORD, WORD))
+    @given(
+        words=st.tuples(
+            WORD,
+            st.one_of(st.sampled_from([VISIT_STREAM, JITTER_STREAM]), WORD),
+            st.one_of(EDGE_RANK, WORD),
+            st.one_of(st.integers(0, 3), WORD),
+            st.one_of(st.integers(0, 3), WORD),
+        )
+    )
     def test_the_helper_seeds_the_lists_stream(self, words):
-        def stream(make_rng):
-            try:
-                rng = make_rng()
-            except (OverflowError, TypeError, ValueError) as error:
-                return type(error)
-            return rng.bit_generator.state, rng.random(16).tolist()
+        seed, stream, rank, visit_index, attempt = words
+        supervisor = make_supervisor(seed=seed)
+        expected = self.stream(lambda: np.random.default_rng(list(words)))
+        assert expected == self.stream(lambda: reference_rng(*words))
+        assert expected == self.stream(
+            lambda: supervisor._streams.rng(stream, rank, visit_index, attempt)
+        )
 
-        expected = stream(lambda: np.random.default_rng(list(words)))
-        assert stream(lambda: _attempt_rng(*words)) == expected
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.one_of(st.integers(0, 2**32 - 1), st.sampled_from([0, 2**32 - 1])),
+        requests=st.lists(
+            st.tuples(
+                st.sampled_from([VISIT_STREAM, JITTER_STREAM]),
+                st.integers(0, 5 * BLOCK_RANKS),
+                st.integers(0, 3),
+                st.integers(0, 3),
+            ),
+            min_size=2,
+            max_size=30,
+        ),
+    )
+    def test_requests_across_blocks_in_any_order(self, seed, requests):
+        # One supervisor, asked in any rank order and with repeats: each
+        # request switches to its rank's block when it is not the
+        # current one.  ``integers`` draws through the buffered 32-bit
+        # path, ``random`` does not.
+        supervisor = make_supervisor(seed=seed)
+        for request in requests + requests[::-1]:
+            rng = supervisor._streams.rng(*request)
+            reference = reference_rng(seed, *request)
+            assert rng.bit_generator.state == reference.bit_generator.state
+            for draw in (lambda g: g.integers(1, 9, 8), lambda g: g.random(4)):
+                assert draw(rng).tolist() == draw(reference).tolist()
+
+    def test_a_block_crossing_2_to_the_32_stops_below_it(self, monkeypatch):
+        # 2**32 is not a multiple of 24, so the last block below it would
+        # run past it; its ranks from 2**32 up are seeded from two words.
+        monkeypatch.setattr(streams, "BLOCK_RANKS", 24)
+        supervisor = make_supervisor(seed=2021)
+        for rank in (2**32 - 17, 2**32 - 16, 2**32 - 1, 2**32, 2**32 + 7):
+            for stream in (VISIT_STREAM, JITTER_STREAM):
+                assert self.stream(
+                    lambda: supervisor._streams.rng(stream, rank, 3, 1)
+                ) == self.stream(lambda: reference_rng(2021, stream, rank, 3, 1))
+
+    @staticmethod
+    def attempt_seed():
+        supervisor = make_supervisor(seed=2021)
+        rng = supervisor._streams.rng(VISIT_STREAM, 5, 2, 1)
+        return rng.bit_generator.seed_seq
+
+    def test_the_seed_hands_pcg64_its_words(self):
+        words = self.attempt_seed().generate_state(4, np.uint64)
+        assert words.dtype == np.uint64 and words.shape == (4,)
+        assert words.flags.c_contiguous and not words.flags.writeable
+        assert words.tolist() == np.random.SeedSequence(
+            [2021, VISIT_STREAM, 5, 2, 1]
+        ).generate_state(4, np.uint64).tolist()
+
+    @pytest.mark.parametrize(
+        "n_words, dtype",
+        [
+            (4, np.uint32),
+            (8, np.uint32),
+            (2, np.uint64),
+            (8, np.uint64),
+            (4.0, np.uint64),
+            (4, np.int64),
+            (4, np.dtype(np.uint64)),
+            (4, "u8"),
+        ],
+    )
+    def test_the_seed_refuses_any_other_request(self, n_words, dtype):
+        with pytest.raises(ValueError):
+            self.attempt_seed().generate_state(n_words, dtype)
+
+    @pytest.mark.parametrize("order", ["rank", "reversed", "shuffled"])
+    def test_a_crawl_in_any_rank_order_draws_the_reference_streams(
+        self, order, monkeypatch
+    ):
+        population = small_population()
+        if order == "reversed":
+            population = population[::-1]
+        elif order == "shuffled":
+            population = random.Random(5).sample(population, len(population))
+
+        def crawl():
+            plan = FaultPlan.generate(population, 4, rate=0.08, seed=99)
+            supervisor = make_supervisor(plan)
+            result = supervisor.crawl(population)
+            # The jitter streams show only on the clock and in the trace's
+            # backoff delays.
+            return (
+                supervisor.stats,
+                [record.to_json() for record in result.records],
+                json.dumps(supervisor.tracer.spans),
+            )
+
+        # Blocks of 16 ranks, so the 60 ranks span four of them.
+        monkeypatch.setattr(streams, "BLOCK_RANKS", 16)
+        computed = []
+        block_words = streams._block_words
+
+        def counted(seed, first_rank, *shape):
+            computed.append(first_rank)
+            return block_words(seed, first_rank, *shape)
+
+        monkeypatch.setattr(streams, "_block_words", counted)
+        stats, records, trace = crawl()
+        assert stats.retries > 0
+        # A block is computed when the crawl reaches a site outside the
+        # current one: never ahead of the population, at most once a site.
+        firsts = [site.rank - site.rank % 16 for site in population]
+        assert computed == [
+            first for i, first in enumerate(firsts) if i == 0 or first != firsts[i - 1]
+        ]
+
+        monkeypatch.setattr(
+            AttemptStreams,
+            "rng",
+            lambda self, *words: reference_rng(self.seed, *words),
+        )
+        reference_stats, expected, reference_trace = crawl()
+        assert records == expected
+        assert stats == reference_stats
+        assert trace == reference_trace
 
 
 class TestCheckpointResume:
