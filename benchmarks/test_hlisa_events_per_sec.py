@@ -199,10 +199,11 @@ def _dispatch_rates(reps=150):
         pipeline.dispatch_batch(moves, repeat_final_forced=True)
         return pipeline.events_dispatched - before
 
-    # The two deliveries run the same per-sample step, so their ratio is
-    # about 1 and host-speed drift between two back-to-back timing runs
-    # would swamp it: interleave the walks, alternating which goes first,
-    # so drift weighs on both rates alike.
+    # The two deliveries run the same per-sample step; the batch saves only
+    # the per-sample entry call, so their ratio is near 1 and host-speed
+    # drift between two back-to-back timing runs would swamp it:
+    # interleave the walks, alternating which goes first, so drift weighs
+    # on both rates alike.
     for _ in range(10):
         loop()
         batch()

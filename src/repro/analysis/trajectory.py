@@ -108,13 +108,15 @@ def _savitzky_golay_center_weights(window: int, degree: int = 2) -> np.ndarray:
     return weights
 
 
-def _polynomial_residual_rms(t: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
+def _polynomial_residual_rms(x: np.ndarray, y: np.ndarray) -> float:
     """RMS residual of the path from a *local* quadratic fit (tremor).
 
     Any smooth curve -- straight line, Bézier, B-spline -- is locally
     quadratic over a short window, so its residual vanishes; hand tremor
     and HLISA's injected jitter do not.  A global polynomial would
-    mislabel smooth-but-complex curves as jittery.
+    mislabel smooth-but-complex curves as jittery.  (``np.correlate``
+    with the weights runs the same C loop as ``np.convolve`` with the
+    reversed weights, which reverses them back.)
     """
     n = x.size
     if n < 5:
@@ -124,62 +126,77 @@ def _polynomial_residual_rms(t: np.ndarray, x: np.ndarray, y: np.ndarray) -> flo
         window = 5
     half = window // 2
     weights = _savitzky_golay_center_weights(window)
-    smooth_x = np.convolve(x, weights[::-1], mode="valid")
-    smooth_y = np.convolve(y, weights[::-1], mode="valid")
-    rx = x[half : n - half] - smooth_x
-    ry = y[half : n - half] - smooth_y
-    if rx.size == 0:
-        return 0.0
-    return float(np.sqrt(np.mean(rx**2 + ry**2)))
+    rx = x[half : n - half] - np.correlate(x, weights, "valid")
+    ry = y[half : n - half] - np.correlate(y, weights, "valid")
+    return math.sqrt(float(np.add.reduce(rx * rx + ry * ry)) / rx.size)
 
 
 def trajectory_metrics(path: Sequence[PathSample]) -> TrajectoryMetrics:
-    """Compute :class:`TrajectoryMetrics` from a recorded mouse path."""
+    """Compute :class:`TrajectoryMetrics` from a recorded mouse path.
+
+    The kernel runs once per movement, so it spends few NumPy calls, and
+    every field keeps the bits of the ndarray-method formulation
+    (``np.diff``, ``.sum``/``.mean``/``.std``/``.max``, ``np.convolve``,
+    ``np.mean`` over a list).  The rule: each replacement runs the same
+    ufunc loop over the same operands in the same order.  A mean is the
+    ``np.add.reduce`` sum divided by the count; the speed variance is
+    NumPy's ``_var`` (sum, divide, subtract, square, sum, divide); no
+    reduction is split or reordered, because pairwise summation rounds
+    by block.  ``tests/test_recording_features.py`` compares all fields
+    by ``repr``.
+    """
     samples = list(path)
     if len(samples) < 2:
         raise ValueError("need at least 2 samples for trajectory metrics")
-    t = np.array([s[0] for s in samples], dtype=float)
-    x = np.array([s[1] for s in samples], dtype=float)
-    y = np.array([s[2] for s in samples], dtype=float)
+    t, x, y = (np.array(column, dtype=float) for column in zip(*samples))
 
-    dx, dy = np.diff(x), np.diff(y)
+    dx = x[1:] - x[:-1]
+    dy = y[1:] - y[:-1]
     seg_len = np.hypot(dx, dy)
-    dt = np.diff(t)
+    dt = t[1:] - t[:-1]
     duration = float(t[-1] - t[0])
-    path_length = float(seg_len.sum())
+    path_length = float(np.add.reduce(seg_len))
     chord = float(math.hypot(x[-1] - x[0], y[-1] - y[0]))
     straightness = chord / path_length if path_length > 1e-9 else 1.0
 
     valid = dt > 0
-    speeds = np.zeros(0)
-    if valid.any():
-        speeds = seg_len[valid] / (dt[valid] / 1000.0)
-    mean_speed = float(speeds.mean()) if speeds.size else 0.0
-    peak_speed = float(speeds.max()) if speeds.size else 0.0
-    speed_cv = float(speeds.std() / mean_speed) if speeds.size and mean_speed > 1e-9 else 0.0
+    speeds = seg_len[valid] / (dt[valid] / 1000.0)
+    n_speeds = speeds.size
+    mean_speed = peak_speed = speed_cv = 0.0
+    if n_speeds:
+        mean_speed = float(np.add.reduce(speeds)) / n_speeds
+        peak_speed = float(np.maximum.reduce(speeds))
+        if mean_speed > 1e-9:
+            deviations = speeds - mean_speed
+            variance = float(np.add.reduce(deviations * deviations)) / n_speeds
+            speed_cv = math.sqrt(variance) / mean_speed
 
     edge_ratio = 1.0
-    if speeds.size >= 5:
-        fifth = max(1, speeds.size // 5)
-        edge = np.concatenate([speeds[:fifth], speeds[-fifth:]])
-        middle = speeds[fifth:-fifth] if speeds.size > 2 * fifth else speeds
-        middle_mean = float(middle.mean()) if middle.size else mean_speed
+    if n_speeds >= 5:
+        fifth = max(1, n_speeds // 5)
+        edge = np.concatenate((speeds[:fifth], speeds[-fifth:]))
+        middle = speeds[fifth:-fifth]
+        middle_mean = float(np.add.reduce(middle)) / middle.size
         if middle_mean > 1e-9:
-            edge_ratio = float(edge.mean() / middle_mean)
+            edge_ratio = float(np.add.reduce(edge)) / edge.size / middle_mean
 
     # Jitter: RMS residual from a low-order polynomial fit of the path
     # over (normalised) time.  Straight lines and smooth Bézier curves fit
     # almost exactly; human tremor and HLISA's added jitter do not.
-    jitter_rms = _polynomial_residual_rms(t, x, y)
+    jitter_rms = _polynomial_residual_rms(x, y)
 
     # Mean absolute turn angle between consecutive non-degenerate
     # segments.  ``math.atan2`` (not ``np.arctan2``, whose SIMD builds
     # may round differently) keeps the angle identical on every host.
-    turning = (seg_len[:-1] >= 1e-9) & (seg_len[1:] >= 1e-9)
-    cross = (dx[:-1] * dy[1:] - dy[:-1] * dx[1:])[turning]
-    dot = (dx[:-1] * dx[1:] + dy[:-1] * dy[1:])[turning]
-    turns = [abs(math.atan2(c, d)) for c, d in zip(cross.tolist(), dot.tolist())]
-    mean_turn = float(np.mean(turns)) if turns else 0.0
+    moving = seg_len >= 1e-9
+    turning = moving[:-1] & moving[1:]
+    dx0, dx1, dy0, dy1 = dx[:-1], dx[1:], dy[:-1], dy[1:]
+    cross = (dx0 * dy1 - dy0 * dx1)[turning]
+    dot = (dx0 * dx1 + dy0 * dy1)[turning]
+    turns = np.absolute(
+        np.fromiter(map(math.atan2, cross.tolist(), dot.tolist()), float, cross.size)
+    )
+    mean_turn = float(np.add.reduce(turns)) / turns.size if turns.size else 0.0
 
     return TrajectoryMetrics(
         n_samples=len(samples),

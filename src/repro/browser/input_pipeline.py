@@ -26,7 +26,7 @@ Quirks reproduced from the paper's Appendix D:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.browser.window import Window
 from repro.dom.element import Element
@@ -154,18 +154,7 @@ class InputPipeline:
         scroll_y = window.scroll_y
         rounded = self._rounded
         if rounded[0] is not pointer or rounded[1] != scroll_x or rounded[2] != scroll_y:
-            x, y = pointer
-            # ``float(round(v))``, not ``round(v, 0)``: the latter keeps
-            # the sign of a small negative (``-0.0``).
-            rounded = self._rounded = (
-                pointer,
-                scroll_x,
-                scroll_y,
-                float(round(x)),
-                float(round(y)),
-                float(round(x + scroll_x)),
-                float(round(y + scroll_y)),
-            )
+            rounded = self._round(pointer, scroll_x, scroll_y)
         modifiers = self._modifiers
         return Event(
             event_type,
@@ -190,6 +179,23 @@ class InputPipeline:
             getattr(target, "box", None),
         )
 
+    def _round(self, pointer: Point, scroll_x: float, scroll_y: float) -> tuple:
+        """Round ``pointer`` and its page position, and keep the result
+        as :attr:`_rounded` for the next event of the same sample."""
+        x, y = pointer
+        # ``float(round(v))``, not ``round(v, 0)``: the latter keeps the
+        # sign of a small negative (``-0.0``).
+        rounded = self._rounded = (
+            pointer,
+            scroll_x,
+            scroll_y,
+            float(round(x)),
+            float(round(y)),
+            float(round(x + scroll_x)),
+            float(round(y + scroll_y)),
+        )
+        return rounded
+
     def _element_under_pointer(self) -> Element:
         window = self.window
         x, y = self.pointer
@@ -200,41 +206,13 @@ class InputPipeline:
     def move_mouse_to(self, x: float, y: float, force_event: bool = False) -> Optional[Event]:
         """Move the OS cursor to client coordinates ``(x, y)``.
 
-        One sample of a pointer walk, with no clock advance: the hover
-        transitions (mouseover/out/enter/leave) when the element under
-        the cursor changes, the drag state machine, then at most one
-        ``pointermove``/``mousemove`` pair, rate-limited unless
-        ``force_event``.  Returns the dispatched mousemove, or ``None``
-        if it was coalesced away.
+        One sample of a pointer walk, with no clock advance: the step
+        :meth:`dispatch_batch` runs per sample (hover transitions, drag
+        progress, then at most one ``pointermove``/``mousemove`` pair,
+        rate-limited unless ``force_event``).  Returns the dispatched
+        mousemove, or ``None`` if it was coalesced away.
         """
-        self.pointer = Point(float(x), float(y))
-        previous = self._hovered
-        current = self._element_under_pointer()
-        if previous is not current:
-            if previous is not None:
-                previous.dispatch_event(self._base_event("mouseout", previous))
-                previous.dispatch_event(self._base_event("mouseleave", previous))
-            current.dispatch_event(self._base_event("mouseover", current))
-            current.dispatch_event(self._base_event("mouseenter", current))
-            self._hovered = current
-        if self._drag_source is not None or self._drag_armed_at is not None:
-            self._progress_drag(current)
-        now = self.window.clock.now()
-        if (
-            not force_event
-            and self._last_mousemove_ts is not None
-            and now - self._last_mousemove_ts < self.mousemove_min_interval_ms
-        ):
-            return None
-        self._last_mousemove_ts = now
-        # Firefox fires the pointer event first, then its mouse twin
-        # (Appendix C lists both families; their pairing is itself a
-        # consistency signal -- scripts that synthesise only mouse events
-        # miss the pointer twins).
-        current.dispatch_event(self._base_event("pointermove", current))
-        event = self._base_event("mousemove", current)
-        current.dispatch_event(event)
-        return event
+        return self._walk(((None, (x, y)),), force_event)[1]
 
     def dispatch_batch(
         self,
@@ -246,15 +224,15 @@ class InputPipeline:
         """Advance the clock and move the pointer along ``moves`` in one pass.
 
         ``moves`` is an iterable of ``(advance_ms, point)`` pairs: the clock
-        advance *before* the cursor reaches ``point``.  Each sample is one
-        :meth:`move_mouse_to`, so the event stream is the per-point loop of
-        ``clock.advance(advance_ms)`` + :meth:`move_mouse_to` by
-        construction.
+        advance *before* the cursor reaches ``point``.  Each sample runs
+        the one pointer step that :meth:`move_mouse_to` runs, so the event
+        stream is the per-point loop of ``clock.advance(advance_ms)`` +
+        :meth:`move_mouse_to` by construction.
 
         ``force_last`` forces the final sample's mousemove through the rate
         limiter (the WebDriver pointer-move contract).  ``repeat_final_forced``
-        instead re-dispatches the final point as one extra forced
-        :meth:`move_mouse_to` after the walk -- the agents' historical
+        instead re-dispatches the final point as one extra forced sample,
+        with no clock advance, after the walk -- the agents' historical
         trailing call, kept so their event streams stay unchanged.
 
         Returns the number of mousemove events dispatched.
@@ -262,19 +240,103 @@ class InputPipeline:
         moves = list(moves)
         if not moves:
             return 0
-        advance = self.window.clock.advance
-        move = self.move_mouse_to
-        dispatched = 0
-        last_index = len(moves) - 1
-        for index, (advance_ms, point) in enumerate(moves):
-            advance(advance_ms)
-            if move(point.x, point.y, force_last and index == last_index) is not None:
-                dispatched += 1
+        dispatched = self._walk(moves, force_last)[0]
         if repeat_final_forced:
-            final = moves[-1][1]
-            if move(final.x, final.y, True) is not None:
-                dispatched += 1
+            dispatched += self._walk(((None, moves[-1][1]),), True)[0]
         return dispatched
+
+    def _walk(self, moves, force_last: bool) -> Tuple[int, Optional[Event]]:
+        """The pointer step, once per ``(advance_ms, (x, y))`` of ``moves``.
+
+        Per sample: advance the clock by ``advance_ms`` (``None``: no
+        advance), move the pointer, hit-test the page, fire the hover
+        transitions (mouseover/out/enter/leave) when the element under
+        the cursor changes, progress a drag, then dispatch one
+        ``pointermove``/``mousemove`` twin unless the rate limiter
+        coalesces it; ``force_last`` forces the final sample's twin.
+
+        The window and its clock are held in locals.  Whatever a listener
+        can change -- hover, drag and coalescing state, the pointer, the
+        scroll offsets, buttons, modifiers, the document -- is read per
+        sample or per event, so a walk equals its samples run one at a
+        time.  The twin is built inline, each event with
+        :meth:`_base_event`'s reads.  Returns the number of mousemoves
+        dispatched and the final sample's mousemove (``None`` if it was
+        coalesced).
+        """
+        window = self.window
+        clock = window.clock
+        advance = clock.advance
+        event_timestamp = clock.event_timestamp
+        base_event = self._base_event
+        last_index = len(moves) - 1
+        dispatched = 0
+        event = None
+        for index, (advance_ms, (x, y)) in enumerate(moves):
+            if advance_ms is not None:
+                advance(advance_ms)
+            x = float(x)
+            y = float(y)
+            self.pointer = Point(x, y)
+            current = window.document.element_at((x + window.scroll_x, y + window.scroll_y))
+            previous = self._hovered
+            if previous is not current:
+                if previous is not None:
+                    previous.dispatch_event(base_event("mouseout", previous))
+                    previous.dispatch_event(base_event("mouseleave", previous))
+                current.dispatch_event(base_event("mouseover", current))
+                current.dispatch_event(base_event("mouseenter", current))
+                self._hovered = current
+            if self._drag_source is not None or self._drag_armed_at is not None:
+                self._progress_drag(current)
+            now = clock.now()
+            last_ts = self._last_mousemove_ts
+            if (
+                not (force_last and index == last_index)
+                and last_ts is not None
+                and now - last_ts < self.mousemove_min_interval_ms
+            ):
+                event = None
+                continue
+            self._last_mousemove_ts = now
+            # Firefox fires the pointer event first, then its mouse twin
+            # (Appendix C lists both families; their pairing is itself a
+            # consistency signal -- scripts that synthesise only mouse
+            # events miss the pointer twins).
+            for event_type in ("pointermove", "mousemove"):
+                self.events_dispatched += 1
+                pointer = self.pointer
+                scroll_x = window.scroll_x
+                scroll_y = window.scroll_y
+                rounded = self._rounded
+                if rounded[0] is not pointer or rounded[1] != scroll_x or rounded[2] != scroll_y:
+                    rounded = self._round(pointer, scroll_x, scroll_y)
+                modifiers = self._modifiers
+                event = Event(
+                    event_type,
+                    event_timestamp(),
+                    current,
+                    rounded[3],
+                    rounded[4],
+                    rounded[5],
+                    rounded[6],
+                    0,
+                    self._buttons_mask,
+                    0.0,
+                    0.0,
+                    "",
+                    "",
+                    modifiers["shift_key"],
+                    modifiers["ctrl_key"],
+                    modifiers["alt_key"],
+                    modifiers["meta_key"],
+                    0,
+                    True,
+                    current.box,
+                )
+                current.dispatch_event(event)
+            dispatched += 1
+        return dispatched, event
 
     # -- buttons --------------------------------------------------------------------
 

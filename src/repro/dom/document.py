@@ -12,6 +12,10 @@ from repro.geometry import Box
 class Document(EventTarget):
     """A page's document.
 
+    Its bubbling link (``parent_target``) is its window: ``window`` is a
+    property over that link, so assigning it (``Window.__init__``,
+    ``WebDriver.load_document``) moves the link.
+
     Parameters
     ----------
     width / height:
@@ -26,7 +30,6 @@ class Document(EventTarget):
         self.body = Element("body", Box(0, 0, width, height), id="body")
         self.body.document = self
         self._by_id: Dict[str, Element] = {"body": self.body}
-        self.window = None  # set by the owning Window
         #: Element currently holding keyboard focus (None = body).
         self.active_element: Optional[Element] = None
         #: Page visibility state ("visible" or "hidden").
@@ -139,9 +142,13 @@ class Document(EventTarget):
         return transitions
 
     @property
-    def parent_target(self) -> Optional[EventTarget]:
-        """Bubbling path: document -> window."""
-        return self.window
+    def window(self) -> Optional[EventTarget]:
+        """The owning window (``None`` until a window takes the document)."""
+        return self.parent_target
+
+    @window.setter
+    def window(self, window: Optional[EventTarget]) -> None:
+        self.parent_target = window
 
     @property
     def scroll_height(self) -> float:

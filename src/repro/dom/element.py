@@ -14,6 +14,12 @@ FOCUSABLE_TAGS = frozenset({"input", "textarea", "button", "select", "a"})
 class Element(EventTarget):
     """A DOM element.
 
+    Its bubbling link (``parent_target``) is its parent, else its
+    document, else ``None``.  ``parent`` and ``document`` are properties
+    whose setters keep that link current, so every writer -- the tree
+    methods here, :meth:`Document.register`/``unregister`` and any
+    caller -- moves the link with them.
+
     Parameters
     ----------
     tag:
@@ -43,8 +49,8 @@ class Element(EventTarget):
         self.attributes: Dict[str, str] = dict(attributes or {})
         self.text = text
         self.children: List[Element] = []
-        self.parent: Optional[Element] = None
-        self.document = None  # set when attached to a Document
+        self._parent: Optional[Element] = None
+        self._document = None  # set when attached to a Document
         #: Value of form controls (what typing writes into).
         self.value: str = ""
         #: Whether the element currently holds keyboard focus.
@@ -59,6 +65,27 @@ class Element(EventTarget):
         self.draggable: bool = attributes is not None and attributes.get("draggable") == "true"
 
     # -- tree ---------------------------------------------------------------
+
+    @property
+    def parent(self) -> Optional["Element"]:
+        """The parent element (``None`` for the body or a detached root)."""
+        return self._parent
+
+    @parent.setter
+    def parent(self, parent: Optional["Element"]) -> None:
+        self._parent = parent
+        self.parent_target = parent if parent is not None else self._document
+
+    @property
+    def document(self):
+        """The owning document (``None`` while detached)."""
+        return self._document
+
+    @document.setter
+    def document(self, document) -> None:
+        self._document = document
+        if self._parent is None:
+            self.parent_target = document
 
     def append_child(self, child: "Element") -> "Element":
         """Attach ``child`` and return it (for chaining)."""
@@ -89,13 +116,6 @@ class Element(EventTarget):
         yield self
         for child in self.children:
             yield from child.iter_subtree()
-
-    @property
-    def parent_target(self):
-        """Bubbling path: parent element, then the document."""
-        if self.parent is not None:
-            return self.parent
-        return self.document
 
     # -- geometry --------------------------------------------------------------
 

@@ -26,12 +26,18 @@ NON_BUBBLING = frozenset({"mouseenter", "mouseleave", "load"})
 class EventTarget:
     """Mixin providing ``addEventListener``-style listener management.
 
-    Subclasses (elements, documents, windows) may define a ``parent_target``
-    property returning the next target in the bubbling path.
+    Every target holds ``parent_target``, the next target in the bubbling
+    path, as a plain attribute (``None`` ends the path, as on a window),
+    so a dispatch reads one attribute per node.  The owning class keeps
+    the link current as its tree changes: an element links to its parent,
+    else its document (:class:`~repro.dom.element.Element`), and a
+    document to its window (:class:`~repro.dom.document.Document`).
     """
 
     def __init__(self) -> None:
         self._listeners: Dict[str, List[Listener]] = {}
+        #: Next target in the bubbling path (``None`` terminates).
+        self.parent_target: Optional[EventTarget] = None
 
     # -- registration -------------------------------------------------------
 
@@ -53,11 +59,6 @@ class EventTarget:
 
     # -- dispatch -------------------------------------------------------------
 
-    @property
-    def parent_target(self) -> Optional["EventTarget"]:
-        """Next target in the bubbling path (``None`` terminates)."""
-        return None
-
     def dispatch_event(self, event: Event) -> None:
         """Dispatch ``event`` at this target and bubble it upwards.
 
@@ -66,6 +67,10 @@ class EventTarget:
         listener may add a listener to a node further up and have it run
         for this very event, while changes to the node it runs on wait
         for the next event.  Nodes without listeners cost one lookup.
+        The walk reads a node's ``parent_target`` when it leaves that
+        node, after its listeners ran: a listener that detaches its own
+        node stops the bubbling there, and one that moves the target
+        elsewhere leaves the rest of the walk on the path it was on.
         """
         if event.target is None:
             event.target = self

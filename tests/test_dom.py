@@ -1,11 +1,17 @@
 """DOM: element tree, hit testing, selectors, focus."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.browser.window import Window
 from repro.dom.document import Document
 from repro.dom.element import Element
+from repro.dom.hostile import OVERLAY_ID, install_challenge, install_overlay
+from repro.events.event import Event
 from repro.geometry import Box, Point
+from repro.webdriver.driver import WebDriver
 
 
 class TestElement:
@@ -187,3 +193,127 @@ class TestHitTestReference:
                 points += [Point(box.left, box.top), Point(box.right, box.bottom), box.center]
         for point in points:
             assert document.element_at(point) is reference_element_at(document, point)
+
+
+def _property_parent_target(node):
+    """The bubbling link as the ``parent_target`` properties computed it
+    on each read: an element's parent, else its document; a document's
+    window; nothing above a window."""
+    if isinstance(node, Element):
+        return node.parent if node.parent is not None else node.document
+    if isinstance(node, Document):
+        return node.window
+    return None
+
+
+_TREE_STEPS = (
+    "create", "create", "detached", "remove", "remove", "reappend",
+    "overlay", "dismiss", "challenge", "load", "window", "assign",
+)
+
+
+class TestBubblingLinks:
+    """``parent_target`` is a plain attribute that the owning classes
+    keep current: it must always equal what the old per-read property
+    computed, and bubbling must reach each window exactly once."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_links_follow_random_tree_changes(self, data):
+        reached = Counter()
+
+        def counting(window):
+            window.add_event_listener("mousemove", lambda event: reached.update((window,)))
+            return window
+
+        driver = WebDriver(counting(Window()))
+        windows = [driver.window, counting(Window())]
+        documents = [window.document for window in windows] + [Document(300, 300)]
+        # Every element a step creates, attached or not; bodies included.
+        created = [document.body for document in documents]
+        for _ in range(data.draw(st.integers(1, 25), label="steps")):
+            step = data.draw(st.sampled_from(_TREE_STEPS), label="step")
+            if step == "create":
+                parent = data.draw(st.sampled_from(created), label="parent")
+                created.append(parent.append_child(Element("div", Box(0, 0, 10, 10))))
+            elif step == "detached":
+                created.append(Element("span"))
+            elif step == "remove":
+                children = [element for element in created if element.parent is not None]
+                if children:
+                    data.draw(st.sampled_from(children), label="removed").remove()
+            elif step == "reappend":
+                bodies = {id(document.body) for document in documents}
+                roots = [e for e in created if e.parent is None and id(e) not in bodies]
+                if roots:
+                    root = data.draw(st.sampled_from(roots), label="root")
+                    inside = {id(node) for node in root.iter_subtree()}
+                    hosts = [e for e in created if id(e) not in inside]
+                    data.draw(st.sampled_from(hosts), label="host").append_child(root)
+            elif step in ("overlay", "challenge"):
+                document = data.draw(st.sampled_from(documents), label="document")
+                install = install_overlay if step == "overlay" else install_challenge
+                created.extend(install(document).iter_subtree())
+            elif step == "dismiss":
+                overlays = [d.get_element_by_id(OVERLAY_ID) for d in documents]
+                overlays = [overlay for overlay in overlays if overlay is not None]
+                if overlays:
+                    data.draw(st.sampled_from(overlays), label="overlay").remove()
+            elif step == "load":
+                if data.draw(st.booleans(), label="new page"):
+                    documents.append(Document(400, 400))
+                    created.append(documents[-1].body)
+                driver.load_document(data.draw(st.sampled_from(documents), label="page"))
+            elif step == "window":
+                windows.append(counting(Window(data.draw(st.sampled_from(documents), label="document"))))
+            else:
+                document = data.draw(st.sampled_from(documents), label="document")
+                document.window = data.draw(st.sampled_from(windows + [None]), label="window")
+
+            for node in created + documents + windows:
+                assert node.parent_target is _property_parent_target(node)
+            for document in documents:
+                if document.window is None:
+                    continue
+                for element in document.body.iter_subtree():
+                    reached.clear()
+                    element.dispatch_event(Event("mousemove", 0.0))
+                    assert reached == Counter({document.window: 1})
+
+    def test_a_listener_that_removes_its_target_stops_the_bubbling_there(self):
+        window = Window()
+        leaf = window.document.create_element("button", Box(0, 0, 10, 10), id="leaf")
+        path = []
+
+        def detach(event):
+            path.append("leaf")
+            leaf.remove()
+
+        leaf.add_event_listener("mousemove", detach)
+        window.document.body.add_event_listener("mousemove", lambda e: path.append("body"))
+        window.add_event_listener("mousemove", lambda e: path.append("window"))
+        leaf.dispatch_event(Event("mousemove", 0.0))
+        assert path == ["leaf"]
+        assert leaf.parent_target is None
+
+    def test_a_body_listener_that_moves_the_target_keeps_the_walk_on_its_path(self):
+        window = Window()
+        document = window.document
+        leaf = document.create_element("button", Box(0, 0, 10, 10), id="leaf")
+        shelf = document.create_element("div", Box(0, 0, 50, 50), id="shelf")
+        path = []
+
+        def move_leaf(event):
+            path.append("body")
+            if leaf.parent is document.body:
+                shelf.append_child(leaf.remove())
+
+        nodes = {"leaf": leaf, "shelf": shelf, "document": document, "window": window}
+        for name, node in nodes.items():
+            node.add_event_listener("mousemove", lambda e, name=name: path.append(name))
+        document.body.add_event_listener("mousemove", move_leaf)
+        leaf.dispatch_event(Event("mousemove", 0.0))
+        assert path == ["leaf", "body", "document", "window"]
+        path.clear()
+        leaf.dispatch_event(Event("mousemove", 1.0))
+        assert path == ["leaf", "shelf", "body", "document", "window"]

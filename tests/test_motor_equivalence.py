@@ -18,6 +18,7 @@ import pytest
 from repro.browser.input_pipeline import InputPipeline
 from repro.browser.window import Window
 from repro.dom.document import Document
+from repro.events.dispatch import EventTarget
 from repro.events.recorder import EventRecorder
 from repro.events.taxonomy import ALL_INTERACTION_EVENTS
 from repro.geometry import Box, Point
@@ -45,6 +46,7 @@ from repro.models.scalar_reference import (
 )
 from repro.models.scroll_cadence import ScrollCadence
 from repro.models.typing_rhythm import TypingRhythm
+from test_event_stream_golden import stream_digest
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -296,6 +298,178 @@ class TestDispatchBatch:
             [(max(t, 0.0), p) for t, p in path], force_last=True
         )
         assert count == len(recorder.of_type("mousemove"))
+
+
+def _via(*stops, seed=29):
+    """A human path through ``stops``: ``(advance_ms, point)`` moves."""
+    pointing = HumanPointing(rng=np.random.default_rng(seed))
+    moves = []
+    for start, end in zip(stops, stops[1:]):
+        previous = 0.0
+        for t, point in pointing.path(start, end):
+            moves.append((max(t - previous, 0.0), point))
+            previous = t
+    return moves
+
+
+def _scroll_on_mousemove(window, pipeline):
+    window.add_event_listener("mousemove", lambda event: window.scroll_by(0.0, 3.5))
+
+
+def _move_pointer_on_pointermove(window, pipeline):
+    """Every third pointermove moves the cursor again; every sixth
+    forces that move's own twin through the rate limiter."""
+    seen = [0]
+
+    def nudge(event):
+        seen[0] += 1
+        if seen[0] % 3 == 0:
+            pipeline.move_mouse_to(
+                event.client_x + 2.6, event.client_y - 1.3, force_event=seen[0] % 6 == 0
+            )
+
+    window.add_event_listener("pointermove", nudge)
+
+
+def _remove_hovered_element(window, pipeline):
+    """The button removes itself from its first mousemove's walk: the
+    event stops bubbling there, and the next sample leaves it."""
+    button = window.document.get_element_by_id("b1")
+    button.add_event_listener("mousemove", lambda event: button.remove())
+
+
+def _drag_a_draggable(window, pipeline):
+    """Press on entering the card, release on entering the bin: the drag
+    starts, runs and drops inside the walk."""
+    document = window.document
+    card = document.create_element(
+        "div", Box(400.0, 500.0, 90.0, 90.0), id="card", attributes={"draggable": "true"}
+    )
+    bin_ = document.create_element("div", Box(900.0, 420.0, 160.0, 120.0), id="bin")
+    card.add_event_listener("mouseover", lambda event: pipeline.mouse_down())
+    bin_.add_event_listener("mouseover", lambda event: pipeline.mouse_up())
+
+
+def _load_a_page(window, pipeline):
+    """Entering the button navigates: the rest of the walk hit-tests the
+    new page under the same cursor."""
+    page = Document(1366.0, 2000.0)
+    page.create_element("a", Box(150.0, 60.0, 300.0, 200.0), id="next")
+
+    def navigate(event):
+        if window.document is not page:
+            window.document = page
+            page.window = window
+
+    window.document.get_element_by_id("b1").add_event_listener("mouseover", navigate)
+
+
+#: (listener set-up, the stops its walk passes through)
+LISTENER_CASES = {
+    "load-page": (_load_a_page, (Point(10, 10), Point(200, 140), Point(675, 320))),
+    "scroll-on-mousemove": (_scroll_on_mousemove, (Point(10, 10), Point(200, 140), Point(675, 320))),
+    "pointer-on-pointermove": (
+        _move_pointer_on_pointermove,
+        (Point(10, 10), Point(200, 140), Point(675, 320)),
+    ),
+    "remove-hovered": (_remove_hovered_element, (Point(10, 10), Point(200, 140), Point(675, 320))),
+    "drag": (_drag_a_draggable, (Point(10, 10), Point(445, 545), Point(980, 480))),
+}
+
+
+def _captured(monkeypatch, run):
+    """Every event passed to ``EventTarget.dispatch_event`` while ``run``
+    runs, in dispatch order."""
+    events = []
+    original = EventTarget.dispatch_event
+
+    def dispatch_event(target, event):
+        events.append(event)
+        return original(target, event)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(EventTarget, "dispatch_event", dispatch_event)
+        run()
+    return events
+
+
+class TestDispatchBatchUnderListeners:
+    """Listeners that change pipeline or page state between samples, or
+    between a twin's two events: the batch still equals the per-point
+    loop on every field of every event."""
+
+    @pytest.mark.parametrize("mode", ["repeat_final_forced", "force_last"])
+    @pytest.mark.parametrize("case", sorted(LISTENER_CASES))
+    def test_batch_equals_per_point_loop(self, case, mode, monkeypatch):
+        setup, stops = LISTENER_CASES[case]
+        moves = _via(*stops)
+        final = moves[-1][1]
+
+        window_a, pipeline_a, _ = _make_rig()
+        setup(window_a, pipeline_a)
+
+        def per_point():
+            for index, (advance_ms, point) in enumerate(moves):
+                window_a.clock.advance(advance_ms)
+                forced = mode == "force_last" and index == len(moves) - 1
+                pipeline_a.move_mouse_to(point.x, point.y, force_event=forced)
+            if mode == "repeat_final_forced":
+                pipeline_a.move_mouse_to(final.x, final.y, force_event=True)
+
+        window_b, pipeline_b, _ = _make_rig()
+        setup(window_b, pipeline_b)
+
+        def batched():
+            pipeline_b.dispatch_batch(moves, **{mode: True})
+
+        events_a = _captured(monkeypatch, per_point)
+        events_b = _captured(monkeypatch, batched)
+        assert len(events_a) == len(events_b)
+        assert stream_digest(events_a) == stream_digest(events_b)
+        assert window_a.clock.now() == window_b.clock.now()
+        assert (window_a.scroll_x, window_a.scroll_y) == (window_b.scroll_x, window_b.scroll_y)
+        assert pipeline_a.pointer == pipeline_b.pointer
+        assert pipeline_a.events_dispatched == pipeline_b.events_dispatched
+        assert pipeline_a.hovered_element.id == pipeline_b.hovered_element.id
+
+    def test_cases_change_what_they_claim(self, monkeypatch):
+        def stream(setup, stops):
+            window, pipeline, _ = _make_rig()
+            setup(window, pipeline)
+            moves = _via(*stops)
+            events = _captured(monkeypatch, lambda: pipeline.dispatch_batch(moves))
+            return window, [event.type for event in events]
+
+        _, plain = stream(lambda window, pipeline: None, LISTENER_CASES["drag"][1])
+        window, _ = stream(*LISTENER_CASES["scroll-on-mousemove"])
+        assert window.scroll_y > 0.0
+        window, _ = stream(*LISTENER_CASES["remove-hovered"])
+        assert window.document.get_element_by_id("b1") is None
+        window, _ = stream(*LISTENER_CASES["load-page"])
+        assert window.document.get_element_by_id("next") is not None
+        _, nudged = stream(*LISTENER_CASES["pointer-on-pointermove"])
+        _, unnudged = stream(lambda window, pipeline: None, LISTENER_CASES["pointer-on-pointermove"][1])
+        assert nudged.count("mousemove") > unnudged.count("mousemove")
+        _, dragged = stream(*LISTENER_CASES["drag"])
+        assert {"dragstart", "drag", "dragover", "drop", "dragend"} <= set(dragged)
+        assert "dragstart" not in plain
+
+    def test_move_mouse_to_returns_its_mousemove_or_none_when_coalesced(self, monkeypatch):
+        window, pipeline, _ = _make_rig()
+        results = []
+
+        def moves():
+            results.append(pipeline.move_mouse_to(150.0, 120.0))
+            window.clock.advance(2.0)
+            results.append(pipeline.move_mouse_to(160.0, 125.0))
+
+        events = _captured(monkeypatch, moves)
+        dispatched, coalesced = results
+        assert dispatched is not None and dispatched.type == "mousemove"
+        assert [e.type for e in events[-2:]] == ["pointermove", "mousemove"]
+        assert events[-1] is dispatched
+        assert coalesced is None
+        assert pipeline.pointer == Point(160.0, 125.0)
 
 
 class TestMotorModulesStayLintClean:

@@ -6,14 +6,16 @@ features to every detector.  These tests pin that this changes no verdict
 and that each analysis step really runs once per recording.
 """
 
+import dataclasses
 import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis import trajectory
-from repro.analysis.trajectory import split_movements, trajectory_metrics
+from repro.analysis.trajectory import TrajectoryMetrics, split_movements, trajectory_metrics
 from repro.armsrace.tournament import Tournament
 from repro.detection import DetectionLevel, DetectorBattery, EnrolledProfileDetector
 from repro.detection import features as features_module
@@ -241,7 +243,132 @@ def _reference_trajectory_metrics(path):
     return mean_turn, jitter
 
 
+def _ndarray_method_trajectory_metrics(path):
+    """:func:`trajectory_metrics` as it read before its NumPy calls were
+    trimmed: ``np.diff``, the ndarray ``sum``/``mean``/``std``/``max``
+    methods, ``np.convolve`` and ``np.mean`` over the list of turns.
+    The kernel must give the same bits in every field."""
+    samples = list(path)
+    t = np.array([s[0] for s in samples], dtype=float)
+    x = np.array([s[1] for s in samples], dtype=float)
+    y = np.array([s[2] for s in samples], dtype=float)
+
+    dx, dy = np.diff(x), np.diff(y)
+    seg_len = np.hypot(dx, dy)
+    dt = np.diff(t)
+    duration = float(t[-1] - t[0])
+    path_length = float(seg_len.sum())
+    chord = float(math.hypot(x[-1] - x[0], y[-1] - y[0]))
+    straightness = chord / path_length if path_length > 1e-9 else 1.0
+
+    valid = dt > 0
+    speeds = np.zeros(0)
+    if valid.any():
+        speeds = seg_len[valid] / (dt[valid] / 1000.0)
+    mean_speed = float(speeds.mean()) if speeds.size else 0.0
+    peak_speed = float(speeds.max()) if speeds.size else 0.0
+    speed_cv = float(speeds.std() / mean_speed) if speeds.size and mean_speed > 1e-9 else 0.0
+
+    edge_ratio = 1.0
+    if speeds.size >= 5:
+        fifth = max(1, speeds.size // 5)
+        edge = np.concatenate([speeds[:fifth], speeds[-fifth:]])
+        middle = speeds[fifth:-fifth] if speeds.size > 2 * fifth else speeds
+        middle_mean = float(middle.mean()) if middle.size else mean_speed
+        if middle_mean > 1e-9:
+            edge_ratio = float(edge.mean() / middle_mean)
+
+    jitter_rms = 0.0
+    n = x.size
+    if n >= 5:
+        window = max(min(9, n if n % 2 == 1 else n - 1), 5)
+        half = window // 2
+        weights = trajectory._savitzky_golay_center_weights(window)
+        rx = x[half : n - half] - np.convolve(x, weights[::-1], mode="valid")
+        ry = y[half : n - half] - np.convolve(y, weights[::-1], mode="valid")
+        if rx.size:
+            jitter_rms = float(np.sqrt(np.mean(rx**2 + ry**2)))
+
+    turning = (seg_len[:-1] >= 1e-9) & (seg_len[1:] >= 1e-9)
+    cross = (dx[:-1] * dy[1:] - dy[:-1] * dx[1:])[turning]
+    dot = (dx[:-1] * dx[1:] + dy[:-1] * dy[1:])[turning]
+    turns = [abs(math.atan2(c, d)) for c, d in zip(cross.tolist(), dot.tolist())]
+    mean_turn = float(np.mean(turns)) if turns else 0.0
+
+    return TrajectoryMetrics(
+        n_samples=len(samples),
+        duration_ms=duration,
+        path_length=path_length,
+        chord_length=chord,
+        straightness=min(straightness, 1.0),
+        mean_speed_px_s=mean_speed,
+        peak_speed_px_s=peak_speed,
+        speed_cv=speed_cv,
+        edge_to_middle_speed_ratio=edge_ratio,
+        jitter_rms_px=jitter_rms,
+        mean_abs_turn_rad=mean_turn,
+    )
+
+
+def _field_reprs(metrics):
+    return [(field.name, repr(getattr(metrics, field.name))) for field in dataclasses.fields(metrics)]
+
+
+@pytest.fixture(scope="module")
+def golden_browsing_movements():
+    """Every movement of the four agents' browsing scenarios that
+    ``tests/test_event_stream_golden.py`` pins, short ones included."""
+    return [
+        movement
+        for kind in KINDS
+        for seed in (0, 1)
+        for movement in split_movements(
+            BrowsingScenario(seed=seed).run(_agent(kind, 500 + seed)).recorder.mouse_path(),
+            min_samples=2,
+        )
+    ]
+
+
+_STEPS = st.tuples(
+    # Zero steps repeat a timestamp; a zero move is a stationary sample.
+    st.sampled_from((0.0, 0.0, 1.0, 4.0, 8.0, 8.3, 16.0, 16.7, 33.4)),
+    st.just((0.0, 0.0))
+    | st.tuples(*[st.floats(-80.0, 80.0, allow_nan=False, allow_infinity=False)] * 2),
+)
+
+
+@st.composite
+def _paths(draw):
+    """2-150 samples with repeated timestamps and stationary samples mixed
+    into arbitrary float steps."""
+    t = draw(st.floats(0.0, 5000.0))
+    x = draw(st.floats(-10.0, 1400.0))
+    y = draw(st.floats(-10.0, 800.0))
+    path = [(t, x, y)]
+    steps = draw(st.integers(1, 149))
+    for step_ms, (step_x, step_y) in draw(st.lists(_STEPS, min_size=steps, max_size=steps)):
+        t, x, y = t + step_ms, x + step_x, y + step_y
+        path.append((t, x, y))
+    return path
+
+
 class TestTrajectoryKernel:
+    def test_every_field_matches_the_ndarray_methods_on_golden_sessions(
+        self, golden_browsing_movements
+    ):
+        assert len(golden_browsing_movements) > 300
+        for movement in golden_browsing_movements:
+            assert _field_reprs(trajectory_metrics(movement)) == _field_reprs(
+                _ndarray_method_trajectory_metrics(movement)
+            )
+
+    @settings(max_examples=80, deadline=None)
+    @given(path=_paths())
+    def test_every_field_matches_the_ndarray_methods_on_random_paths(self, path):
+        assert _field_reprs(trajectory_metrics(path)) == _field_reprs(
+            _ndarray_method_trajectory_metrics(path)
+        )
+
     def test_matches_per_segment_reference(self, recordings):
         checked = 0
         for _, recorder in recordings:
