@@ -17,8 +17,15 @@ pinned too.
 import dataclasses
 import hashlib
 
+import numpy as np
 import pytest
 
+from repro.behaviors import (
+    SpontaneousMovements,
+    idle_select_deselect,
+    misclick_then_correct,
+    warm_up_cursor,
+)
 from repro.browser.input_pipeline import InputPipeline, MIDDLE_BUTTON, RIGHT_BUTTON
 from repro.browser.window import Window
 from repro.core.hlisa_action_chains import HLISA_ActionChains
@@ -39,6 +46,7 @@ from repro.experiment.agents import InjectedEventsAgent
 from repro.experiment.replay import ReplayAgent
 from repro.geometry import Box, Point
 from repro.humans import HumanProfile
+from repro.tools.base import Unsupported, make_backend
 from repro.webdriver import ActionChains
 from repro.webdriver.driver import make_browser_driver
 from repro.webdriver.webelement import WebElement
@@ -291,12 +299,103 @@ def _page_lifecycle():
     pipeline.touch_end()
 
 
+def _tool(name):
+    """A Table 4 tool clicking and moving to a relocating target, then
+    typing and scrolling where it can (unsupported verbs are skipped)."""
+
+    def run():
+        backend = make_backend(name)
+        session = Session(automated=True, page_height=3000.0)
+        document = session.document
+        target = document.create_element("button", Box(620, 340, 90, 90), id="target")
+        area = document.create_element("textarea", Box(420, 560, 520, 150), id="area")
+        rng = np.random.default_rng(77)
+        for _ in range(12):
+            try:
+                backend.click_element(session, target)
+            except Unsupported:
+                pass
+            if hasattr(backend, "move_to_element"):
+                session.clock.advance(float(rng.uniform(100, 300)))
+                backend.move_to_element(session, target)
+            session.clock.advance(float(rng.uniform(180, 600)))
+            target.box = Box(
+                float(rng.uniform(10, 1266)), float(rng.uniform(10, 668)), 90.0, 90.0
+            )
+        for verb in (
+            lambda: backend.type_text(session, area, "Hi, Ann. Go!"),
+            lambda: backend.scroll_by(session, 900.0),
+        ):
+            try:
+                verb()
+            except Unsupported:
+                pass
+
+    return run
+
+
+def _scroller():
+    backend = make_backend("Scroller")
+    session = Session(automated=True, page_height=6000.0)
+    backend.scroll_by(session, 1500.0)
+    session.clock.advance(800.0)
+    backend.scroll_by(session, -600.0)
+
+
+def _appendix_f():
+    """The experiment-level behaviours: warm-up, wandering, misclicks
+    and an idle select-deselect."""
+    driver = make_browser_driver(page_height=2000.0)
+    EventRecorder(ALL_INTERACTION_EVENTS).attach(driver.window)
+    rng = np.random.default_rng(8)
+    warm_up_cursor(driver, rng)
+    wander = SpontaneousMovements(driver, probability=0.6, seed=3)
+    for _ in range(6):
+        wander.maybe_wander()
+    misclick_then_correct(driver, driver.find_element_by_id("submit"), rng)
+    idle_select_deselect(driver, rng)
+    misclick_then_correct(driver, driver.find_element_by_id("home_link"), rng)
+
+
+def _webdriver_script():
+    """``send_keys`` focuses a field, ``click`` moves focus to a button,
+    and a page load under the hovered button resets the hover before the
+    next move."""
+    driver = make_browser_driver()
+    window = driver.window
+    EventRecorder(ALL_INTERACTION_EVENTS).attach(window)
+    driver.find_element_by_id("text_area").send_keys("Hi There")
+    window.clock.advance(250.0)
+    driver.find_element_by_id("submit").click()
+    window.clock.advance(400.0)
+    page = Document(1366.0, 2000.0)
+    page.create_element("a", Box(400, 300, 300, 160), id="next")
+    driver.page_loader = lambda url: page
+    driver.get("https://example.test/next")
+    window.clock.advance(120.0)
+    ActionChains(driver).move_by_offset(5, 3).perform()
+
+
 SCENARIOS = {
     **{
         f"browsing-{kind}-{seed}": _browsing(kind, seed)
         for kind in ("hlisa", "selenium", "human", "naive")
         for seed in (0, 1)
     },
+    **{
+        f"tool-{slug}": _tool(name)
+        for slug, name in (
+            ("hmm", "HMM"),
+            ("pyclick", "PyC"),
+            ("bezmouse", "BezMouse"),
+            ("pyhm", "pyHM"),
+            ("clickbot", "ClickBot"),
+            ("thesis-typing", "[20]"),
+        )
+    },
+    "tool-scroller": _scroller,
+    "appendix-f": _appendix_f,
+    "webdriver-script": _webdriver_script,
     "injected": _injected,
     "replay": _replay,
     "drag-manual": _drag_manual,
@@ -310,6 +409,7 @@ SCENARIOS = {
 
 #: (event count, digest) per scenario.
 GOLDEN = {
+    "appendix-f": (1017, "2d851fbf15f5b230005dc490fb5500471a0116983cec0963e721c83049722cb7"),
     "browsing-hlisa-0": (4610, "a71d6012151ea4173ac4d8507c736db4e706e72d863f3fbb70fe994101e6d01c"),
     "browsing-hlisa-1": (4970, "9245883e5c018a7807c29c1e73946911ecf2eceb5b65c89e565a0e0005cc41e6"),
     "browsing-human-0": (6659, "bb729a2925abf9a93d837899fc5d032304f18ec4a544020bf39f4613f4ec5dba"),
@@ -327,6 +427,14 @@ GOLDEN = {
     "page-lifecycle": (9, "05a332113172a554803418dbbb73aff701863181f58022b5fdd92840b1a57e26"),
     "replay": (3533, "290c694ee511a97ab6298f6e4199d8e9bffe649c6f2394a5fd432948ab4d8652"),
     "smooth-wheel": (129, "afb6e656f87b983ae5df38fb60e86bfcccb9c94e3190a17106bc7287d18b5dbe"),
+    "tool-bezmouse": (3092, "ad639a95acf205ffd5b888f98dc992a3b598122e83ee0fd76836930604a32de6"),
+    "tool-clickbot": (2855, "cfeb6764d0e9540301a5913daf6e62baa73c39213787f520bd2e9803fc9ab173"),
+    "tool-hmm": (3022, "c0f819f048577967f1ec4df049ab023c42cc50f11ec6ea56d7297a08301a1b2e"),
+    "tool-pyclick": (3572, "612eccaf62a5a9cee57c0b0efa6be1ab76ab640ace7f73533295d1e6a87a8a52"),
+    "tool-pyhm": (3332, "0a0871059f12d24ec5981bdfcb4b1498d89b6d16315f00d1c11e622c3d0e04d0"),
+    "tool-scroller": (38, "836887b52375256faa3b9739e310078cd87aa65580231014a5b8aa2c0fb304c8"),
+    "tool-thesis-typing": (131, "132d2c05a77932c085f3f71fb0b6244f1e2ee1d159ca2f3aebce378371d0b145"),
+    "webdriver-script": (73, "31b5bc159cbb887daf8522ef0618fd5700dba93441d34c3dbdcf16c9cc9e7fd7"),
 }
 
 
