@@ -13,8 +13,10 @@ file):
   typing plans, scroll cadences) against the byte-identical scalar
   golden references.  RNG draws and list assembly are shared costs, so
   the end-to-end ratio is smaller; it is recorded, and must stay > 1.
-- **dispatch**: ``InputPipeline.dispatch_batch`` vs the per-point
-  ``clock.advance`` + ``move_mouse_to`` loop, driving a real DOM rig.
+- **dispatch**: ``InputPipeline.follow_path``, the one walk every agent,
+  Appendix F behaviour and Table 4 tool moves the cursor through, vs the
+  per-point ``clock.advance`` + ``move_mouse_to`` loop over the same
+  timed path, driving a real DOM rig.
 
 Throughput is wall-clock dependent; the byte-identity contract is what
 the tier-1 suite asserts (``tests/test_motor_equivalence.py``).
@@ -178,32 +180,29 @@ def _dispatch_rates(reps=150):
     path = HumanPointing(rng=np.random.default_rng(17)).path(
         Point(10.0, 10.0), Point(650.0, 320.0)
     )
-    moves = []
-    previous = 0.0
-    for t, point in path:
-        moves.append((max(t - previous, 0.0), point))
-        previous = t
 
     def loop():
         window, pipeline = _make_rig()
         before = pipeline.events_dispatched
-        for advance_ms, point in moves:
-            window.clock.advance(advance_ms)
+        previous = 0.0
+        for t, point in path:
+            window.clock.advance(max(t - previous, 0.0))
             pipeline.move_mouse_to(point.x, point.y)
-        pipeline.move_mouse_to(moves[-1][1].x, moves[-1][1].y, force_event=True)
+            previous = t
+        pipeline.move_mouse_to(path[-1][1].x, path[-1][1].y, force_event=True)
         return pipeline.events_dispatched - before
 
     def batch():
         _, pipeline = _make_rig()
         before = pipeline.events_dispatched
-        pipeline.dispatch_batch(moves, repeat_final_forced=True)
+        pipeline.follow_path(path)
         return pipeline.events_dispatched - before
 
-    # The two deliveries run the same per-sample step; the batch saves only
-    # the per-sample entry call, so their ratio is near 1 and host-speed
-    # drift between two back-to-back timing runs would swamp it:
-    # interleave the walks, alternating which goes first, so drift weighs
-    # on both rates alike.
+    # The two deliveries run the same per-sample step; ``follow_path``
+    # saves only the per-sample entry call (and the loop's own advance
+    # arithmetic), so their ratio is near 1 and host-speed drift between
+    # two back-to-back timing runs would swamp it: interleave the walks,
+    # alternating which goes first, so drift weighs on both rates alike.
     for _ in range(10):
         loop()
         batch()

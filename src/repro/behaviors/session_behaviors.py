@@ -17,17 +17,6 @@ from repro.models.bezier import hlisa_path
 from repro.models.clicks import hlisa_dwell_ms
 
 
-def _walk_path(driver, path) -> None:
-    if not path:
-        return
-    moves = []
-    previous = 0.0
-    for t, point in path:
-        moves.append((max(t - previous, 0.0), point))
-        previous = t
-    driver.pipeline.dispatch_batch(moves, repeat_final_forced=True)
-
-
 def warm_up_cursor(driver, rng: Optional[np.random.Generator] = None) -> Point:
     """Move the cursor away from (0, 0) before the page is (re)loaded.
 
@@ -42,7 +31,7 @@ def warm_up_cursor(driver, rng: Optional[np.random.Generator] = None) -> Point:
         float(rng.uniform(window.viewport_height * 0.2, window.viewport_height * 0.8)),
     )
     path = hlisa_path(driver.pipeline.pointer, target, rng)
-    _walk_path(driver, path)
+    driver.pipeline.follow_path(path)
     return target
 
 
@@ -88,7 +77,7 @@ class SpontaneousMovements:
                 )
             ),
         )
-        _walk_path(self.driver, hlisa_path(current, drift, self.rng))
+        self.driver.pipeline.follow_path(hlisa_path(current, drift, self.rng))
         self.driver.window.clock.advance(float(self.rng.uniform(150, 900)))
         return True
 
@@ -119,7 +108,7 @@ def misclick_then_correct(
         float(np.clip(miss_client.x, 2, window.viewport_width - 2)),
         float(np.clip(miss_client.y, 2, window.viewport_height - 2)),
     )
-    _walk_path(driver, hlisa_path(driver.pipeline.pointer, miss_client, rng))
+    driver.pipeline.follow_path(hlisa_path(driver.pipeline.pointer, miss_client, rng))
     driver.pipeline.mouse_down()
     driver.window.clock.advance(hlisa_dwell_ms(rng))
     driver.pipeline.mouse_up()
@@ -128,7 +117,7 @@ def misclick_then_correct(
     from repro.models.clicks import hlisa_click_point
 
     target_client = window.page_to_client(hlisa_click_point(box, rng))
-    _walk_path(driver, hlisa_path(driver.pipeline.pointer, target_client, rng))
+    driver.pipeline.follow_path(hlisa_path(driver.pipeline.pointer, target_client, rng))
     driver.pipeline.mouse_down()
     driver.window.clock.advance(hlisa_dwell_ms(rng))
     driver.pipeline.mouse_up()
@@ -149,7 +138,7 @@ def idle_select_deselect(driver, rng: Optional[np.random.Generator] = None) -> N
         float(np.clip(start.y + rng.normal(0, 8), 5, window.viewport_height - 5)),
     )
     driver.pipeline.mouse_down()
-    _walk_path(driver, hlisa_path(start, drag_end, rng))
+    driver.pipeline.follow_path(hlisa_path(start, drag_end, rng))
     driver.window.clock.advance(float(rng.uniform(80, 300)))
     driver.pipeline.mouse_up()
     driver.window.clock.advance(float(rng.uniform(200, 600)))

@@ -17,7 +17,8 @@ Quirks reproduced from the paper's Appendix D:
   interval as a constructor parameter so a WebDriver-controlled browser
   can exhibit the Selenium value.
 - **Mousemove coalescing**: mousemove granularity varies and does not
-  correlate with speed; the pipeline rate-limits mousemove dispatch.
+  correlate with speed; the pipeline rate-limits mousemove dispatch to
+  one twin per :data:`MOUSEMOVE_MIN_INTERVAL_MS`.
 - **Keyboard timestamps** are quantised to 1 ms by the clock.
 - **Programmatic scrolling** (``window.scrollTo``) fires ``scroll``
   without any ``wheel`` event and with arbitrary distance -- Selenium's
@@ -89,18 +90,22 @@ def key_code_for(key: str) -> str:
 
 
 class InputPipeline:
-    """Synthesises trusted DOM events from OS-level input primitives."""
+    """Synthesises trusted DOM events from OS-level input primitives.
+
+    The one input path: every pointer walk is :meth:`follow_path`,
+    :meth:`dispatch_batch` or :meth:`move_mouse_to`, each one
+    :meth:`_walk`; focus moves through :meth:`focus`, and a page load
+    resets hover through :meth:`page_loaded`.
+    """
 
     def __init__(
         self,
         window: Window,
         *,
         double_click_interval_ms: float = DEFAULT_DOUBLE_CLICK_INTERVAL_MS,
-        mousemove_min_interval_ms: float = MOUSEMOVE_MIN_INTERVAL_MS,
     ) -> None:
         self.window = window
         self.double_click_interval_ms = double_click_interval_ms
-        self.mousemove_min_interval_ms = mousemove_min_interval_ms
         #: Running count of synthesised events (always on; one int add).
         #: ``benchmarks/test_hlisa_events_per_sec.py`` reads deltas
         #: around action batches.
@@ -207,43 +212,44 @@ class InputPipeline:
         """Move the OS cursor to client coordinates ``(x, y)``.
 
         One sample of a pointer walk, with no clock advance: the step
-        :meth:`dispatch_batch` runs per sample (hover transitions, drag
-        progress, then at most one ``pointermove``/``mousemove`` pair,
-        rate-limited unless ``force_event``).  Returns the dispatched
-        mousemove, or ``None`` if it was coalesced away.
+        :meth:`_walk` runs per sample (hover transitions, drag progress,
+        then at most one ``pointermove``/``mousemove`` pair, rate-limited
+        unless ``force_event``).  Returns the dispatched mousemove, or
+        ``None`` if it was coalesced away.
         """
         return self._walk(((None, (x, y)),), force_event)[1]
 
-    def dispatch_batch(
-        self,
-        moves,
-        *,
-        force_last: bool = False,
-        repeat_final_forced: bool = False,
-    ) -> int:
+    def dispatch_batch(self, moves) -> int:
         """Advance the clock and move the pointer along ``moves`` in one pass.
 
         ``moves`` is an iterable of ``(advance_ms, point)`` pairs: the clock
-        advance *before* the cursor reaches ``point``.  Each sample runs
-        the one pointer step that :meth:`move_mouse_to` runs, so the event
-        stream is the per-point loop of ``clock.advance(advance_ms)`` +
-        :meth:`move_mouse_to` by construction.
-
-        ``force_last`` forces the final sample's mousemove through the rate
-        limiter (the WebDriver pointer-move contract).  ``repeat_final_forced``
-        instead re-dispatches the final point as one extra forced sample,
-        with no clock advance, after the walk -- the agents' historical
-        trailing call, kept so their event streams stay unchanged.
-
-        Returns the number of mousemove events dispatched.
+        advance *before* the cursor reaches ``point``.  The final sample's
+        mousemove is forced through the rate limiter (the WebDriver
+        pointer-move contract), so the event stream is the per-point loop
+        of ``clock.advance(advance_ms)`` + :meth:`move_mouse_to`, forcing
+        the last, by construction.  Returns the number of mousemove
+        events dispatched.
         """
-        moves = list(moves)
+        return self._walk(list(moves), True)[0]
+
+    def follow_path(self, path) -> int:
+        """Walk a timed path ``[(t_ms, point), ...]``, times counted from now.
+
+        Each sample advances the clock by ``max(t - previous, 0.0)``, and
+        one forced sample at the final point, with no clock advance, ends
+        the walk.  The agents, Appendix F behaviours and Table 4 tools
+        move the cursor this way.  Returns the number of mousemove events
+        dispatched.
+        """
+        moves = []
+        previous = 0.0
+        for t, point in path:
+            moves.append((max(t - previous, 0.0), point))
+            previous = t
         if not moves:
             return 0
-        dispatched = self._walk(moves, force_last)[0]
-        if repeat_final_forced:
-            dispatched += self._walk(((None, moves[-1][1]),), True)[0]
-        return dispatched
+        moves.append((None, moves[-1][1]))
+        return self._walk(moves, True)[0]
 
     def _walk(self, moves, force_last: bool) -> Tuple[int, Optional[Event]]:
         """The pointer step, once per ``(advance_ms, (x, y))`` of ``moves``.
@@ -253,7 +259,8 @@ class InputPipeline:
         transitions (mouseover/out/enter/leave) when the element under
         the cursor changes, progress a drag, then dispatch one
         ``pointermove``/``mousemove`` twin unless the rate limiter
-        coalesces it; ``force_last`` forces the final sample's twin.
+        coalesces it (less than :data:`MOUSEMOVE_MIN_INTERVAL_MS` after
+        the previous twin); ``force_last`` forces the final sample's twin.
 
         The window and its clock are held in locals.  Whatever a listener
         can change -- hover, drag and coalescing state, the pointer, the
@@ -294,7 +301,7 @@ class InputPipeline:
             if (
                 not (force_last and index == last_index)
                 and last_ts is not None
-                and now - last_ts < self.mousemove_min_interval_ms
+                and now - last_ts < MOUSEMOVE_MIN_INTERVAL_MS
             ):
                 event = None
                 continue
@@ -349,7 +356,7 @@ class InputPipeline:
         event = self._base_event("mousedown", target, button=button)
         target.dispatch_event(event)
         if button == LEFT_BUTTON:
-            self._update_focus_for_mousedown(target)
+            self.focus(target if target.focusable else None)
             if target.draggable:
                 self._drag_armed_at = self.pointer
         return event
@@ -460,11 +467,18 @@ class InputPipeline:
                 self._base_event("dblclick", target, button=LEFT_BUTTON, detail=count)
             )
 
-    def _update_focus_for_mousedown(self, target: Element) -> None:
-        document = self.window.document
-        new_focus = target if target.focusable else None
-        for event_type, element in document.set_focus(new_focus):
-            element.dispatch_event(self._base_event(event_type, element))
+    # -- focus and page loads -------------------------------------------------------
+
+    def focus(self, element: Optional[Element]) -> None:
+        """Move keyboard focus to ``element`` (``None`` blurs), dispatching
+        the transitions :meth:`Document.set_focus` returns."""
+        for event_type, target in self.window.document.set_focus(element):
+            target.dispatch_event(self._base_event(event_type, target))
+
+    def page_loaded(self) -> None:
+        """A new document replaced the page: the next sample enters the
+        element under the pointer without leaving the old page's."""
+        self._hovered = None
 
     # -- wheel / scrolling ------------------------------------------------------------
 

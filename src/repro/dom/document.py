@@ -123,8 +123,13 @@ class Document(EventTarget):
     def set_focus(self, element: Optional[Element]) -> List:
         """Move keyboard focus, returning the focus-related events to fire.
 
-        The caller (input pipeline) dispatches the returned events so their
-        timestamps come from the shared clock.
+        The events are ``(event_type, element)`` pairs: ``blur`` and
+        ``focusout`` on the previous element, then ``focus`` and
+        ``focusin`` on ``element``; none if focus does not move.
+        :meth:`InputPipeline.focus` is the one caller that dispatches
+        them, so their timestamps come from the shared clock; a caller
+        that drops them moves focus silently, as a script assigning
+        focus without events would.
         """
         transitions = []
         previous = self.active_element

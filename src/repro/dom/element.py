@@ -88,7 +88,14 @@ class Element(EventTarget):
             self.parent_target = document
 
     def append_child(self, child: "Element") -> "Element":
-        """Attach ``child`` and return it (for chaining)."""
+        """Attach ``child`` as the last child and return it (for chaining).
+
+        A child that already has a parent is detached first, so it moves
+        rather than being listed twice, as the DOM's ``appendChild`` moves
+        a node.
+        """
+        if child.parent is not None:
+            child.remove()
         child.parent = self
         child.document = self.document
         self.children.append(child)

@@ -91,21 +91,11 @@ class NaiveAgent:
         self.key_delay_ms = 100.0
         self.scroll_tick_interval_ms = 100.0
 
-    def _walk(self, session: Session, path) -> None:
-        if not path:
-            return
-        moves = []
-        previous_t = 0.0
-        for t, point in path:
-            moves.append((max(t - previous_t, 0.0), point))
-            previous_t = t
-        session.pipeline.dispatch_batch(moves, repeat_final_forced=True)
-
     def click_element(self, session: Session, element: Element) -> None:
         target_page = uniform_click_point(element.box, self.rng)
         target = session.window.page_to_client(target_page)
         path = naive_bezier_path(session.pipeline.pointer, target, self.rng)
-        self._walk(session, path)
+        session.pipeline.follow_path(path)
         session.pipeline.mouse_down()
         session.clock.advance(80.0)  # fixed, rhythmless dwell
         session.pipeline.mouse_up()
@@ -188,16 +178,6 @@ class HumanAgent:
         self.typing = HumanTyping(self.profile, rng)
         self.scrolling = HumanScrolling(self.profile, rng)
 
-    def _walk(self, session: Session, path) -> None:
-        if not path:
-            return
-        moves = []
-        previous_t = 0.0
-        for t, point in path:
-            moves.append((max(t - previous_t, 0.0), point))
-            previous_t = t
-        session.pipeline.dispatch_batch(moves, repeat_final_forced=True)
-
     def click_element(self, session: Session, element: Element) -> None:
         window = session.window
         start = session.pipeline.pointer
@@ -220,7 +200,7 @@ class HumanAgent:
         )
         target = window.page_to_client(target_page)
         path = self.pointing.path(start, target, target_width=width, duration_ms=duration)
-        self._walk(session, path)
+        session.pipeline.follow_path(path)
         session.pipeline.mouse_down()
         session.clock.advance(self.clicking.dwell_ms())
         session.pipeline.mouse_up()

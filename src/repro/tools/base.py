@@ -8,13 +8,12 @@ just as the paper's table leaves those cells empty.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict
 
 import numpy as np
 
 from repro.dom.element import Element
 from repro.experiment.session import Session
-from repro.geometry import Point
 
 
 class Unsupported(NotImplementedError):
@@ -47,21 +46,6 @@ class ToolBackend:
 
     def scroll_by(self, session: Session, dy: float) -> None:
         raise Unsupported(f"{self.name} has no scrolling support")
-
-    # -- shared plumbing ------------------------------------------------------
-
-    def _walk(self, session: Session, path: List[Tuple[float, Point]]) -> None:
-        """Execute a timed path through the input pipeline."""
-        clock = session.clock
-        previous_t = 0.0
-        for t, point in path:
-            clock.advance(max(t - previous_t, 0.0))
-            session.pipeline.move_mouse_to(point.x, point.y)
-            previous_t = t
-        if path:
-            session.pipeline.move_mouse_to(
-                path[-1][1].x, path[-1][1].y, force_event=True
-            )
 
 
 #: name -> backend factory; filled by the individual tool modules via

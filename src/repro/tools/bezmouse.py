@@ -47,7 +47,7 @@ class BezMouseBackend(ToolBackend):
                 )
             path.append((t, p))
             t += float(self.rng.uniform(6.0, 14.0))  # per-point sleep range
-        self._walk(session, path)
+        session.pipeline.follow_path(path)
 
     def click_element(self, session: Session, element: Element) -> None:
         self.move_to_element(session, element)

@@ -48,7 +48,7 @@ class ClickBotBackend(ToolBackend):
             (i * self.POINT_INTERVAL_MS, curve.at(float(t)))
             for i, t in enumerate(tau)
         ]
-        self._walk(session, path)
+        session.pipeline.follow_path(path)
 
     def _hold(self, session: Session) -> None:
         session.clock.advance(float(max(self.rng.normal(85.0, 20.0), 25.0)))

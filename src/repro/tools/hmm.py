@@ -96,7 +96,7 @@ class HMMBackend(ToolBackend):
         path: List[Tuple[float, Point]] = [
             (i * self.POINT_INTERVAL_MS, p) for i, p in enumerate(curve)
         ]
-        self._walk(session, path)
+        session.pipeline.follow_path(path)
 
     def click_element(self, session: Session, element: Element) -> None:
         # Movement-only tool: it can take the cursor there, but offers no

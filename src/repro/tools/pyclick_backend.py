@@ -56,7 +56,7 @@ class PyClickBackend(ToolBackend):
         path: List[Tuple[float, Point]] = [
             (i * self.POINT_INTERVAL_MS, p) for i, p in enumerate(curve)
         ]
-        self._walk(session, path)
+        session.pipeline.follow_path(path)
 
     def click_element(self, session: Session, element: Element) -> None:
         self.move_to_element(session, element)

@@ -43,7 +43,7 @@ class PyHMBackend(ToolBackend):
             (i * self.POINT_INTERVAL_MS, curve.at(float(t)))
             for i, t in enumerate(tau)
         ]
-        self._walk(session, path)
+        session.pipeline.follow_path(path)
 
     def click_element(self, session: Session, element: Element) -> None:
         self.move_to_element(session, element)

@@ -61,7 +61,7 @@ class ThesisTypingBackend(ToolBackend):
                     ),
                 )
             )
-        self._walk(session, path)
+        session.pipeline.follow_path(path)
 
     def type_text(self, session: Session, element: Element, text: str) -> None:
         self._move_to(session, element)

@@ -162,11 +162,8 @@ class ActionExecutor:
             ticks = max(1, int(math.ceil(action.duration_ms / POINTER_MOVE_TICK_MS)))
             tick_ms = action.duration_ms / ticks
             pipeline.dispatch_batch(
-                (
-                    (tick_ms, lerp_point(start, target, i / ticks))
-                    for i in range(1, ticks + 1)
-                ),
-                force_last=True,
+                (tick_ms, lerp_point(start, target, i / ticks))
+                for i in range(1, ticks + 1)
             )
         elif isinstance(action, PointerDown):
             pipeline.mouse_down(action.button)

@@ -78,7 +78,7 @@ class WebDriver:
         document.window = self.window
         self.window.scroll_x = 0.0
         self.window.scroll_y = 0.0
-        self.pipeline._hovered = None
+        self.pipeline.page_loaded()
 
     # -- element lookup ---------------------------------------------------------
 

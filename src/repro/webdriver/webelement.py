@@ -101,11 +101,7 @@ class WebElement:
         capitals without Shift) via the driver's key routine.
         """
         self._require_interactable()
-        document = self._driver.window.document
-        for event_type, element in document.set_focus(self.dom_element):
-            element.dispatch_event(
-                self._driver.pipeline._base_event(event_type, element)
-            )
+        self._driver.pipeline.focus(self.dom_element)
         self._driver.type_like_selenium(keys)
 
     def clear(self) -> None:

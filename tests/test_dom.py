@@ -207,7 +207,7 @@ def _property_parent_target(node):
 
 
 _TREE_STEPS = (
-    "create", "create", "detached", "remove", "remove", "reappend",
+    "create", "create", "detached", "remove", "remove", "reappend", "move",
     "overlay", "dismiss", "challenge", "load", "window", "assign",
 )
 
@@ -250,6 +250,13 @@ class TestBubblingLinks:
                     inside = {id(node) for node in root.iter_subtree()}
                     hosts = [e for e in created if id(e) not in inside]
                     data.draw(st.sampled_from(hosts), label="host").append_child(root)
+            elif step == "move":
+                attached = [element for element in created if element.parent is not None]
+                if attached:
+                    moved = data.draw(st.sampled_from(attached), label="moved")
+                    inside = {id(node) for node in moved.iter_subtree()}
+                    hosts = [e for e in created if id(e) not in inside]
+                    data.draw(st.sampled_from(hosts), label="host").append_child(moved)
             elif step in ("overlay", "challenge"):
                 document = data.draw(st.sampled_from(documents), label="document")
                 install = install_overlay if step == "overlay" else install_challenge
@@ -272,6 +279,9 @@ class TestBubblingLinks:
 
             for node in created + documents + windows:
                 assert node.parent_target is _property_parent_target(node)
+            listed = Counter(id(child) for element in created for child in element.children)
+            for element in created:
+                assert listed[id(element)] == (element.parent is not None)
             for document in documents:
                 if document.window is None:
                     continue
@@ -279,6 +289,17 @@ class TestBubblingLinks:
                     reached.clear()
                     element.dispatch_event(Event("mousemove", 0.0))
                     assert reached == Counter({document.window: 1})
+
+    def test_appending_an_attached_element_moves_it(self):
+        document = Document(300, 300)
+        a = document.create_element("div", Box(0, 0, 100, 100), id="a")
+        b = document.create_element("div", Box(100, 0, 100, 100), id="b")
+        x = a.append_child(Element("span", Box(10, 10, 5, 5), id="x"))
+        assert b.append_child(x) is x
+        assert x.parent is b and x.parent_target is b
+        assert a.children == [] and b.children == [x]
+        assert [e.id for e in document.body.iter_subtree()] == ["body", "a", "b", "x"]
+        assert document.get_element_by_id("x") is x
 
     def test_a_listener_that_removes_its_target_stops_the_bubbling_there(self):
         window = Window()

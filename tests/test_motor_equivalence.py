@@ -257,12 +257,7 @@ class TestDispatchBatch:
         pipeline_a.move_mouse_to(path[-1][1].x, path[-1][1].y, force_event=True)
 
         window_b, pipeline_b, recorder_b = _make_rig()
-        moves = []
-        previous = 0.0
-        for t, point in path:
-            moves.append((max(t - previous, 0.0), point))
-            previous = t
-        pipeline_b.dispatch_batch(moves, repeat_final_forced=True)
+        pipeline_b.follow_path(path)
 
         assert _stream(recorder_a) == _stream(recorder_b)
         assert window_a.clock.now() == window_b.clock.now()
@@ -278,25 +273,35 @@ class TestDispatchBatch:
             )
 
         window_b, pipeline_b, recorder_b = _make_rig()
-        pipeline_b.dispatch_batch(
-            ((4.0, point) for _, point in path), force_last=True
-        )
+        pipeline_b.dispatch_batch((4.0, point) for _, point in path)
 
         assert _stream(recorder_a) == _stream(recorder_b)
         assert recorder_b.of_type("mousemove"), "final move must dispatch"
 
+    def test_final_sample_is_forced_through_the_rate_limiter(self):
+        """A sample 1 ms after the previous twin is coalesced, unless it
+        ends a batch (the WebDriver pointer-move contract)."""
+        moves = [(0.0, Point(20.0, 20.0)), (1.0, Point(30.0, 25.0))]
+        window, pipeline, recorder = _make_rig()
+        for advance_ms, point in moves:
+            window.clock.advance(advance_ms)
+            pipeline.move_mouse_to(point.x, point.y)
+        assert len(recorder.of_type("mousemove")) == 1
+        _, pipeline, recorder = _make_rig()
+        assert pipeline.dispatch_batch(moves) == 2
+        assert recorder.of_type("mousemove")[-1].client_x == 30.0
+
     def test_empty_batch_is_a_no_op(self):
         window, pipeline, recorder = _make_rig()
         assert pipeline.dispatch_batch([]) == 0
+        assert pipeline.follow_path([]) == 0
         assert recorder.events == []
         assert window.clock.now() == 0.0
 
     def test_returns_dispatched_mousemove_count(self):
         path = self._path()
         _, pipeline, recorder = _make_rig()
-        count = pipeline.dispatch_batch(
-            [(max(t, 0.0), p) for t, p in path], force_last=True
-        )
+        count = pipeline.dispatch_batch([(max(t, 0.0), p) for t, p in path])
         assert count == len(recorder.of_type("mousemove"))
 
 
@@ -310,6 +315,17 @@ def _via(*stops, seed=29):
             moves.append((max(t - previous, 0.0), point))
             previous = t
     return moves
+
+
+def _timed(moves):
+    """The timed path ``[(t_ms, point), ...]`` reaching each point of
+    ``moves`` after its running sum of advances."""
+    path = []
+    t = 0.0
+    for advance_ms, point in moves:
+        t += advance_ms
+        path.append((t, point))
+    return path
 
 
 def _scroll_on_mousemove(window, pipeline):
@@ -398,29 +414,42 @@ class TestDispatchBatchUnderListeners:
     between a twin's two events: the batch still equals the per-point
     loop on every field of every event."""
 
-    @pytest.mark.parametrize("mode", ["repeat_final_forced", "force_last"])
+    @pytest.mark.parametrize("mode", ["follow_path", "dispatch_batch"])
     @pytest.mark.parametrize("case", sorted(LISTENER_CASES))
     def test_batch_equals_per_point_loop(self, case, mode, monkeypatch):
+        """``follow_path`` against the loop over the same timed path with a
+        trailing forced move; ``dispatch_batch`` against the loop over
+        its moves, forcing the last."""
         setup, stops = LISTENER_CASES[case]
         moves = _via(*stops)
+        path = _timed(moves)
         final = moves[-1][1]
 
         window_a, pipeline_a, _ = _make_rig()
         setup(window_a, pipeline_a)
 
         def per_point():
+            if mode == "follow_path":
+                previous = 0.0
+                for t, point in path:
+                    window_a.clock.advance(max(t - previous, 0.0))
+                    pipeline_a.move_mouse_to(point.x, point.y)
+                    previous = t
+                pipeline_a.move_mouse_to(final.x, final.y, force_event=True)
+                return
             for index, (advance_ms, point) in enumerate(moves):
                 window_a.clock.advance(advance_ms)
-                forced = mode == "force_last" and index == len(moves) - 1
+                forced = index == len(moves) - 1
                 pipeline_a.move_mouse_to(point.x, point.y, force_event=forced)
-            if mode == "repeat_final_forced":
-                pipeline_a.move_mouse_to(final.x, final.y, force_event=True)
 
         window_b, pipeline_b, _ = _make_rig()
         setup(window_b, pipeline_b)
 
         def batched():
-            pipeline_b.dispatch_batch(moves, **{mode: True})
+            if mode == "follow_path":
+                pipeline_b.follow_path(path)
+            else:
+                pipeline_b.dispatch_batch(moves)
 
         events_a = _captured(monkeypatch, per_point)
         events_b = _captured(monkeypatch, batched)
